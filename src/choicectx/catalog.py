@@ -6,7 +6,10 @@ the test suite pins down.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .core import PossibilisticModel, Scenario
+from .errors import TooLarge
 from .probabilistic import ProbabilisticModel, uniform_over_support
 
 
@@ -146,3 +149,71 @@ def warp_signalling() -> PossibilisticModel:
             ("x", "y", "z"): [{"z"}],
         },
     )
+
+
+def gen_random_model(
+    n_variables: int,
+    n_contexts: int,
+    density: float,
+    seed: int,
+    intersection_closed: bool = False,
+) -> PossibilisticModel:
+    """Draw a random valid model, deterministically in the arguments.
+
+    Contexts are random nonempty variable subsets (duplicates dropped, so
+    ``n_contexts`` is an upper bound); a catch-all context covers any
+    leftover variables.  Each subset of a context becomes an event with
+    probability ``density``.
+    """
+    if n_variables < 1:
+        raise ValueError("at least one variable is required")
+    if n_contexts < 1:
+        raise ValueError("at least one context is required")
+    if not 0.0 <= density <= 1.0:
+        raise ValueError("density must lie in [0, 1]")
+    import numpy as np  # only the generator needs numpy; keep it off import
+
+    rng = np.random.default_rng(seed)
+    width = len(str(n_variables - 1))
+    names = [f"x{i:0{width}d}" for i in range(n_variables)]
+
+    contexts: list[frozenset[str]] = []
+    seen: set[frozenset[str]] = set()
+    for _ in range(n_contexts):
+        for _attempt in range(64):
+            mask = rng.random(n_variables) < 0.5
+            candidate = frozenset(n for n, keep in zip(names, mask) if keep)
+            if candidate and candidate not in seen:
+                seen.add(candidate)
+                contexts.append(candidate)
+                break
+
+    covered = set().union(*contexts) if contexts else set()
+    uncovered = frozenset(set(names) - covered)
+    if uncovered:
+        seen.add(uncovered)
+        contexts.append(uncovered)
+
+    if intersection_closed:
+        changed = True
+        while changed:
+            changed = False
+            for a, b in combinations(list(contexts), 2):
+                meet = a & b
+                if meet and meet not in seen:
+                    seen.add(meet)
+                    contexts.append(meet)
+                    changed = True
+
+    scenario = Scenario.make(names, contexts)
+    supports: dict[tuple[str, ...], set[frozenset[str]]] = {}
+    for context in scenario.cover:
+        k = len(context)
+        if k > 24:
+            raise TooLarge(f"context of {k} variables is too large to enumerate")
+        draws = rng.random(1 << k) < density
+        supports[context] = {
+            frozenset(context[j] for j in range(k) if (code >> j) & 1)
+            for code in np.flatnonzero(draws)
+        }
+    return PossibilisticModel.make(scenario, supports)

@@ -18,9 +18,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations
-
-import numpy as np
 
 from .axioms import (
     AuditReport,
@@ -31,13 +28,13 @@ from .axioms import (
     is_choice_structure,
     overlap_property,
 )
+from .catalog import gen_random_model
 from .contextuality import Classification, classify
 from .core import (
     EXHAUSTIVE_BOUND_DEFAULT,
     PossibilisticModel,
-    Scenario,
     Verdict,
-    validate_model,
+    _empty_support_warnings,
 )
 from .errors import (
     ModelSemanticError,
@@ -67,6 +64,7 @@ _INPUT_ERRORS = (
     NotContradictory,
     TooLarge,
     OSError,
+    ValueError,
 )
 
 
@@ -117,32 +115,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "classify", parents=[common], help="place a model in the hierarchy"
-    )
-    p.add_argument("model", help="model file (JSON)")
-
-    p = sub.add_parser(
-        "axioms", parents=[common], help="run the choice-axiom checks"
-    )
-    p.add_argument("model", help="model file (JSON)")
-
-    p = sub.add_parser(
-        "audit", parents=[common], help="full report with implication checks"
-    )
-    p.add_argument("model", help="model file (JSON)")
+    # dests name the RunConfig fields they fill
+    for command, text in (
+        ("classify", "place a model in the hierarchy"),
+        ("axioms", "run the choice-axiom checks"),
+        ("audit", "full report with implication checks"),
+    ):
+        p = sub.add_parser(command, parents=[common], help=text)
+        p.add_argument("model_path", metavar="model", help="model file (JSON)")
 
     p = sub.add_parser(
         "bell", parents=[common], help="evaluate the logical inequality"
     )
-    p.add_argument("model", help="probabilistic model file (JSON)")
     p.add_argument(
-        "--props", required=True, metavar="FILE", help="formula file, one per line"
+        "model_path", metavar="model", help="probabilistic model file (JSON)"
+    )
+    p.add_argument(
+        "--props",
+        dest="props_path",
+        required=True,
+        metavar="FILE",
+        help="formula file, one per line",
     )
 
     p = sub.add_parser("gen", parents=[common], help="emit a random model")
-    p.add_argument("--vars", type=int, required=True, metavar="N")
-    p.add_argument("--contexts", type=int, required=True, metavar="K")
+    p.add_argument("--vars", dest="n_variables", type=int, required=True, metavar="N")
+    p.add_argument("--contexts", dest="n_contexts", type=int, required=True, metavar="K")
     p.add_argument(
         "--density",
         type=float,
@@ -160,87 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        model_path=getattr(ns, "model", None),
-        props_path=getattr(ns, "props", None),
-        machine=ns.machine,
-        strict=ns.strict,
-        bound=ns.bound,
-        budget=ns.budget,
-        n_variables=getattr(ns, "vars", 0),
-        n_contexts=getattr(ns, "contexts", 0),
-        density=getattr(ns, "density", 0.5),
-        seed=getattr(ns, "seed", 0),
-        closed=getattr(ns, "closed", False),
-    )
-
-
-def gen_random_model(
-    n_variables: int,
-    n_contexts: int,
-    density: float,
-    seed: int,
-    intersection_closed: bool = False,
-) -> PossibilisticModel:
-    """Draw a random valid model, deterministically in the arguments.
-
-    Contexts are random nonempty variable subsets (duplicates dropped, so
-    ``n_contexts`` is an upper bound); a catch-all context covers any
-    leftover variables.  Each subset of a context becomes an event with
-    probability ``density``.
-    """
-    if n_variables < 1:
-        raise ValueError("at least one variable is required")
-    if n_contexts < 1:
-        raise ValueError("at least one context is required")
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    width = len(str(n_variables - 1))
-    names = [f"x{i:0{width}d}" for i in range(n_variables)]
-
-    contexts: list[frozenset[str]] = []
-    seen: set[frozenset[str]] = set()
-    for _ in range(n_contexts):
-        for _attempt in range(64):
-            mask = rng.random(n_variables) < 0.5
-            candidate = frozenset(n for n, keep in zip(names, mask) if keep)
-            if candidate and candidate not in seen:
-                seen.add(candidate)
-                contexts.append(candidate)
-                break
-
-    covered = set().union(*contexts) if contexts else set()
-    uncovered = frozenset(set(names) - covered)
-    if uncovered:
-        seen.add(uncovered)
-        contexts.append(uncovered)
-
-    if intersection_closed:
-        changed = True
-        while changed:
-            changed = False
-            for a, b in combinations(list(contexts), 2):
-                meet = a & b
-                if meet and meet not in seen:
-                    seen.add(meet)
-                    contexts.append(meet)
-                    changed = True
-
-    scenario = Scenario.make(names, contexts)
-    supports: dict[tuple[str, ...], set[frozenset[str]]] = {}
-    for context in scenario.cover:
-        k = len(context)
-        if k > 24:
-            raise TooLarge(f"context of {k} variables is too large to enumerate")
-        draws = rng.random(1 << k) < density
-        supports[context] = {
-            frozenset(context[j] for j in range(k) if (code >> j) & 1)
-            for code in np.flatnonzero(draws)
-        }
-    return PossibilisticModel.make(scenario, supports)
+    return RunConfig(**vars(build_parser().parse_args(argv)))
 
 
 def _fmt_value(value: object) -> str:
@@ -302,14 +220,14 @@ def _load_model(config: RunConfig) -> Model:
     assert config.model_path is not None
     with open(config.model_path, "r", encoding="utf-8") as handle:
         model = parse_model(handle.read())
-    if isinstance(model, PossibilisticModel):
-        verdict = validate_model(model)
-    else:
+    # parse_model enforces the structure; only probabilities remain to check
+    if isinstance(model, ProbabilisticModel):
         verdict = validate_probabilistic(model)
-    if not verdict.holds:
-        raise ModelSemanticError(verdict.narrative, "$")
-    for warning in verdict.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+        if not verdict.holds:
+            raise ModelSemanticError(verdict.narrative, "$")
+    else:
+        for warning in _empty_support_warnings(model):
+            print(f"warning: {warning}", file=sys.stderr)
     return model
 
 
@@ -330,6 +248,8 @@ def _emit(config: RunConfig, doc: dict, lines: list[str]) -> None:
 def _deadline(config: RunConfig) -> float | None:
     if config.budget is None:
         return None
+    if not config.budget >= 0:  # also rejects NaN
+        raise ValueError(f"--budget must be a nonnegative number, not {config.budget!r}")
     return time.monotonic() + config.budget
 
 
@@ -420,9 +340,6 @@ def run(config: RunConfig) -> int:
             )
         return 3
     except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,29 +6,29 @@ ways: every event is realized by some section (NonContextual), some event is
 realized by no section (Contextual), or no section exists at all
 (StronglyContextual).
 
-Assignments are packed into bitmasks internally: variable ``j`` (in scenario
-order) occupies bit ``n - 1 - j``, so ascending integers enumerate
-assignments in lexicographic order and both search strategies emit sections
-in the same order.
+Both search strategies run on the model's bitmask form
+(:attr:`PossibilisticModel.compiled`), where ascending integers enumerate
+assignments in lexicographic order, so both emit sections in the same order.
+Sections are decoded to :class:`Assignment` only on the way out.
 """
 
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import (
+    DEADLINE_STRIDE,
     EXHAUSTIVE_BOUND_DEFAULT,
     Assignment,
     Context,
     Event,
     PossibilisticModel,
+    _Compiled,
+    _scan_masks,
+    past_deadline,
 )
 from .errors import DomainMismatch, TimeBudgetExceeded, TooLarge
-
-_DEADLINE_STRIDE = 1024
 
 
 class Kind(enum.Enum):
@@ -77,69 +77,26 @@ def is_global_section(assignment: Assignment, model: PossibilisticModel) -> bool
         if extra:
             parts.append(f"extraneous variables {extra}")
         raise DomainMismatch("assignment is not total on the scenario: " + "; ".join(parts))
-    ones = assignment.support()
-    for context in scenario.cover:
-        if frozenset(ones & set(context)) not in model.events(context):
-            return False
-    return True
-
-
-class _Compiled:
-    """Bitmask view of a model, shared by every search strategy."""
-
-    def __init__(self, model: PossibilisticModel):
-        scenario = model.scenario
-        self.variables = scenario.variables
-        self.n = len(scenario.variables)
-        index = scenario.variable_index
-        self.bit = {v: 1 << (self.n - 1 - index[v]) for v in scenario.variables}
-        self.contexts: list[tuple[int, frozenset[int]]] = []
-        for context in scenario.cover:
-            cmask = self._mask(context)
-            masks = frozenset(self._mask(event) for event in model.events(context))
-            self.contexts.append((cmask, masks))
-        # contexts become checkable once their highest-index variable is set
-        self.completed_at: list[list[tuple[int, frozenset[int]]]] = [
-            [] for _ in range(self.n)
-        ]
-        for context, compiled in zip(scenario.cover, self.contexts):
-            last = max(index[v] for v in context)
-            self.completed_at[last].append(compiled)
-
-    def _mask(self, variables) -> int:
-        mask = 0
-        for v in variables:
-            mask |= self.bit[v]
-        return mask
-
-    def decode(self, mask: int) -> Assignment:
-        return Assignment.make(
-            {v: 1 if mask & self.bit[v] else 0 for v in self.variables}
-        )
-
-
-def _scan_masks(compiled: _Compiled) -> Iterator[int]:
-    for code in range(1 << compiled.n):
-        if all(code & cmask in masks for cmask, masks in compiled.contexts):
-            yield code
+    compiled = model.compiled
+    code = compiled.mask(assignment.support())
+    return all(code & cmask in allowed for cmask, allowed in compiled.contexts)
 
 
 def _search_masks(compiled: _Compiled, deadline: float | None) -> list[int]:
     found: list[int] = []
     nodes = 0
+    bits = list(compiled.bit.values())
 
     def extend(depth: int, acc: int) -> None:
         nonlocal nodes
         if deadline is not None:
             nodes += 1
-            if nodes % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
-                raise TimeBudgetExceeded(
-                    partial_sections=tuple(compiled.decode(m) for m in found)
-                )
+            if past_deadline(nodes, deadline):
+                raise TimeBudgetExceeded(partial_sections=map(compiled.decode, found))
         if depth == compiled.n:
             found.append(acc)
             return
-        for bit in (0, compiled.bit[compiled.variables[depth]]):
+        for bit in (0, bits[depth]):
             candidate = acc | bit
             if all(
                 candidate & cmask in masks
@@ -159,12 +116,12 @@ def global_sections_bruteforce(
     Refuses scenarios with more than ``bound`` variables; kept deliberately
     naive so it can referee the backtracking search.
     """
-    compiled = _Compiled(model)
+    compiled = model.compiled
     if compiled.n > bound:
         raise TooLarge(
             f"{compiled.n} variables exceed the exhaustive bound of {bound}"
         )
-    return [compiled.decode(mask) for mask in _scan_masks(compiled)]
+    return list(map(compiled.decode, _scan_masks(compiled.n, compiled.contexts)))
 
 
 def global_sections_backtracking(
@@ -178,8 +135,8 @@ def global_sections_backtracking(
     is a ``time.monotonic`` value; exceeding it raises
     :class:`TimeBudgetExceeded` carrying the sections found so far.
     """
-    compiled = _Compiled(model)
-    return [compiled.decode(mask) for mask in _search_masks(compiled, deadline)]
+    compiled = model.compiled
+    return [compiled.decode(code) for code in _search_masks(compiled, deadline)]
 
 
 def classify(
@@ -188,16 +145,21 @@ def classify(
     """Place a model in the hierarchy, with a witness for contextuality.
 
     The witness is the canonically first unrealized event: contexts are
-    taken in cover order and events in shortlex order.
+    taken in cover order and events in shortlex order.  ``deadline`` covers
+    both the search and the pass that finds the witness.
     """
-    compiled = _Compiled(model)
+    compiled = model.compiled
     sections = _search_masks(compiled, deadline)
     if not sections:
         return Classification(Kind.STRONGLY_CONTEXTUAL, None, 0)
     for context, (cmask, _) in zip(model.scenario.cover, compiled.contexts):
-        realized = {mask & cmask for mask in sections}
+        realized: set[int] = set()
+        for start in range(0, len(sections), DEADLINE_STRIDE):
+            if past_deadline(start, deadline):
+                raise TimeBudgetExceeded(partial_sections=map(compiled.decode, sections))
+            realized.update(map(cmask.__and__, sections[start : start + DEADLINE_STRIDE]))
         for event in model.events_sorted(context):
-            if compiled._mask(event) not in realized:
+            if compiled.mask(event) not in realized:
                 return Classification(
                     Kind.CONTEXTUAL, (context, event), len(sections)
                 )

@@ -15,11 +15,17 @@ events sort shortlex (by size, then lexicographically as sorted tuples).
 from __future__ import annotations
 
 import re
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .errors import UnboundVariable, UnknownContext, VariableNotInContext
+from .errors import (
+    TimeBudgetExceeded,
+    UnboundVariable,
+    UnknownContext,
+    VariableNotInContext,
+)
 
 VARIABLE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 
@@ -28,6 +34,20 @@ Event = frozenset[str]
 
 # largest variable count the exhaustive 2^n strategies accept by default
 EXHAUSTIVE_BOUND_DEFAULT = 24
+
+# units of work (search nodes, scanned codes, formula evaluations, section
+# tests) between two reads of the clock against a deadline
+DEADLINE_STRIDE = 1024
+
+
+def past_deadline(work: int, deadline: float | None) -> bool:
+    """Whether ``deadline`` (a ``time.monotonic`` value) has passed, reading
+    the clock only when ``work`` is a multiple of :data:`DEADLINE_STRIDE`."""
+    return (
+        deadline is not None
+        and work % DEADLINE_STRIDE == 0
+        and time.monotonic() > deadline
+    )
 
 
 def canonical_context(variables: Iterable[str]) -> Context:
@@ -64,8 +84,12 @@ class Scenario:
         return cls(variables=vs, cover=tuple(cs))
 
     @cached_property
-    def variable_index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.variables)}
+    def bit(self) -> dict[str, int]:
+        """Bit of each variable in packed codes: variable ``j`` occupies bit
+        ``n - 1 - j``, so ascending codes enumerate total assignments in
+        lexicographic order."""
+        n = len(self.variables)
+        return {v: 1 << (n - 1 - j) for j, v in enumerate(self.variables)}
 
     def has_context(self, context: Iterable[str]) -> bool:
         return canonical_context(context) in set(self.cover)
@@ -121,14 +145,6 @@ class Assignment:
     def support(self) -> frozenset[str]:
         """The variables this assignment maps to 1."""
         return frozenset(v for v, b in self.bindings if b == 1)
-
-
-def restrict(assignment: Assignment, variables: Iterable[str]) -> Assignment:
-    return assignment.restrict(variables)
-
-
-def support(assignment: Assignment) -> frozenset[str]:
-    return assignment.support()
 
 
 @dataclass(frozen=True, eq=True)
@@ -191,13 +207,62 @@ class PossibilisticModel:
         This is the choice function of the context, read off the support.
         """
         key = canonical_context(context)
-        if key not in self.supports:
-            raise UnknownContext(f"context {format_event(key)} is not in the cover")
+        chosen = self.chosen_set(key)
         if variable not in key:
             raise VariableNotInContext(
                 f"variable {variable!r} is not in context {format_event(key)}"
             )
-        return 1 if variable in self._chosen_sets[key] else 0
+        return 1 if variable in chosen else 0
+
+    @cached_property
+    def compiled(self) -> "_Compiled":
+        """Bitmask form of the model, built on first use."""
+        return _Compiled(self)
+
+
+class _Compiled:
+    """Bitmask form of a model in the layout of :attr:`Scenario.bit`: each
+    cover context becomes its variable mask and the masks of its events."""
+
+    def __init__(self, model: PossibilisticModel):
+        scenario = model.scenario
+        self.n = len(scenario.variables)
+        self.bit = scenario.bit
+        self._bits = tuple(self.bit.items())
+        self.contexts: list[tuple[int, frozenset[int]]] = [
+            (self.mask(context), frozenset(map(self.mask, model.events(context))))
+            for context in scenario.cover
+        ]
+        # contexts become checkable once their highest-index variable, the
+        # one on the lowest set bit of the context mask, is set
+        self.completed_at: list[list[tuple[int, frozenset[int]]]] = [
+            [] for _ in range(self.n)
+        ]
+        for cmask, allowed in self.contexts:
+            last = self.n - (cmask & -cmask).bit_length()
+            self.completed_at[last].append((cmask, allowed))
+
+    def mask(self, variables: Iterable[str]) -> int:
+        return sum(self.bit[v] for v in variables)
+
+    def decode(self, code: int) -> Assignment:
+        # scenario variables are sorted, so the bindings already are
+        return Assignment(
+            bindings=tuple((v, 1 if code & b else 0) for v, b in self._bits)
+        )
+
+
+def _scan_masks(
+    n: int, contexts: list[tuple[int, frozenset[int]]], deadline: float | None = None
+) -> Iterator[int]:
+    """Every ``n``-bit code whose restriction to each context mask is one of
+    that context's allowed codes, ascending.  The exhaustive-scan kernel of
+    both the brute-force section search and the inequality route."""
+    for code in range(1 << n):
+        if past_deadline(code, deadline):
+            raise TimeBudgetExceeded()
+        if all(code & cmask in allowed for cmask, allowed in contexts):
+            yield code
 
 
 @dataclass(frozen=True)
@@ -295,7 +360,6 @@ def validate_model(model: PossibilisticModel) -> Verdict:
                 {"reason": "unknown-context", "context": list(context)},
             )
 
-    warnings: list[str] = []
     for context in scenario.cover:
         for event in model.events_sorted(context):
             if not event <= set(context):
@@ -308,10 +372,15 @@ def validate_model(model: PossibilisticModel) -> Verdict:
                         "event": sorted(event),
                     },
                 )
-        if not model.supports[context]:
-            warnings.append(
-                f"context {format_event(context)} has an empty support set; "
-                "no global section can exist"
-            )
 
-    return _passing("model is well-formed", warnings=tuple(warnings))
+    return _passing("model is well-formed", warnings=_empty_support_warnings(model))
+
+
+def _empty_support_warnings(model: PossibilisticModel) -> tuple[str, ...]:
+    """One warning per cover context with an empty support set."""
+    return tuple(
+        f"context {format_event(context)} has an empty support set; "
+        "no global section can exist"
+        for context in model.scenario.cover
+        if not model.supports[context]
+    )

@@ -26,7 +26,7 @@ serialization is byte-stable.  Unknown keys are rejected.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterator
 
 from .core import (
     VARIABLE_RE,
@@ -131,26 +131,51 @@ def parse_model(text: str) -> Model:
     return _parse_probabilistic(doc["probabilistic"], scenario, "probabilistic")
 
 
+def _object(value: Any, keys: tuple[str, ...], path: str) -> dict:
+    """``value`` as an object holding exactly ``keys``."""
+    _require(isinstance(value, dict), "expected an object", path)
+    extra = sorted(set(value) - set(keys))
+    _require(not extra, f"unknown key {extra[0]!r}" if extra else "", path)
+    for key in keys:
+        _require(key in value, f"missing key {key!r}", path)
+    return value
+
+
+def _per_context(
+    value: Any, scenario: Scenario, path: str, key: str, noun: str
+) -> Iterator[tuple[tuple[str, ...], list, str]]:
+    """The entries of a per-context table as (context, ``key`` array, path
+    of that array); every cover context needs exactly one entry."""
+    _require(isinstance(value, list), "expected an array", path)
+    cover = set(scenario.cover)
+    seen: set[tuple[str, ...]] = set()
+    for i, raw in enumerate(value):
+        entry = _object(raw, ("context", key), f"{path}[{i}]")
+        cpath = f"{path}[{i}].context"
+        context = _context_of(entry["context"], set(scenario.variables), cpath)
+        _require(context in cover, "context is not in the cover", cpath)
+        _require(context not in seen, f"duplicate {noun} entry", cpath)
+        seen.add(context)
+        _require(isinstance(entry[key], list), "expected an array", f"{path}[{i}].{key}")
+        yield context, entry[key], f"{path}[{i}].{key}"
+    missing = [c for c in scenario.cover if c not in seen]
+    _require(
+        not missing,
+        f"missing {noun} entry for context {list(missing[0])}" if missing else "",
+        path,
+    )
+
+
 def _parse_possibilistic(
     value: Any, scenario: Scenario, path: str
 ) -> PossibilisticModel:
-    _require(isinstance(value, list), "expected an array", path)
-    cover = set(scenario.cover)
     supports: dict[tuple[str, ...], set[frozenset[str]]] = {}
-    for i, entry in enumerate(value):
-        epath = f"{path}[{i}]"
-        _require(isinstance(entry, dict), "expected an object", epath)
-        extra = sorted(set(entry) - {"context", "events"})
-        _require(not extra, f"unknown key {extra[0]!r}" if extra else "", epath)
-        _require("context" in entry, "missing key 'context'", epath)
-        _require("events" in entry, "missing key 'events'", epath)
-        context = _context_of(entry["context"], set(scenario.variables), f"{epath}.context")
-        _require(context in cover, "context is not in the cover", f"{epath}.context")
-        _require(context not in supports, "duplicate support entry", f"{epath}.context")
-        _require(isinstance(entry["events"], list), "expected an array", f"{epath}.events")
+    for context, raw_events, epath in _per_context(
+        value, scenario, path, "events", "support"
+    ):
         events: set[frozenset[str]] = set()
-        for j, raw in enumerate(entry["events"]):
-            vpath = f"{epath}.events[{j}]"
+        for j, raw in enumerate(raw_events):
+            vpath = f"{epath}[{j}]"
             members = _string_list(raw, vpath)
             _require(
                 len(set(members)) == len(members), "duplicate variable in event", vpath
@@ -162,45 +187,21 @@ def _parse_possibilistic(
             _require(event not in events, "duplicate event", vpath)
             events.add(event)
         supports[context] = events
-    missing = [c for c in scenario.cover if c not in supports]
-    _require(
-        not missing,
-        f"missing support entry for context {list(missing[0])}" if missing else "",
-        path,
-    )
     return PossibilisticModel.make(scenario, supports)
 
 
 def _parse_probabilistic(
     value: Any, scenario: Scenario, path: str
 ) -> ProbabilisticModel:
-    _require(isinstance(value, list), "expected an array", path)
-    cover = set(scenario.cover)
     distributions: dict[tuple[str, ...], list[tuple[Assignment, float]]] = {}
-    for i, entry in enumerate(value):
-        epath = f"{path}[{i}]"
-        _require(isinstance(entry, dict), "expected an object", epath)
-        extra = sorted(set(entry) - {"context", "distribution"})
-        _require(not extra, f"unknown key {extra[0]!r}" if extra else "", epath)
-        _require("context" in entry, "missing key 'context'", epath)
-        _require("distribution" in entry, "missing key 'distribution'", epath)
-        context = _context_of(entry["context"], set(scenario.variables), f"{epath}.context")
-        _require(context in cover, "context is not in the cover", f"{epath}.context")
-        _require(context not in distributions, "duplicate distribution entry", f"{epath}.context")
-        _require(
-            isinstance(entry["distribution"], list),
-            "expected an array",
-            f"{epath}.distribution",
-        )
+    for context, raw_entries, epath in _per_context(
+        value, scenario, path, "distribution", "distribution"
+    ):
         entries: list[tuple[Assignment, float]] = []
         seen: set[Assignment] = set()
-        for j, raw in enumerate(entry["distribution"]):
-            dpath = f"{epath}.distribution[{j}]"
-            _require(isinstance(raw, dict), "expected an object", dpath)
-            extra = sorted(set(raw) - {"assignment", "p"})
-            _require(not extra, f"unknown key {extra[0]!r}" if extra else "", dpath)
-            _require("assignment" in raw, "missing key 'assignment'", dpath)
-            _require("p" in raw, "missing key 'p'", dpath)
+        for j, raw in enumerate(raw_entries):
+            dpath = f"{epath}[{j}]"
+            raw = _object(raw, ("assignment", "p"), dpath)
             mapping = raw["assignment"]
             _require(isinstance(mapping, dict), "expected an object", f"{dpath}.assignment")
             for var, bit in mapping.items():
@@ -230,12 +231,6 @@ def _parse_probabilistic(
             seen.add(assignment)
             entries.append((assignment, float(p)))
         distributions[context] = entries
-    missing = [c for c in scenario.cover if c not in distributions]
-    _require(
-        not missing,
-        f"missing distribution entry for context {list(missing[0])}" if missing else "",
-        path,
-    )
     return ProbabilisticModel.make(scenario, distributions)
 
 

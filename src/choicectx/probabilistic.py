@@ -17,7 +17,6 @@ context's support.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -30,7 +29,9 @@ from .core import (
     Verdict,
     _failing,
     _passing,
+    _scan_masks,
     canonical_context,
+    past_deadline,
     shortlex,
     validate_model,
 )
@@ -39,8 +40,6 @@ from .proplang import And, Const, Not, Or, Proposition, Var, measurement_context
 
 # probabilities this close to zero are treated as zero
 SUPPORT_EPSILON = 1e-9
-
-_DEADLINE_STRIDE = 4096
 
 DistributionEntry = tuple[Assignment, float]
 
@@ -98,7 +97,7 @@ def validate_probabilistic(
     """Check the numeric invariants on top of the structural ones.
 
     Every cover context needs exactly one distribution; entries must be
-    total on their context, pairwise distinct and nonnegative; each
+    total on their context, pairwise distinct, finite and nonnegative; each
     distribution must sum to one within ``tolerance``.
     """
     scenario = model.scenario
@@ -134,11 +133,13 @@ def validate_probabilistic(
                     },
                 )
             seen.add(assignment)
-            if p < 0.0:
+            if not math.isfinite(p) or p < 0.0:
+                # NaN passes both p < 0 and the total check, so test it first
+                kind = "negative" if math.isfinite(p) else "non-finite"
                 return _failing(
-                    f"negative probability {p!r} in context {list(context)}",
+                    f"{kind} probability {p!r} in context {list(context)}",
                     {
-                        "reason": "negative-probability",
+                        "reason": f"{kind}-probability",
                         "context": list(context),
                         "assignment": assignment.as_dict(),
                         "p": p,
@@ -204,15 +205,6 @@ def eval_probability(prop: Proposition, model: ProbabilisticModel) -> float:
     )
 
 
-def _check_deadline(nodes: int, deadline: float | None) -> None:
-    if (
-        deadline is not None
-        and nodes % _DEADLINE_STRIDE == 0
-        and time.monotonic() > deadline
-    ):
-        raise TimeBudgetExceeded()
-
-
 def jointly_contradictory(
     props: Iterable[Proposition],
     scenario: Scenario,
@@ -221,44 +213,42 @@ def jointly_contradictory(
 ) -> bool:
     """Whether no total assignment of the scenario satisfies every formula.
 
-    Each formula is compiled to the set of satisfying assignments of its own
-    variables, then all ``2^n`` total assignments are scanned; this stays
-    independent of the global-section machinery.  Scenarios with more than
-    ``bound`` variables are refused.
+    Each formula compiles to its variable mask and satisfying masked codes,
+    which the scan kernel of :func:`global_sections_bruteforce` filters all
+    ``2^n`` codes by.  Sharing that kernel, the route is refereed by
+    ``tests/test_oracle.py`` against the independent ``tools/oracle.py``.
+    Scenarios with more than ``bound`` variables are refused; ``deadline``
+    covers the compile and the scan.
     """
     props = list(props)
-    variables = scenario.variables
-    n = len(variables)
+    n = len(scenario.variables)
     if n > bound:
         raise TooLarge(f"{n} variables exceed the exhaustive bound of {bound}")
-    index = {v: j for j, v in enumerate(variables)}
     for prop in props:
         measurement_context(prop, scenario)
 
-    compiled: list[tuple[tuple[int, ...], frozenset[int]]] = []
+    bit = scenario.bit
+    compiled: list[tuple[int, frozenset[int]]] = []
+    evaluated = 0
     for prop in props:
-        used = sorted(prop.variables(), key=index.__getitem__)
-        positions = tuple(index[v] for v in used)
+        used = [(v, bit[v]) for v in prop.variables()]
+        cmask = sum(b for _, b in used)
         satisfying = set()
-        for code in range(1 << len(used)):
-            binding = {v: (code >> k) & 1 for k, v in enumerate(used)}
-            if prop.evaluate(binding):
+        code = 0
+        while True:  # every submask of cmask, ascending
+            evaluated += 1
+            if past_deadline(evaluated, deadline):
+                raise TimeBudgetExceeded()
+            if prop.evaluate({v: 1 if code & b else 0 for v, b in used}):
                 satisfying.add(code)
+            if code == cmask:
+                break
+            code = (code - cmask) & cmask
         if not satisfying:
             return True
-        compiled.append((positions, frozenset(satisfying)))
+        compiled.append((cmask, frozenset(satisfying)))
 
-    for total in range(1 << n):
-        _check_deadline(total, deadline)
-        for positions, satisfying in compiled:
-            local = 0
-            for k, j in enumerate(positions):
-                local |= ((total >> j) & 1) << k
-            if local not in satisfying:
-                break
-        else:
-            return False
-    return True
+    return next(_scan_masks(n, compiled, deadline), None) is None
 
 
 def bell_violation(

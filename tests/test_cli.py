@@ -5,19 +5,22 @@ import sys
 import pytest
 
 from choicectx import (
-    RunConfig,
     gen_random_model,
     hardy_table,
     luce_raiffa,
     parse_model,
     pr_box,
     pr_box_distribution,
-    run,
     serialize_model,
     support_propositions,
     validate_model,
 )
-from choicectx.cli import parse_args
+from choicectx.cli import RunConfig, main, parse_args, run
+
+NAN_DOCUMENT = (
+    '{"variables": ["a"], "contexts": [["a"]], "probabilistic": '
+    '[{"context": ["a"], "distribution": [{"assignment": {"a": 1}, "p": NaN}]}]}'
+)
 
 
 @pytest.fixture
@@ -144,6 +147,30 @@ class TestClassifyCommand:
         assert rc == 3
         assert doc["inconclusive"] is True
         assert "partial_section_count" in doc
+
+
+    @pytest.mark.parametrize("budget", ["-1", "nan"])
+    def test_bad_budget_is_input_error(self, hardy_file, budget, capsys):
+        rc = main(["classify", "--budget", budget, hardy_file])
+        assert rc == 2
+        assert "--budget" in capsys.readouterr().err
+
+
+class TestNonFiniteProbability:
+    @pytest.mark.parametrize("command", ["classify", "axioms", "bell"])
+    def test_nan_is_input_error(self, command, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text(NAN_DOCUMENT)
+        props = tmp_path / "nan.props"
+        props.write_text("a\n!a\n")
+        rc = run(
+            RunConfig(command=command, model_path=str(path), props_path=str(props))
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "non-finite probability" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestAxiomsCommand:
@@ -338,6 +365,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "kind: Contextual" in proc.stdout
+
+    def test_import_leaves_cli_and_numpy_out(self):
+        code = (
+            "import sys, choicectx; "
+            "print('choicectx.cli' in sys.modules, 'numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
 
     def test_gen_pipes_to_classify(self, tmp_path):
         gen = subprocess.run(

@@ -11,8 +11,6 @@ from choicectx import (
     VariableNotInContext,
     canonical_context,
     format_event,
-    restrict,
-    support,
     validate_model,
 )
 from choicectx.core import shortlex
@@ -84,13 +82,13 @@ class TestAssignment:
 
     def test_restrict(self):
         a = Assignment.make({"a": 1, "b": 0, "c": 1})
-        assert restrict(a, ["a", "c"]) == Assignment.make({"a": 1, "c": 1})
+        assert a.restrict(["a", "c"]) == Assignment.make({"a": 1, "c": 1})
         with pytest.raises(UnboundVariable):
-            restrict(a, ["d"])
+            a.restrict(["d"])
 
     def test_support(self):
         a = Assignment.make({"a": 1, "b": 0, "c": 1})
-        assert support(a) == {"a", "c"}
+        assert a.support() == {"a", "c"}
 
     def test_total_order_is_lexicographic(self):
         low = Assignment.make({"a": 0, "b": 1})

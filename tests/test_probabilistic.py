@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from choicectx import (
     PossibilisticModel,
     ProbabilisticModel,
     Scenario,
+    TimeBudgetExceeded,
     TooLarge,
     UnknownContext,
     Var,
@@ -67,6 +69,13 @@ class TestValidation:
     def test_negative_probability(self):
         verdict = validate_probabilistic(two_var_model(0.5, 0.5, 0.5, -0.5))
         assert verdict.witness["reason"] == "negative-probability"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability(self, bad):
+        # NaN slips past both p < 0 and |total - 1| > tol
+        verdict = validate_probabilistic(two_var_model(bad, 0.5, 0.5, 0.0))
+        assert not verdict.holds
+        assert verdict.witness["reason"] == "non-finite-probability"
 
     def test_partial_assignment(self):
         s = Scenario.make(["a", "b"], [["a", "b"]])
@@ -175,6 +184,13 @@ class TestJointlyContradictory:
     def test_checks_measurability(self):
         with pytest.raises(NotMeasurable):
             jointly_contradictory([parse_formula("a & a'")], bell_scenario())
+
+    def test_expired_deadline(self):
+        phis = support_propositions(pr_box())
+        with pytest.raises(TimeBudgetExceeded):
+            jointly_contradictory(
+                phis, bell_scenario(), deadline=time.monotonic() - 1.0
+            )
 
 
 class TestBellViolation:
