@@ -8,8 +8,11 @@ realized by no section (Contextual), or no section exists at all
 
 Both search strategies run on the model's bitmask form
 (:attr:`PossibilisticModel.compiled`), where ascending integers enumerate
-assignments in lexicographic order, so both emit sections in the same order.
-Sections are decoded to :class:`Assignment` only on the way out.
+assignments in lexicographic order.  The exhaustive scan meets the codes in
+that order; the level-wise search, which assigns variables in greedy
+completion order, sorts the codes it finds, so both emit sections in the
+same order.  Sections are decoded to :class:`Assignment` only on the way
+out.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .core import (
     _Compiled,
     _scan_masks,
     past_deadline,
+    shortlex,
 )
 from .errors import DomainMismatch, TimeBudgetExceeded, TooLarge
 
@@ -83,28 +87,35 @@ def is_global_section(assignment: Assignment, model: PossibilisticModel) -> bool
 
 
 def _search_masks(compiled: _Compiled, deadline: float | None) -> list[int]:
+    """Codes of all global sections, ascending.
+
+    Level-wise search in ``compiled.order``: a block of partial codes is
+    extended by the next variable and filtered by every context that
+    variable completes.  A block over :data:`DEADLINE_STRIDE` codes is split
+    into parts on an explicit stack and finished part by part, which bounds
+    the memory held; the clock is read once per block step.
+    """
     found: list[int] = []
-    nodes = 0
-    bits = list(compiled.bit.values())
-
-    def extend(depth: int, acc: int) -> None:
-        nonlocal nodes
-        if deadline is not None:
-            nodes += 1
-            if past_deadline(nodes, deadline):
+    stack = [(0, [0])]
+    while stack:
+        depth, block = stack.pop()
+        while block and depth < compiled.n and len(block) <= DEADLINE_STRIDE:
+            if past_deadline(0, deadline):
+                found.sort()
                 raise TimeBudgetExceeded(partial_sections=map(compiled.decode, found))
+            bit = compiled.order[depth]
+            block += [code | bit for code in block]
+            for cmask, allowed in compiled.completed_at[depth]:
+                block = [code for code in block if code & cmask in allowed]
+            depth += 1
         if depth == compiled.n:
-            found.append(acc)
-            return
-        for bit in (0, bits[depth]):
-            candidate = acc | bit
-            if all(
-                candidate & cmask in masks
-                for cmask, masks in compiled.completed_at[depth]
-            ):
-                extend(depth + 1, candidate)
-
-    extend(0, 0)
+            found += block
+        else:
+            stack += [
+                (depth, block[i : i + DEADLINE_STRIDE])
+                for i in range(0, len(block), DEADLINE_STRIDE)
+            ]
+    found.sort()
     return found
 
 
@@ -114,7 +125,8 @@ def global_sections_bruteforce(
     """Enumerate all global sections by scanning every total assignment.
 
     Refuses scenarios with more than ``bound`` variables; kept deliberately
-    naive so it can referee the backtracking search.
+    naive so it can referee the level-wise search of
+    :func:`global_sections_backtracking`.
     """
     compiled = model.compiled
     if compiled.n > bound:
@@ -127,13 +139,16 @@ def global_sections_bruteforce(
 def global_sections_backtracking(
     model: PossibilisticModel, deadline: float | None = None
 ) -> list[Assignment]:
-    """Enumerate all global sections by depth-first search.
+    """Enumerate all global sections by a pruned level-wise search.
 
-    Variables are assigned in scenario order and a branch is pruned as soon
-    as a fully assigned context falls outside its support.  Emits sections
-    in the same lexicographic order as the brute-force scan.  ``deadline``
-    is a ``time.monotonic`` value; exceeding it raises
-    :class:`TimeBudgetExceeded` carrying the sections found so far.
+    Variables are assigned in greedy completion order (the variable that
+    completes the most contexts first), a whole block of partial
+    assignments at a time, and a partial assignment is dropped as soon as a
+    fully assigned context falls outside its support.  The sections are
+    sorted at the end, so they come in the same lexicographic order as from
+    the brute-force scan.  ``deadline`` is a ``time.monotonic`` value;
+    exceeding it raises :class:`TimeBudgetExceeded` carrying the sections
+    found so far, in the same order.
     """
     compiled = model.compiled
     return [compiled.decode(code) for code in _search_masks(compiled, deadline)]
@@ -152,15 +167,17 @@ def classify(
     sections = _search_masks(compiled, deadline)
     if not sections:
         return Classification(Kind.STRONGLY_CONTEXTUAL, None, 0)
-    for context, (cmask, _) in zip(model.scenario.cover, compiled.contexts):
+    for context, (cmask, allowed) in zip(model.scenario.cover, compiled.contexts):
         realized: set[int] = set()
         for start in range(0, len(sections), DEADLINE_STRIDE):
             if past_deadline(start, deadline):
                 raise TimeBudgetExceeded(partial_sections=map(compiled.decode, sections))
             realized.update(map(cmask.__and__, sections[start : start + DEADLINE_STRIDE]))
-        for event in model.events_sorted(context):
-            if compiled.mask(event) not in realized:
-                return Classification(
-                    Kind.CONTEXTUAL, (context, event), len(sections)
-                )
+        unrealized = allowed - realized
+        if unrealized:
+            event = min(
+                (e for e in model.events(context) if compiled.mask(e) in unrealized),
+                key=shortlex,
+            )
+            return Classification(Kind.CONTEXTUAL, (context, event), len(sections))
     return Classification(Kind.NONCONTEXTUAL, None, len(sections))

@@ -35,8 +35,9 @@ Event = frozenset[str]
 # largest variable count the exhaustive 2^n strategies accept by default
 EXHAUSTIVE_BOUND_DEFAULT = 24
 
-# units of work (search nodes, scanned codes, formula evaluations, section
-# tests) between two reads of the clock against a deadline
+# units of work (scanned codes, formula evaluations, section tests) between
+# two reads of the clock against a deadline; also the most partial codes a
+# block of the section search holds before it is split
 DEADLINE_STRIDE = 1024
 
 
@@ -222,33 +223,56 @@ class PossibilisticModel:
 
 class _Compiled:
     """Bitmask form of a model in the layout of :attr:`Scenario.bit`: each
-    cover context becomes its variable mask and the masks of its events."""
+    cover context becomes its variable mask and the masks of its events.
+
+    ``order`` is the greedy completion order the section search assigns
+    variables in: next comes the variable that completes the most open
+    contexts, ties going to the largest sum of 1/|unassigned variables| over
+    the open contexts that hold it, then to scenario order.
+    ``completed_at[d]`` lists the contexts whose last variable is
+    ``order[d]``."""
 
     def __init__(self, model: PossibilisticModel):
         scenario = model.scenario
         self.n = len(scenario.variables)
         self.bit = scenario.bit
-        self._bits = tuple(self.bit.items())
+        self._pairs = tuple(((v, 0), (v, 1), b) for v, b in self.bit.items())
         self.contexts: list[tuple[int, frozenset[int]]] = [
             (self.mask(context), frozenset(map(self.mask, model.events(context))))
             for context in scenario.cover
         ]
-        # contexts become checkable once their highest-index variable, the
-        # one on the lowest set bit of the context mask, is set
-        self.completed_at: list[list[tuple[int, frozenset[int]]]] = [
-            [] for _ in range(self.n)
-        ]
-        for cmask, allowed in self.contexts:
-            last = self.n - (cmask & -cmask).bit_length()
-            self.completed_at[last].append((cmask, allowed))
+        self.order: list[int] = []
+        self.completed_at: list[list[tuple[int, frozenset[int]]]] = []
+        # [unassigned part of the context mask, context mask, allowed codes]
+        pending = [[cmask, cmask, allowed] for cmask, allowed in self.contexts]
+        free = list(self.bit.values())
+
+        def gain(bit: int) -> tuple[int, float]:
+            completes, spread = 0, 0.0
+            for rest, _, _ in pending:
+                if rest & bit:
+                    completes += rest == bit
+                    spread += 1 / rest.bit_count()
+            return completes, spread
+
+        while free:
+            bit = max(free, key=gain)  # the first maximum: scenario order
+            free.remove(bit)
+            self.order.append(bit)
+            for context in pending:
+                context[0] &= ~bit
+            self.completed_at.append(
+                [(cmask, allowed) for rest, cmask, allowed in pending if not rest]
+            )
+            pending = [context for context in pending if context[0]]
 
     def mask(self, variables: Iterable[str]) -> int:
-        return sum(self.bit[v] for v in variables)
+        return sum(map(self.bit.__getitem__, variables))
 
     def decode(self, code: int) -> Assignment:
         # scenario variables are sorted, so the bindings already are
         return Assignment(
-            bindings=tuple((v, 1 if code & b else 0) for v, b in self._bits)
+            bindings=tuple([one if code & b else zero for zero, one, b in self._pairs])
         )
 
 

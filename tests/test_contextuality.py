@@ -1,4 +1,6 @@
+import itertools
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -26,6 +28,7 @@ from choicectx import (
     warp_noncontextual,
     warp_signalling,
 )
+from choicectx import core
 
 # ground truth frozen from tools/oracle.py (independent brute force)
 EXPECTED = {
@@ -128,6 +131,40 @@ class TestSectionSearch:
         with pytest.raises(TimeBudgetExceeded) as err:
             global_sections_backtracking(m, deadline=time.monotonic() - 1.0)
         assert isinstance(err.value.partial_sections, tuple)
+
+    def test_expiry_mid_search_carries_sorted_partials(self, monkeypatch):
+        # a clock that passes the deadline from its fortieth read on
+        reads = itertools.count()
+        clock = SimpleNamespace(monotonic=lambda: float(next(reads) >= 40))
+        monkeypatch.setattr(core, "time", clock)
+        m = gen_random_model(16, 1, 1.0, seed=0)
+        with pytest.raises(TimeBudgetExceeded) as err:
+            global_sections_backtracking(m, deadline=0.5)
+        partial = list(err.value.partial_sections)
+        assert 0 < len(partial) < 2**16
+        assert partial == sorted(partial)
+        assert all(is_global_section(s, m) for s in partial)
+
+    @pytest.mark.parametrize(
+        "n, k, density, seed",
+        [(16, 1, 1.0, 0), (14, 6, 0.9, 2), (15, 5, 0.9, 3), (16, 8, 0.95, 5)],
+    )
+    def test_split_blocks_agree_with_bruteforce(self, n, k, density, seed):
+        # thousands of sections: the search splits its blocks many times
+        m = gen_random_model(n, k, density, seed=seed)
+        expected = global_sections_bruteforce(m)
+        assert len(expected) > 4 * core.DEADLINE_STRIDE
+        assert global_sections_backtracking(m) == expected
+
+    def test_one_event_wide_context(self):
+        names = [f"v{i:02d}" for i in range(20)]
+        chosen = frozenset(names[::3])
+        m = PossibilisticModel.make(
+            Scenario.make(names, [names]), {tuple(names): [chosen]}
+        )
+        section = Assignment.make({v: int(v in chosen) for v in names})
+        assert global_sections_backtracking(m) == [section]
+        assert classify(m).section_count == 1
 
     def test_no_deadline_completes(self):
         m = gen_random_model(12, 1, 1.0, seed=0)

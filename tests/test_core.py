@@ -11,6 +11,7 @@ from choicectx import (
     VariableNotInContext,
     canonical_context,
     format_event,
+    gen_random_model,
     validate_model,
 )
 from choicectx.core import shortlex
@@ -138,6 +139,35 @@ class TestPossibilisticModel:
     def test_format_event(self):
         assert format_event(frozenset({"b", "a"})) == "{a,b}"
         assert format_event(frozenset()) == "{}"
+
+
+class TestCompiled:
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_decode_matches_make(self, seed, data):
+        model = gen_random_model(1 + seed % 12, 1 + seed % 4, 0.5, seed=seed)
+        compiled = model.compiled
+        code = data.draw(st.integers(0, (1 << compiled.n) - 1))
+        # the first scenario variable is the code's most significant bit
+        digits = format(code, f"0{compiled.n}b")
+        expected = Assignment.make(zip(model.scenario.variables, map(int, digits)))
+        assert compiled.decode(code) == expected
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_order_checks_each_context_at_its_last_variable(self, seed):
+        model = gen_random_model(1 + seed % 12, 1 + seed % 6, 0.5, seed=seed)
+        compiled = model.compiled
+        assert sorted(compiled.order) == sorted(compiled.bit.values())
+        assert len(compiled.completed_at) == compiled.n
+        assigned = 0
+        checked = []
+        for bit, completed in zip(compiled.order, compiled.completed_at):
+            assigned |= bit
+            for cmask, allowed in completed:
+                assert cmask & bit and not cmask & ~assigned
+                checked.append((cmask, allowed))
+        assert sorted(checked, key=lambda c: c[0]) == sorted(
+            compiled.contexts, key=lambda c: c[0]
+        )
 
 
 class TestValidateModel:
