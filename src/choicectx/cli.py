@@ -325,7 +325,7 @@ def run(config: RunConfig) -> int:
     try:
         return _dispatch(config)
     except TimeBudgetExceeded as exc:
-        partial = len(exc.partial_sections)
+        partial = exc.partial_count
         if config.machine:
             doc = {
                 "inconclusive": True,

@@ -102,7 +102,7 @@ def _search_masks(compiled: _Compiled, deadline: float | None) -> list[int]:
         while block and depth < compiled.n and len(block) <= DEADLINE_STRIDE:
             if past_deadline(0, deadline):
                 found.sort()
-                raise TimeBudgetExceeded(partial_sections=map(compiled.decode, found))
+                raise TimeBudgetExceeded(partial_codes=found, decode=compiled.decode)
             bit = compiled.order[depth]
             block += [code | bit for code in block]
             for cmask, allowed in compiled.completed_at[depth]:
@@ -171,8 +171,11 @@ def classify(
         realized: set[int] = set()
         for start in range(0, len(sections), DEADLINE_STRIDE):
             if past_deadline(start, deadline):
-                raise TimeBudgetExceeded(partial_sections=map(compiled.decode, sections))
+                raise TimeBudgetExceeded(partial_codes=sections, decode=compiled.decode)
             realized.update(map(cmask.__and__, sections[start : start + DEADLINE_STRIDE]))
+            # realized <= allowed, so equal sizes mean every event is realized
+            if len(realized) == len(allowed):
+                break
         unrealized = allowed - realized
         if unrealized:
             event = min(

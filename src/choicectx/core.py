@@ -237,8 +237,12 @@ class _Compiled:
         self.n = len(scenario.variables)
         self.bit = scenario.bit
         self._pairs = tuple(((v, 0), (v, 1), b) for v, b in self.bit.items())
+        bit_of = self.bit.__getitem__
         self.contexts: list[tuple[int, frozenset[int]]] = [
-            (self.mask(context), frozenset(map(self.mask, model.events(context))))
+            (
+                self.mask(context),
+                frozenset([sum(map(bit_of, event)) for event in model.supports[context]]),
+            )
             for context in scenario.cover
         ]
         self.order: list[int] = []

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+from typing import Callable, Sequence
+
 
 class ChoiceCtxError(Exception):
     """Base class for all errors raised by this package."""
@@ -30,13 +33,29 @@ class TooLarge(ChoiceCtxError):
 class TimeBudgetExceeded(ChoiceCtxError):
     """A cooperative search ran past its wall-clock deadline.
 
-    ``partial_sections`` holds the sections found before expiry; the result
-    is inconclusive, not a verdict.
+    ``partial_sections`` holds the sections found before expiry, decoded
+    from ``partial_codes`` by ``decode`` on first access; ``partial_count``
+    is their number, read without decoding.  The result is inconclusive,
+    not a verdict.
     """
 
-    def __init__(self, message: str = "time budget exceeded", partial_sections=()):
+    def __init__(
+        self,
+        message: str = "time budget exceeded",
+        partial_codes: Sequence[int] = (),
+        decode: Callable[[int], object] | None = None,
+    ):
         super().__init__(message)
-        self.partial_sections = tuple(partial_sections)
+        self.partial_codes = partial_codes
+        self._decode = decode
+
+    @property
+    def partial_count(self) -> int:
+        return len(self.partial_codes)
+
+    @cached_property
+    def partial_sections(self) -> tuple:
+        return tuple(map(self._decode, self.partial_codes))
 
 
 class ModelSyntaxError(ChoiceCtxError):

@@ -86,6 +86,11 @@ def parse_model(text: str) -> Model:
     and :class:`ModelSemanticError` for format violations (with a path into
     the document).  The returned model always satisfies the structural
     invariants; distribution sums are left to ``validate_probabilistic``.
+
+    Every check runs on every document, but the events and distribution
+    entries of a context are tested in bulk; the path to a bad one is built
+    only once a test fails, by rerunning that context's checks in document
+    order, so the first error is reported exactly as before.
     """
     try:
         doc = json.loads(text)
@@ -169,25 +174,50 @@ def _per_context(
 def _parse_possibilistic(
     value: Any, scenario: Scenario, path: str
 ) -> PossibilisticModel:
-    supports: dict[tuple[str, ...], set[frozenset[str]]] = {}
+    supports: dict[tuple[str, ...], frozenset[frozenset[str]]] = {}
     for context, raw_events, epath in _per_context(
         value, scenario, path, "events", "support"
     ):
-        events: set[frozenset[str]] = set()
-        for j, raw in enumerate(raw_events):
-            vpath = f"{epath}[{j}]"
-            members = _string_list(raw, vpath)
-            _require(
-                len(set(members)) == len(members), "duplicate variable in event", vpath
-            )
-            event = frozenset(members)
-            _require(
-                event <= set(context), "event is not a subset of its context", vpath
-            )
-            _require(event not in events, "duplicate event", vpath)
-            events.add(event)
-        supports[context] = events
-    return PossibilisticModel.make(scenario, supports)
+        supports[context] = _events(raw_events, frozenset(context), epath)
+    # the cover is shortlex-sorted, the order ``PossibilisticModel.make`` gives
+    return PossibilisticModel(scenario, {c: supports[c] for c in scenario.cover})
+
+
+def _events(raw_events: list, scope: frozenset[str], path: str) -> frozenset:
+    """The support of one context, tested in bulk: every event is an array
+    of distinct members of ``scope`` and no event repeats.  Only a table
+    that fails goes through :func:`_checked_events`, which names the first
+    bad event."""
+    try:
+        events = list(map(frozenset, raw_events))
+    except TypeError:  # an unhashable member, or an event that is no array
+        return _checked_events(raw_events, scope, path)
+    support = frozenset(events)
+    if (
+        len(support) == len(events)
+        and set(map(type, raw_events)) <= {list}
+        and list(map(len, events)) == list(map(len, raw_events))
+        and all(map(scope.issuperset, events))
+    ):
+        return support
+    return _checked_events(raw_events, scope, path)
+
+
+def _checked_events(raw_events: list, scope: frozenset[str], path: str) -> frozenset:
+    """Each event checked in document order, with a path to the first one
+    that fails."""
+    events: set[frozenset[str]] = set()
+    for j, raw in enumerate(raw_events):
+        vpath = f"{path}[{j}]"
+        members = _string_list(raw, vpath)
+        _require(
+            len(set(members)) == len(members), "duplicate variable in event", vpath
+        )
+        event = frozenset(members)
+        _require(event <= scope, "event is not a subset of its context", vpath)
+        _require(event not in events, "duplicate event", vpath)
+        events.add(event)
+    return frozenset(events)
 
 
 def _parse_probabilistic(
@@ -197,41 +227,80 @@ def _parse_probabilistic(
     for context, raw_entries, epath in _per_context(
         value, scenario, path, "distribution", "distribution"
     ):
-        entries: list[tuple[Assignment, float]] = []
-        seen: set[Assignment] = set()
-        for j, raw in enumerate(raw_entries):
-            dpath = f"{epath}[{j}]"
-            raw = _object(raw, ("assignment", "p"), dpath)
-            mapping = raw["assignment"]
-            _require(isinstance(mapping, dict), "expected an object", f"{dpath}.assignment")
-            for var, bit in mapping.items():
-                _require(
-                    var in set(context),
-                    f"variable {var!r} is not in the context",
-                    f"{dpath}.assignment",
-                )
-                _require(
-                    not isinstance(bit, bool) and bit in (0, 1),
-                    "outcome must be 0 or 1",
-                    f"{dpath}.assignment.{var}",
-                )
+        distributions[context] = _distribution(raw_entries, frozenset(context), epath)
+    return ProbabilisticModel.make(scenario, distributions)
+
+
+_ENTRY_KEYS = {"assignment", "p"}
+_NUMBER_TYPES = {int, float}
+
+
+def _distribution(
+    raw_entries: list, scope: frozenset[str], path: str
+) -> list[tuple[Assignment, float]]:
+    """The distribution of one context, each entry tested without building
+    a path: an object holding exactly ``assignment``, which binds every
+    variable of ``scope`` to 0 or 1, and a numeric ``p``; no assignment
+    repeats.  Only a table that fails goes through
+    :func:`_checked_distribution`."""
+    entries: list[tuple[Assignment, float]] = []
+    for raw in raw_entries:
+        if not (type(raw) is dict and raw.keys() == _ENTRY_KEYS):
+            return _checked_distribution(raw_entries, scope, path)
+        mapping, p = raw["assignment"], raw["p"]
+        if not (
+            type(mapping) is dict
+            and mapping.keys() == scope
+            and set(map(type, mapping.values())) <= _NUMBER_TYPES
+            and set(mapping.values()) <= {0, 1}
+            and type(p) in _NUMBER_TYPES
+        ):
+            return _checked_distribution(raw_entries, scope, path)
+        entries.append((Assignment.make(mapping), float(p)))
+    if len({assignment for assignment, _ in entries}) != len(entries):
+        return _checked_distribution(raw_entries, scope, path)
+    return entries
+
+
+def _checked_distribution(
+    raw_entries: list, scope: frozenset[str], path: str
+) -> list[tuple[Assignment, float]]:
+    """Each entry checked in document order, with a path to the first one
+    that fails."""
+    entries: list[tuple[Assignment, float]] = []
+    seen: set[Assignment] = set()
+    for j, raw in enumerate(raw_entries):
+        dpath = f"{path}[{j}]"
+        raw = _object(raw, ("assignment", "p"), dpath)
+        mapping = raw["assignment"]
+        _require(isinstance(mapping, dict), "expected an object", f"{dpath}.assignment")
+        for var, bit in mapping.items():
             _require(
-                set(mapping) == set(context),
-                "assignment must bind every context variable",
+                var in scope,
+                f"variable {var!r} is not in the context",
                 f"{dpath}.assignment",
             )
-            p = raw["p"]
             _require(
-                not isinstance(p, bool) and isinstance(p, (int, float)),
-                "probability must be a number",
-                f"{dpath}.p",
+                not isinstance(bit, bool) and bit in (0, 1),
+                "outcome must be 0 or 1",
+                f"{dpath}.assignment.{var}",
             )
-            assignment = Assignment.make(mapping)
-            _require(assignment not in seen, "duplicate assignment", f"{dpath}.assignment")
-            seen.add(assignment)
-            entries.append((assignment, float(p)))
-        distributions[context] = entries
-    return ProbabilisticModel.make(scenario, distributions)
+        _require(
+            set(mapping) == scope,
+            "assignment must bind every context variable",
+            f"{dpath}.assignment",
+        )
+        p = raw["p"]
+        _require(
+            not isinstance(p, bool) and isinstance(p, (int, float)),
+            "probability must be a number",
+            f"{dpath}.p",
+        )
+        assignment = Assignment.make(mapping)
+        _require(assignment not in seen, "duplicate assignment", f"{dpath}.assignment")
+        seen.add(assignment)
+        entries.append((assignment, float(p)))
+    return entries
 
 
 def serialize_model(model: Model) -> str:

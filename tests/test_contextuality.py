@@ -145,6 +145,20 @@ class TestSectionSearch:
         assert partial == sorted(partial)
         assert all(is_global_section(s, m) for s in partial)
 
+    def test_expiry_counts_partials_before_decoding(self, monkeypatch):
+        reads = itertools.count()
+        clock = SimpleNamespace(monotonic=lambda: float(next(reads) >= 40))
+        monkeypatch.setattr(core, "time", clock)
+        m = gen_random_model(16, 1, 1.0, seed=0)
+        with pytest.raises(TimeBudgetExceeded) as err:
+            classify(m, deadline=0.5)
+        exc = err.value
+        count = exc.partial_count
+        assert count > 0
+        assert "partial_sections" not in vars(exc)  # nothing decoded yet
+        assert len(exc.partial_sections) == count
+        assert exc.partial_sections is exc.partial_sections
+
     @pytest.mark.parametrize(
         "n, k, density, seed",
         [(16, 1, 1.0, 0), (14, 6, 0.9, 2), (15, 5, 0.9, 3), (16, 8, 0.95, 5)],
@@ -165,6 +179,25 @@ class TestSectionSearch:
         section = Assignment.make({v: int(v in chosen) for v in names})
         assert global_sections_backtracking(m) == [section]
         assert classify(m).section_count == 1
+
+    def test_witness_pass_reads_past_the_first_block(self):
+        # {x00} is realized only by sections with x00 = 1, which sort after
+        # the first DEADLINE_STRIDE of the 4,096 sections
+        names = [f"x{i:02d}" for i in range(12)]
+        rest = names[1:]
+        m = PossibilisticModel.make(
+            Scenario.make(names, [["x00"], rest]),
+            {
+                ("x00",): [[], ["x00"]],
+                tuple(rest): [
+                    [v for j, v in enumerate(rest) if code >> j & 1]
+                    for code in range(1 << len(rest))
+                ],
+            },
+        )
+        result = classify(m)
+        assert result.section_count == 4096
+        assert result.kind is Kind.NONCONTEXTUAL
 
     def test_no_deadline_completes(self):
         m = gen_random_model(12, 1, 1.0, seed=0)

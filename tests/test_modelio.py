@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicectx import (
     ModelSemanticError,
@@ -8,6 +10,7 @@ from choicectx import (
     PossibilisticModel,
     ProbabilisticModel,
     double_headed_coin,
+    gen_random_model,
     parse_model,
     pr_box_distribution,
     serialize_model,
@@ -53,6 +56,23 @@ class TestRoundTrip:
     def test_unicode_names_not_escaped(self):
         text = serialize_model(double_headed_coin())
         assert "a'" in text
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 10),
+        k=st.integers(1, 6),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        closed=st.booleans(),
+    )
+    def test_random_model_identity(self, n, k, density, seed, closed):
+        m = gen_random_model(n, k, density, seed, intersection_closed=closed)
+        again = parse_model(serialize_model(m))
+        assert again == m
+        assert list(again.supports) == list(m.scenario.cover)
+        for events in again.supports.values():
+            assert type(events) is frozenset
+            assert all(type(event) is frozenset for event in events)
 
 
 class TestSyntaxErrors:
@@ -255,3 +275,88 @@ class TestProbabilisticDocs:
         m = parse_model(json.dumps(doc))
         first, _ = m.distribution(["a", "b"])[0]
         assert first.as_dict() == {"a": 0, "b": 0}
+
+
+def three_variable_doc(events):
+    # "c" is declared and covered, but lies outside the context ["a", "b"]
+    return {
+        "variables": ["a", "b", "c"],
+        "contexts": [["a", "b"], ["c"]],
+        "possibilistic": [
+            {"context": ["a", "b"], "events": events},
+            {"context": ["c"], "events": [[]]},
+        ],
+    }
+
+
+EVENTS = "possibilistic[0].events"
+DIST = "probabilistic[0].distribution"
+
+
+class TestFirstError:
+    """A malformed event or entry is reported with its exact message and
+    path; a later malformed one does not mask it."""
+
+    @pytest.mark.parametrize(
+        "event, message, path",
+        [
+            ("a", "expected an array", f"{EVENTS}[1]"),
+            ({}, "expected an array", f"{EVENTS}[1]"),
+            (["a", 1], "expected a string", f"{EVENTS}[1][1]"),
+            (["a", True], "expected a string", f"{EVENTS}[1][1]"),
+            ([None], "expected a string", f"{EVENTS}[1][0]"),
+            (["b", ["a"]], "expected a string", f"{EVENTS}[1][1]"),
+            ([{}, "a"], "expected a string", f"{EVENTS}[1][0]"),
+            (["b", "a", "b"], "duplicate variable in event", f"{EVENTS}[1]"),
+            (["a", "c"], "event is not a subset of its context", f"{EVENTS}[1]"),
+            (["b"], "duplicate event", f"{EVENTS}[1]"),
+        ],
+    )
+    def test_event(self, event, message, path):
+        # the bad event is the table's only flaw
+        doc = three_variable_doc([["b"], event, ["a", "b"]])
+        with pytest.raises(ModelSemanticError) as err:
+            parse_model(json.dumps(doc))
+        assert err.value.path == path
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_first_of_two_bad_events(self):
+        doc = three_variable_doc([["b"], ["b", "a", "b"], [], ["c"], "a"])
+        with pytest.raises(ModelSemanticError) as err:
+            parse_model(json.dumps(doc))
+        assert str(err.value) == f"{EVENTS}[1]: duplicate variable in event"
+
+    @pytest.mark.parametrize(
+        "index, assignment, message, path",
+        [
+            (
+                0,
+                {"a": 0, "b": 0, "c": 0},
+                "variable 'c' is not in the context",
+                f"{DIST}[0].assignment",
+            ),
+            (1, {"a": 1, "b": 2}, "outcome must be 0 or 1", f"{DIST}[1].assignment.b"),
+            (1, {"a": None, "b": 1}, "outcome must be 0 or 1", f"{DIST}[1].assignment.a"),
+            (
+                1,
+                {"b": 1},
+                "assignment must bind every context variable",
+                f"{DIST}[1].assignment",
+            ),
+            (1, {"b": 0, "a": 0}, "duplicate assignment", f"{DIST}[1].assignment"),
+        ],
+    )
+    def test_distribution_entry(self, index, assignment, message, path):
+        doc = prob_doc()
+        distribution = doc["probabilistic"][0]["distribution"]
+        distribution[index]["assignment"] = assignment
+        distribution.append({"assignment": {"a": 3}, "p": 0})
+        with pytest.raises(ModelSemanticError) as err:
+            parse_model(json.dumps(doc))
+        assert err.value.path == path
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_integral_float_outcomes_are_bits(self):
+        doc = prob_doc()
+        doc["probabilistic"][0]["distribution"][1]["assignment"] = {"a": 1.0, "b": 1}
+        assert parse_model(json.dumps(doc)) == parse_model(json.dumps(prob_doc()))
