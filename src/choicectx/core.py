@@ -241,7 +241,7 @@ class _Compiled:
         self.contexts: list[tuple[int, frozenset[int]]] = [
             (
                 self.mask(context),
-                frozenset([sum(map(bit_of, event)) for event in model.supports[context]]),
+                frozenset([sum(map(bit_of, event)) for event in model.events(context)]),
             )
             for context in scenario.cover
         ]

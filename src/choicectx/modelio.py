@@ -87,10 +87,11 @@ def parse_model(text: str) -> Model:
     the document).  The returned model always satisfies the structural
     invariants; distribution sums are left to ``validate_probabilistic``.
 
-    Every check runs on every document, but the events and distribution
-    entries of a context are tested in bulk; the path to a bad one is built
-    only once a test fails, by rerunning that context's checks in document
-    order, so the first error is reported exactly as before.
+    Every check runs on every document, but no path is built for a check
+    that passes: the events of a context are tested in bulk, and a failing
+    table is rechecked event by event in document order to name the first
+    bad one; distribution entries are checked one by one, with the path
+    below an entry built only when its check fails.
     """
     try:
         doc = json.loads(text)
@@ -231,73 +232,38 @@ def _parse_probabilistic(
     return ProbabilisticModel.make(scenario, distributions)
 
 
-_ENTRY_KEYS = {"assignment", "p"}
-_NUMBER_TYPES = {int, float}
-
-
 def _distribution(
     raw_entries: list, scope: frozenset[str], path: str
 ) -> list[tuple[Assignment, float]]:
-    """The distribution of one context, each entry tested without building
-    a path: an object holding exactly ``assignment``, which binds every
-    variable of ``scope`` to 0 or 1, and a numeric ``p``; no assignment
-    repeats.  Only a table that fails goes through
-    :func:`_checked_distribution`."""
-    entries: list[tuple[Assignment, float]] = []
-    for raw in raw_entries:
-        if not (type(raw) is dict and raw.keys() == _ENTRY_KEYS):
-            return _checked_distribution(raw_entries, scope, path)
-        mapping, p = raw["assignment"], raw["p"]
-        if not (
-            type(mapping) is dict
-            and mapping.keys() == scope
-            and set(map(type, mapping.values())) <= _NUMBER_TYPES
-            and set(mapping.values()) <= {0, 1}
-            and type(p) in _NUMBER_TYPES
-        ):
-            return _checked_distribution(raw_entries, scope, path)
-        entries.append((Assignment.make(mapping), float(p)))
-    if len({assignment for assignment, _ in entries}) != len(entries):
-        return _checked_distribution(raw_entries, scope, path)
-    return entries
-
-
-def _checked_distribution(
-    raw_entries: list, scope: frozenset[str], path: str
-) -> list[tuple[Assignment, float]]:
-    """Each entry checked in document order, with a path to the first one
-    that fails."""
+    """The distribution of one context, each entry checked in document order;
+    the paths below an entry are built only for the check that fails."""
     entries: list[tuple[Assignment, float]] = []
     seen: set[Assignment] = set()
     for j, raw in enumerate(raw_entries):
         dpath = f"{path}[{j}]"
         raw = _object(raw, ("assignment", "p"), dpath)
         mapping = raw["assignment"]
-        _require(isinstance(mapping, dict), "expected an object", f"{dpath}.assignment")
+        if not isinstance(mapping, dict):
+            raise ModelSemanticError("expected an object", f"{dpath}.assignment")
         for var, bit in mapping.items():
-            _require(
-                var in scope,
-                f"variable {var!r} is not in the context",
-                f"{dpath}.assignment",
+            if var not in scope:
+                raise ModelSemanticError(
+                    f"variable {var!r} is not in the context", f"{dpath}.assignment"
+                )
+            if isinstance(bit, bool) or bit not in (0, 1):
+                raise ModelSemanticError(
+                    "outcome must be 0 or 1", f"{dpath}.assignment.{var}"
+                )
+        if mapping.keys() != scope:
+            raise ModelSemanticError(
+                "assignment must bind every context variable", f"{dpath}.assignment"
             )
-            _require(
-                not isinstance(bit, bool) and bit in (0, 1),
-                "outcome must be 0 or 1",
-                f"{dpath}.assignment.{var}",
-            )
-        _require(
-            set(mapping) == scope,
-            "assignment must bind every context variable",
-            f"{dpath}.assignment",
-        )
         p = raw["p"]
-        _require(
-            not isinstance(p, bool) and isinstance(p, (int, float)),
-            "probability must be a number",
-            f"{dpath}.p",
-        )
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise ModelSemanticError("probability must be a number", f"{dpath}.p")
         assignment = Assignment.make(mapping)
-        _require(assignment not in seen, "duplicate assignment", f"{dpath}.assignment")
+        if assignment in seen:
+            raise ModelSemanticError("duplicate assignment", f"{dpath}.assignment")
         seen.add(assignment)
         entries.append((assignment, float(p)))
     return entries

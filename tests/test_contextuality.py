@@ -14,6 +14,7 @@ from choicectx import (
     Scenario,
     TimeBudgetExceeded,
     TooLarge,
+    UnknownContext,
     classify,
     double_headed_coin,
     gen_random_model,
@@ -51,6 +52,12 @@ class TestClassify:
         assert result.kind is kind
         assert result.witness_event == witness
         assert result.section_count == count
+
+    def test_model_missing_a_cover_context(self):
+        s = Scenario.make(["a", "b"], [["a"], ["b"]])
+        model = PossibilisticModel.make(s, {("a",): [frozenset()]})
+        with pytest.raises(UnknownContext):
+            classify(model)
 
     def test_is_contextual_property(self):
         assert not classify(double_headed_coin()).is_contextual
