@@ -35,7 +35,7 @@ Event = frozenset[str]
 # largest variable count the exhaustive 2^n strategies accept by default
 EXHAUSTIVE_BOUND_DEFAULT = 24
 
-# units of work (scanned codes, formula evaluations, section tests) between
+# units of work (scanned codes, formula compile steps, section tests) between
 # two reads of the clock against a deadline; also the most partial codes a
 # block of the section search holds before it is split
 DEADLINE_STRIDE = 1024

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import compress
+from typing import Iterable, Iterator, Mapping
 
 from .core import (
     EXHAUSTIVE_BOUND_DEFAULT,
@@ -191,18 +192,130 @@ def uniform_over_support(model: PossibilisticModel) -> ProbabilisticModel:
     return ProbabilisticModel.make(model.scenario, distributions)
 
 
+# operator marks on the compile stack, popped once both operands are tables
+_NEGATE, _CONJOIN, _DISJOIN = object(), object(), object()
+# "0"/"1" characters of a printed truth table to the bytes 0/1
+_ROW_FLAGS = bytes.maketrans(b"01", b"\0\1")
+# rows are decoded in blocks of 2^10, one compile step each
+_BLOCK_BITS = 10
+
+
+def _row_codes(names: list[str], bit: Mapping[str, int]) -> list[int]:
+    """Masked code of each row, ``names[j]`` bound to bit ``j`` of the row."""
+    codes = [0]
+    for name in names:
+        codes += [code | bit[name] for code in codes]
+    return codes
+
+
+def _truth_tables(
+    props: Iterable[Proposition], bit: Mapping[str, int], deadline: float | None
+) -> Iterator[tuple[int, frozenset[int]]]:
+    """Compile each formula to its variable mask and satisfying masked codes.
+
+    A formula over ``k`` variables becomes its whole truth table as one
+    ``2^k``-bit integer: row ``i`` binds the formula's ``j``-th variable (in
+    ascending scenario bit) to bit ``j`` of ``i``, so ascending rows are
+    ascending submasks.  The tree is walked bottom-up on an explicit stack,
+    ``&``/``|``/``!`` acting on whole tables, and the set rows are decoded
+    to codes.  ``deadline`` is read once every :data:`DEADLINE_STRIDE`
+    steps over all the formulas, a step being a node, an operator or a
+    block of decoded rows.
+    """
+    steps = 0
+    for prop in props:
+        names = sorted(prop.variables(), key=bit.__getitem__)
+        rows = 1 << len(names)
+        full = (1 << rows) - 1
+        table_of: dict[str, int] = {}
+        for j, name in enumerate(names):
+            # 2^j unset rows, then 2^j set ones, repeated over all the rows
+            half = 1 << j
+            pattern, width = ((1 << half) - 1) << half, 2 * half
+            while width < rows:
+                pattern |= pattern << width
+                width *= 2
+            table_of[name] = pattern
+
+        values: list[int] = []
+        todo: list[object] = [prop]
+        while todo:
+            node = todo.pop()
+            steps += 1
+            if past_deadline(steps, deadline):
+                raise TimeBudgetExceeded()
+            kind = type(node)
+            if kind is Var:
+                values.append(table_of[node.name])
+            elif node is _CONJOIN:
+                right = values.pop()
+                values[-1] &= right
+            elif node is _NEGATE:
+                values[-1] ^= full
+            elif kind is And:
+                todo += (_CONJOIN, node.right, node.left)
+            elif kind is Not:
+                todo += (_NEGATE, node.operand)
+            elif node is _DISJOIN:
+                right = values.pop()
+                values[-1] |= right
+            elif kind is Or:
+                todo += (_DISJOIN, node.right, node.left)
+            elif kind is Const:
+                values.append(full if node.value else 0)
+            else:
+                raise TypeError(f"cannot compile {node!r}")
+
+        (table,) = values
+        flags = format(table, f"0{rows}b")[::-1].encode().translate(_ROW_FLAGS)
+        split = min(len(names), _BLOCK_BITS)
+        low = _row_codes(names[:split], bit)
+        high = _row_codes(names[split:], bit)
+        satisfying: list[int] = []
+        for block, top in enumerate(high):
+            steps += 1
+            if past_deadline(steps, deadline):
+                raise TimeBudgetExceeded()
+            chosen = flags[block * len(low) : (block + 1) * len(low)]
+            satisfying += [top | code for code in compress(low, chosen)]
+        # the last row sets every variable, so its code is the mask
+        yield low[-1] | high[-1], frozenset(satisfying)
+
+
+def _probability(
+    table: tuple[int, frozenset[int]],
+    entries: tuple[DistributionEntry, ...],
+    bit: Mapping[str, int],
+) -> float:
+    cmask, satisfying = table
+    return math.fsum(
+        p
+        for assignment, p in entries
+        if sum(bit[v] for v, b in assignment.bindings if b) & cmask in satisfying
+    )
+
+
+def _measurement_contexts(
+    props: list[Proposition], scenario: Scenario, bound: int
+) -> list[Context]:
+    n = len(scenario.variables)
+    if n > bound:
+        raise TooLarge(f"{n} variables exceed the exhaustive bound of {bound}")
+    return [measurement_context(prop, scenario) for prop in props]
+
+
 def eval_probability(prop: Proposition, model: ProbabilisticModel) -> float:
     """Probability of a formula under its measurement context.
 
     The formula is evaluated against the canonically first cover context
     containing its variables; raises :class:`NotMeasurable` if none does.
+    It is compiled to its truth table, and the ``p`` of the context's
+    entries whose masked code satisfies it are summed with ``math.fsum``.
     """
     context = measurement_context(prop, model.scenario)
-    return math.fsum(
-        p
-        for assignment, p in model.distribution(context)
-        if prop.evaluate(assignment.as_dict())
-    )
+    bit = model.scenario.bit
+    (table,) = _truth_tables([prop], bit, None)
+    return _probability(table, model.distribution(context), bit)
 
 
 def jointly_contradictory(
@@ -213,42 +326,22 @@ def jointly_contradictory(
 ) -> bool:
     """Whether no total assignment of the scenario satisfies every formula.
 
-    Each formula compiles to its variable mask and satisfying masked codes,
-    which the scan kernel of :func:`global_sections_bruteforce` filters all
-    ``2^n`` codes by.  Sharing that kernel, the route is refereed by
-    ``tests/test_oracle.py`` against the independent ``tools/oracle.py``.
-    Scenarios with more than ``bound`` variables are refused; ``deadline``
-    covers the compile and the scan.
+    Each formula compiles to its truth table, read as its variable mask and
+    satisfying masked codes, which the scan kernel of
+    :func:`global_sections_bruteforce` filters all ``2^n`` codes by.
+    Sharing that kernel, the route is refereed by ``tests/test_oracle.py``
+    against the independent ``tools/oracle.py``.  Scenarios with more than
+    ``bound`` variables are refused; ``deadline`` covers the compile and the
+    scan.
     """
     props = list(props)
-    n = len(scenario.variables)
-    if n > bound:
-        raise TooLarge(f"{n} variables exceed the exhaustive bound of {bound}")
-    for prop in props:
-        measurement_context(prop, scenario)
-
-    bit = scenario.bit
-    compiled: list[tuple[int, frozenset[int]]] = []
-    evaluated = 0
-    for prop in props:
-        used = [(v, bit[v]) for v in prop.variables()]
-        cmask = sum(b for _, b in used)
-        satisfying = set()
-        code = 0
-        while True:  # every submask of cmask, ascending
-            evaluated += 1
-            if past_deadline(evaluated, deadline):
-                raise TimeBudgetExceeded()
-            if prop.evaluate({v: 1 if code & b else 0 for v, b in used}):
-                satisfying.add(code)
-            if code == cmask:
-                break
-            code = (code - cmask) & cmask
-        if not satisfying:
+    _measurement_contexts(props, scenario, bound)
+    tables = []
+    for table in _truth_tables(props, scenario.bit, deadline):
+        if not table[1]:
             return True
-        compiled.append((cmask, frozenset(satisfying)))
-
-    return next(_scan_masks(n, compiled, deadline), None) is None
+        tables.append(table)
+    return next(_scan_masks(len(scenario.variables), tables, deadline), None) is None
 
 
 def bell_violation(
@@ -261,14 +354,24 @@ def bell_violation(
 
     Requires the formulas to be jointly contradictory (otherwise the bound
     carries no information and :class:`NotContradictory` is raised).  Any
-    positive return value certifies the model is contextual.
+    positive return value certifies the model is contextual.  Each formula
+    is compiled once, for both the contradiction scan and its probability.
     """
     props = list(props)
-    if not jointly_contradictory(props, model.scenario, bound, deadline):
+    scenario = model.scenario
+    contexts = _measurement_contexts(props, scenario, bound)
+    tables = list(_truth_tables(props, scenario.bit, deadline))
+    n = len(scenario.variables)
+    if all(satisfying for _, satisfying in tables) and (
+        next(_scan_masks(n, tables, deadline), None) is not None
+    ):
         raise NotContradictory(
             "the formulas are jointly satisfiable, so no bound applies"
         )
-    total = math.fsum(eval_probability(prop, model) for prop in props)
+    total = math.fsum(
+        _probability(table, model.distribution(context), scenario.bit)
+        for table, context in zip(tables, contexts)
+    )
     return total - (len(props) - 1)
 
 

@@ -9,18 +9,22 @@ left-associative)::
     lit     := "!" lit | "(" formula ")" | IDENT | "1" | "0"
 
 Identifiers follow variable syntax, so primed names like ``a'`` parse
-directly.  ``parse_proposition`` additionally checks the formula against a
-scenario: every variable must be declared and the variable set must fit
-inside a single cover context, otherwise the formula has no measurement
-context.  AST nodes support ``&``, ``|`` and ``~`` for programmatic
-construction.
+directly.  A formula may nest ``(`` and ``!`` at most :data:`MAX_NESTING`
+levels deep; a deeper one is a :class:`PropositionSyntaxError` at the
+token that passes the limit.  Chains of ``&`` and ``|`` do not nest and may
+be of any length.  ``parse_proposition`` additionally checks the formula
+against a scenario: every variable must be declared and the variable set
+must fit inside a single cover context, otherwise the formula has no
+measurement context.  AST nodes support ``&``, ``|`` and ``~`` for
+programmatic construction.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import Mapping
 
 from .core import Context, Scenario
 from .errors import NotMeasurable, PropositionSyntaxError, UnknownVariable
@@ -33,7 +37,24 @@ class Proposition:
         raise NotImplementedError
 
     def variables(self) -> frozenset[str]:
-        raise NotImplementedError
+        """The variables the formula mentions."""
+        return self._variables
+
+    @cached_property
+    def _variables(self) -> frozenset[str]:
+        # an explicit stack, so a chain of any length is walked without
+        # recursion; nodes are immutable, so each formula is walked once
+        names = set()
+        todo: list[Proposition] = [self]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, Var):
+                names.add(node.name)
+            elif isinstance(node, Not):
+                todo.append(node.operand)
+            elif isinstance(node, (And, Or)):
+                todo += (node.left, node.right)
+        return frozenset(names)
 
     def to_text(self) -> str:
         raise NotImplementedError
@@ -55,9 +76,6 @@ class Var(Proposition):
     def evaluate(self, binding: Mapping[str, int]) -> bool:
         return bool(binding[self.name])
 
-    def variables(self) -> frozenset[str]:
-        return frozenset((self.name,))
-
     def to_text(self) -> str:
         return self.name
 
@@ -69,9 +87,6 @@ class Const(Proposition):
     def evaluate(self, binding: Mapping[str, int]) -> bool:
         return self.value
 
-    def variables(self) -> frozenset[str]:
-        return frozenset()
-
     def to_text(self) -> str:
         return "1" if self.value else "0"
 
@@ -82,9 +97,6 @@ class Not(Proposition):
 
     def evaluate(self, binding: Mapping[str, int]) -> bool:
         return not self.operand.evaluate(binding)
-
-    def variables(self) -> frozenset[str]:
-        return self.operand.variables()
 
     def to_text(self) -> str:
         inner = self.operand.to_text()
@@ -100,9 +112,6 @@ class And(Proposition):
 
     def evaluate(self, binding: Mapping[str, int]) -> bool:
         return self.left.evaluate(binding) and self.right.evaluate(binding)
-
-    def variables(self) -> frozenset[str]:
-        return self.left.variables() | self.right.variables()
 
     def to_text(self) -> str:
         parts = []
@@ -122,98 +131,107 @@ class Or(Proposition):
     def evaluate(self, binding: Mapping[str, int]) -> bool:
         return self.left.evaluate(binding) or self.right.evaluate(binding)
 
-    def variables(self) -> frozenset[str]:
-        return self.left.variables() | self.right.variables()
-
     def to_text(self) -> str:
         return f"{self.left.to_text()} | {self.right.to_text()}"
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<space>\s+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<const>[01])
-  | (?P<punct>[!&|()])
-    """,
-    re.VERBOSE,
-)
+# whitespace matches neither group, so ``finditer`` steps over it
+_TOKEN_RE = re.compile(r"(?P<token>[A-Za-z_][A-Za-z0-9_']*|[01!&|()])|(?P<bad>\S)")
+
+# deepest run of "(" and "!" a formula may nest; each parenthesis costs the
+# parser three stack frames, so this stays well under the interpreter's
+# default recursion limit of 1000
+MAX_NESTING = 100
 
 
-def _tokenize(text: str, line: int | None) -> Iterator[tuple[str, str, int]]:
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
+def _tokenize(text: str, line: int | None) -> tuple[list[str], list[int]]:
+    """Token texts and their positions, ending with ``""`` at the end of
+    input.  A token's kind is its text: one of ``!&|()``, a constant
+    ``0``/``1``, or else an identifier."""
+    values: list[str] = []
+    positions: list[int] = []
+    for match in _TOKEN_RE.finditer(text):
+        if match.lastgroup == "bad":
             raise PropositionSyntaxError(
-                f"unexpected character {text[position]!r}", position, line
+                f"unexpected character {match.group()!r}", match.start(), line
             )
-        position = match.end()
-        kind = match.lastgroup
-        if kind != "space":
-            yield kind, match.group(), match.start()
-    yield "end", "", len(text)
+        values.append(match.group())
+        positions.append(match.start())
+    values.append("")
+    positions.append(len(text))
+    return values, positions
 
 
 class _Parser:
     def __init__(self, text: str, line: int | None):
-        self.tokens = list(_tokenize(text, line))
+        self.values, self.positions = _tokenize(text, line)
         self.line = line
         self.at = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.at]
-
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.at]
-        self.at += 1
-        return token
+        self.depth = 0
 
     def fail(self, message: str) -> PropositionSyntaxError:
-        _, value, position = self.peek()
+        value = self.values[self.at]
         what = f"{value!r}" if value else "end of input"
-        return PropositionSyntaxError(f"{message}, found {what}", position, self.line)
+        return PropositionSyntaxError(
+            f"{message}, found {what}", self.positions[self.at], self.line
+        )
+
+    def nest(self) -> None:
+        """Step past a "(" or "!", one level deeper."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise PropositionSyntaxError(
+                f"formula nests deeper than {MAX_NESTING} levels",
+                self.positions[self.at],
+                self.line,
+            )
+        self.at += 1
 
     def formula(self) -> Proposition:
         node = self.conjunction()
-        while self.peek()[:2] == ("punct", "|"):
-            self.advance()
+        while self.values[self.at] == "|":
+            self.at += 1
             node = Or(node, self.conjunction())
         return node
 
     def conjunction(self) -> Proposition:
         node = self.literal()
-        while self.peek()[:2] == ("punct", "&"):
-            self.advance()
+        while self.values[self.at] == "&":
+            self.at += 1
             node = And(node, self.literal())
         return node
 
     def literal(self) -> Proposition:
-        kind, value, _ = self.peek()
-        if (kind, value) == ("punct", "!"):
-            self.advance()
-            return Not(self.literal())
-        if (kind, value) == ("punct", "("):
-            self.advance()
+        values = self.values
+        outer = self.depth
+        while values[self.at] == "!":  # a chain of "!" is read in a loop
+            self.nest()
+        negations = self.depth - outer
+        value = values[self.at]
+        if value == "(":
+            self.nest()
             node = self.formula()
-            if self.peek()[:2] != ("punct", ")"):
+            if values[self.at] != ")":
                 raise self.fail("expected ')'")
-            self.advance()
-            return node
-        if kind == "ident":
-            self.advance()
-            return Var(value)
-        if kind == "const":
-            self.advance()
-            return Const(value == "1")
-        raise self.fail("expected a variable, constant, '!' or '('")
+        elif value == "0" or value == "1":
+            node = Const(value == "1")
+        elif value not in ("", "&", "|", ")"):
+            node = Var(value)
+        else:
+            raise self.fail("expected a variable, constant, '!' or '('")
+        self.at += 1
+        self.depth = outer
+        for _ in range(negations):
+            node = Not(node)
+        return node
 
 
 def parse_formula(text: str, line: int | None = None) -> Proposition:
-    """Parse a formula with no scenario checks."""
+    """Parse a formula with no scenario checks.  A formula nesting ``(`` and
+    ``!`` more than :data:`MAX_NESTING` deep is refused."""
     parser = _Parser(text, line)
     node = parser.formula()
-    if parser.peek()[0] != "end":
+    if parser.values[parser.at]:
         raise parser.fail("expected end of input")
     return node
 

@@ -1,11 +1,17 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicectx import (
+    classify,
     gen_random_model,
+    hardy_distribution,
     hardy_table,
     luce_raiffa,
     parse_model,
@@ -13,9 +19,13 @@ from choicectx import (
     pr_box_distribution,
     serialize_model,
     support_propositions,
+    support_reduction,
+    uniform_over_support,
     validate_model,
 )
 from choicectx.cli import RunConfig, main, parse_args, run
+from choicectx.contextuality import Kind
+from choicectx.proplang import MAX_NESTING
 
 NAN_DOCUMENT = (
     '{"variables": ["a"], "contexts": [["a"]], "probabilistic": '
@@ -395,3 +405,118 @@ class TestEntryPoint:
         assert check.returncode == 0
         doc = json.loads(check.stdout)
         assert "classification" in doc
+
+
+def support_text(model):
+    """A formula file of the model's support formulas, one per cover context,
+    written directly rather than through the recursive ``to_text``."""
+    lines = []
+    for context in model.scenario.cover:
+        terms = [
+            " & ".join(v if v in event else "!" + v for v in context)
+            for event in model.events_sorted(context)
+        ]
+        lines.append(" | ".join(terms) if terms else "0")
+    return "\n".join(lines) + "\n"
+
+
+class TestBellInputLimits:
+    @pytest.mark.parametrize(
+        "deep",
+        ["(" * 3000 + "a" + ")" * 3000, "!" * 3000 + "a"],
+        ids=["parentheses", "negations"],
+    )
+    def test_deep_nesting_exits_2(self, pr_dist_file, tmp_path, deep):
+        props = tmp_path / "deep.props"
+        props.write_text("a & b\n" + deep + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "choicectx", "bell", pr_dist_file,
+             "--props", str(props)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "nests deeper than" in proc.stderr
+        assert "line 2, position 100" in proc.stderr
+
+    def test_wide_contexts(self, tmp_path, capsys):
+        # the widest context holds 1,234 events, so its support formula is a
+        # chain of 1,234 disjuncts
+        model = gen_random_model(16, 10, 0.3, seed=2)
+        doc = tmp_path / "wide.json"
+        doc.write_text(serialize_model(uniform_over_support(model)))
+        props = tmp_path / "wide.props"
+        props.write_text(support_text(model))
+        rc = main(["bell", "--machine", str(doc), "--props", str(props)])
+        out = capsys.readouterr()
+        if classify(model).kind == Kind.STRONGLY_CONTEXTUAL:
+            assert rc == 0, out.err
+            result = json.loads(out.out)
+            assert result["formulas"] == len(model.scenario.cover)
+            assert abs(result["violation"] - 1.0) <= 1e-9
+        else:
+            assert rc == 2
+            assert "satisfiable" in out.err
+
+
+@pytest.fixture(scope="module")
+def bell_inputs(tmp_path_factory):
+    """Probabilistic documents from the catalog and the generator, each with
+    the text of its support formulas."""
+    root = tmp_path_factory.mktemp("bell_fuzz")
+    models = {"pr_box": pr_box_distribution(), "hardy": hardy_distribution()}
+    for seed in (1, 2, 3):
+        possibilistic = gen_random_model(6, 4, 0.5, seed)
+        models[f"gen{seed}"] = uniform_over_support(possibilistic)
+    inputs = []
+    for name, model in models.items():
+        path = root / f"{name}.json"
+        path.write_text(serialize_model(model))
+        inputs.append((str(path), support_text(support_reduction(model))))
+    return root, inputs
+
+
+def mutate(data, text):
+    """Apply one to four random edits to a formula file."""
+    for _ in range(data.draw(st.integers(1, 4))):
+        edit = data.draw(st.sampled_from(["truncate", "insert", "unknown", "nest"]))
+        at = data.draw(st.integers(0, len(text)))
+        if edit == "truncate":
+            text = text[:at]
+        elif edit == "insert":
+            noise = data.draw(st.text("!&|()01' ", min_size=1, max_size=3))
+            text = text[:at] + noise + text[at:]
+        elif edit == "unknown":
+            name = data.draw(st.sampled_from(["ghost", " & z9'", "\nghost\n"]))
+            text = text[:at] + name + text[at:]
+        else:
+            lines = text.split("\n")
+            i = data.draw(st.integers(0, len(lines) - 1))
+            depth = data.draw(
+                st.sampled_from([MAX_NESTING - 1, MAX_NESTING + 1, 3000])
+            )
+            opener = data.draw(st.sampled_from(["(", "!(", "!"]))
+            closer = ")" * opener.count("(")
+            lines[i] = opener * depth + lines[i] + closer * depth
+            text = "\n".join(lines)
+    return text
+
+
+class TestFormulaFileFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mutated_formula_files_fail_cleanly(self, bell_inputs, data):
+        root, inputs = bell_inputs
+        model_path, text = data.draw(st.sampled_from(inputs))
+        props = root / "mutated.props"
+        props.write_text(mutate(data, text))
+        flags = data.draw(
+            st.sampled_from([[], ["--machine"], ["--strict"], ["--budget", "0"]])
+        )
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["bell", model_path, "--props", str(props), *flags])
+        assert rc in {0, 1, 2, 3}
+        assert "Traceback" not in err.getvalue()

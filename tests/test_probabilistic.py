@@ -2,12 +2,17 @@ import math
 import time
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from choicectx import (
+    And,
     Assignment,
     Const,
+    Not,
     NotContradictory,
     NotMeasurable,
+    Or,
     PossibilisticModel,
     ProbabilisticModel,
     Scenario,
@@ -20,9 +25,11 @@ from choicectx import (
     classify,
     double_headed_coin,
     eval_probability,
+    gen_random_model,
     hardy_distribution,
     hardy_table,
     jointly_contradictory,
+    measurement_context,
     parse_formula,
     pr_box,
     pr_box_distribution,
@@ -36,6 +43,8 @@ from choicectx import (
     warp_signalling,
 )
 from choicectx.contextuality import Kind
+from choicectx.core import DEADLINE_STRIDE
+from choicectx.probabilistic import _truth_tables
 
 
 def two_var_model(p00, p01, p10, p11):
@@ -298,3 +307,133 @@ class TestFsumDiscipline:
             eval_probability(Var(v), d) for v in s.variables
         )
         assert abs(total - k / 2) <= 1e-12
+
+
+def formulas_over(names):
+    """Formulas over ``names`` with constants, chains of up to four ``!``,
+    and variables repeated and mentioned in any order."""
+    leaves = st.one_of(st.sampled_from(names).map(Var), st.booleans().map(Const))
+
+    def negated(pair):
+        count, node = pair
+        for _ in range(count):
+            node = Not(node)
+        return node
+
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.tuples(st.integers(1, 4), sub).map(negated),
+            st.tuples(sub, sub).map(lambda pair: And(*pair)),
+            st.tuples(sub, sub).map(lambda pair: Or(*pair)),
+        ),
+        max_leaves=16,
+    )
+
+
+def evaluated_table(prop, bit):
+    """Variable mask and satisfying masked codes by definition: one
+    ``evaluate`` call per submask of the formula's variables."""
+    used = [(v, bit[v]) for v in prop.variables()]
+    cmask = sum(b for _, b in used)
+    satisfying = set()
+    code = 0
+    while True:
+        if prop.evaluate({v: 1 if code & b else 0 for v, b in used}):
+            satisfying.add(code)
+        if code == cmask:
+            return cmask, frozenset(satisfying)
+        code = (code - cmask) & cmask
+
+
+def evaluated_probability(prop, model):
+    context = measurement_context(prop, model.scenario)
+    return math.fsum(
+        p
+        for assignment, p in model.distribution(context)
+        if prop.evaluate(assignment.as_dict())
+    )
+
+
+def uniform_model(n, k, density, seed):
+    try:
+        return uniform_over_support(gen_random_model(n, k, density, seed))
+    except ValueError:  # a context without events has no uniform distribution
+        reject()
+
+
+# listed out of scenario order, so formulas mention variables in any order
+NAMES = ["e", "a'", "c", "a", "b", "d"]
+WIDE = Scenario.make(NAMES, [NAMES])
+TWELVE = [f"x{i}" for i in (7, 2, 11, 0, 5, 9, 1, 10, 3, 8, 6, 4)]
+TWELVE_SCENARIO = Scenario.make(TWELVE, [TWELVE])
+
+
+class TestTruthTables:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(formulas_over(NAMES), min_size=1, max_size=4))
+    def test_compiled_tables_match_evaluate(self, props):
+        bit = WIDE.bit
+        compiled = list(_truth_tables(props, bit, None))
+        assert compiled == [evaluated_table(prop, bit) for prop in props]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 7),
+        st.integers(1, 5),
+        st.floats(0.2, 1.0),
+        st.integers(0, 10**6),
+        st.data(),
+    )
+    def test_probabilities_match_evaluate_bit_for_bit(
+        self, n, k, density, seed, data
+    ):
+        model = uniform_model(n, k, density, seed)
+        context = data.draw(st.sampled_from(model.scenario.cover))
+        prop = data.draw(formulas_over(list(context)))
+        assert eval_probability(prop, model).hex() == (
+            evaluated_probability(prop, model).hex()
+        )
+
+        props = support_propositions(support_reduction(model)) + [prop]
+        if jointly_contradictory(props, model.scenario):
+            expected = math.fsum(evaluated_probability(p, model) for p in props)
+            assert bell_violation(props, model).hex() == (
+                (expected - (len(props) - 1)).hex()
+            )
+        else:
+            with pytest.raises(NotContradictory):
+                bell_violation(props, model)
+
+    @settings(max_examples=25, deadline=None)
+    @given(formulas_over(TWELVE))
+    def test_tables_over_several_row_blocks(self, prop):
+        # 12 variables give 2^12 rows, decoded in blocks of 2^10
+        every = Var(TWELVE[0])
+        for name in TWELVE[1:]:
+            every = every & Var(name)
+        prop = prop | every
+        bit = TWELVE_SCENARIO.bit
+        assert list(_truth_tables([prop], bit, None)) == [evaluated_table(prop, bit)]
+
+    def test_expired_deadline_stops_the_compile(self):
+        # the constant-false formula settles the family without a scan, so
+        # only the compile of the long formula before it reads the clock
+        long = Var("a") & Var("b")
+        for _ in range(DEADLINE_STRIDE):
+            long = long | (Var("a") & Var("b"))
+        with pytest.raises(TimeBudgetExceeded):
+            jointly_contradictory(
+                [long, Const(False)],
+                bell_scenario(),
+                deadline=time.monotonic() - 1.0,
+            )
+        assert jointly_contradictory([long, Const(False)], bell_scenario())
+
+    def test_wide_contexts_need_no_recursion(self):
+        # the widest context holds 2,057 events, so its support formula is a
+        # chain of 2,057 disjuncts, deeper than the interpreter's stack
+        model = gen_random_model(18, 8, 0.5, seed=3)
+        assert max(len(model.events_sorted(c)) for c in model.scenario.cover) > 2000
+        strong = classify(model).kind is Kind.STRONGLY_CONTEXTUAL
+        assert strong_contextuality_via_bell(model) is strong

@@ -17,6 +17,7 @@ from choicectx import (
     parse_proposition,
     parse_propositions,
 )
+from choicectx.proplang import MAX_NESTING
 
 
 class TestParsing:
@@ -161,3 +162,47 @@ class TestPropositionFiles:
     def test_semantic_errors_surface(self):
         with pytest.raises(NotMeasurable):
             parse_propositions("a & b\nb & b'\n", bell_scenario())
+
+
+class TestNesting:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 3000 + "a" + ")" * 3000,
+            "!" * 3000 + "a",
+            "!(" * 1500 + "a" + ")" * 1500,
+        ],
+        ids=["parentheses", "negations", "mixed"],
+    )
+    def test_deep_nesting_is_a_syntax_error(self, text):
+        with pytest.raises(PropositionSyntaxError) as err:
+            parse_formula(text, line=4)
+        # the token that passes the limit is the (MAX_NESTING + 1)-th opener
+        assert err.value.position == MAX_NESTING
+        assert err.value.line == 4
+        assert "nests deeper" in str(err.value)
+
+    def test_nesting_at_the_limit_parses(self):
+        half = MAX_NESTING // 2
+        rest = MAX_NESTING - half
+        deep = "!" * half + "(" * rest + "a" + ")" * rest
+        node = parse_formula(deep)
+        for _ in range(half):
+            node = node.operand
+        assert node == Var("a")
+        assert parse_formula("(" * MAX_NESTING + "a" + ")" * MAX_NESTING) == Var("a")
+
+    def test_siblings_do_not_add_up(self):
+        text = " & ".join(["(" * MAX_NESTING + "a" + ")" * MAX_NESTING] * 3)
+        assert parse_formula(text).variables() == {"a"}
+
+    def test_long_chains_are_not_nesting(self):
+        names = [f"v{i}" for i in range(5000)]
+        text = " | ".join(f"{v} & !{v}" for v in names)
+        assert parse_formula(text).variables() == frozenset(names)
+
+    def test_unexpected_character_after_a_deep_prefix(self):
+        with pytest.raises(PropositionSyntaxError) as err:
+            parse_formula("!" * MAX_NESTING + "a\n$")
+        assert err.value.position == MAX_NESTING + 2
+        assert "unexpected character '$'" in str(err.value)
