@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=EXHAUSTIVE_BOUND_DEFAULT,
         metavar="N",
-        help="refuse exhaustive scans above N variables (default %(default)s)",
+        help="bell: refuse scenarios over N variables (default %(default)s)",
     )
     common.add_argument(
         "--budget",

@@ -8,11 +8,11 @@ realized by no section (Contextual), or no section exists at all
 
 Both search strategies run on the model's bitmask form
 (:attr:`PossibilisticModel.compiled`), where ascending integers enumerate
-assignments in lexicographic order.  The exhaustive scan meets the codes in
-that order; the level-wise search, which assigns variables in greedy
-completion order, sorts the codes it finds, so both emit sections in the
-same order.  Sections are decoded to :class:`Assignment` only on the way
-out.
+assignments in lexicographic order.  The brute-force referee scans every
+code in that order.  The level-wise search of ``core``, which also decides
+the Bell route's contradictions, assigns variables in greedy completion
+order and sorts the codes it finds, so both emit sections in the same
+order.  Sections are decoded to :class:`Assignment` only on the way out.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .core import (
     Context,
     Event,
     PossibilisticModel,
-    _Compiled,
-    _scan_masks,
+    _search_masks,
     past_deadline,
     shortlex,
 )
@@ -86,39 +85,6 @@ def is_global_section(assignment: Assignment, model: PossibilisticModel) -> bool
     return all(code & cmask in allowed for cmask, allowed in compiled.contexts)
 
 
-def _search_masks(compiled: _Compiled, deadline: float | None) -> list[int]:
-    """Codes of all global sections, ascending.
-
-    Level-wise search in ``compiled.order``: a block of partial codes is
-    extended by the next variable and filtered by every context that
-    variable completes.  A block over :data:`DEADLINE_STRIDE` codes is split
-    into parts on an explicit stack and finished part by part, which bounds
-    the memory held; the clock is read once per block step.
-    """
-    found: list[int] = []
-    stack = [(0, [0])]
-    while stack:
-        depth, block = stack.pop()
-        while block and depth < compiled.n and len(block) <= DEADLINE_STRIDE:
-            if past_deadline(0, deadline):
-                found.sort()
-                raise TimeBudgetExceeded(partial_codes=found, decode=compiled.decode)
-            bit = compiled.order[depth]
-            block += [code | bit for code in block]
-            for cmask, allowed in compiled.completed_at[depth]:
-                block = [code for code in block if code & cmask in allowed]
-            depth += 1
-        if depth == compiled.n:
-            found += block
-        else:
-            stack += [
-                (depth, block[i : i + DEADLINE_STRIDE])
-                for i in range(0, len(block), DEADLINE_STRIDE)
-            ]
-    found.sort()
-    return found
-
-
 def global_sections_bruteforce(
     model: PossibilisticModel, bound: int = EXHAUSTIVE_BOUND_DEFAULT
 ) -> list[Assignment]:
@@ -133,7 +99,11 @@ def global_sections_bruteforce(
         raise TooLarge(
             f"{compiled.n} variables exceed the exhaustive bound of {bound}"
         )
-    return list(map(compiled.decode, _scan_masks(compiled.n, compiled.contexts)))
+    return [
+        compiled.decode(code)
+        for code in range(1 << compiled.n)
+        if all(code & cmask in allowed for cmask, allowed in compiled.contexts)
+    ]
 
 
 def global_sections_backtracking(

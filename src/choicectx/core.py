@@ -18,7 +18,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import (
     TimeBudgetExceeded,
@@ -32,12 +32,12 @@ VARIABLE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
 Context = tuple[str, ...]
 Event = frozenset[str]
 
-# largest variable count the exhaustive 2^n strategies accept by default
+# largest variable count the brute-force search and the Bell route accept by default
 EXHAUSTIVE_BOUND_DEFAULT = 24
 
-# units of work (scanned codes, formula compile steps, section tests) between
-# two reads of the clock against a deadline; also the most partial codes a
-# block of the section search holds before it is split
+# units of work (formula compile steps, witness-pass sections) between two
+# reads of the clock against a deadline; also the most partial codes a block
+# of the section search holds before it is split
 DEADLINE_STRIDE = 1024
 
 
@@ -218,12 +218,20 @@ class PossibilisticModel:
     @cached_property
     def compiled(self) -> "_Compiled":
         """Bitmask form of the model, built on first use."""
-        return _Compiled(self)
+        bit_of = self.scenario.bit.__getitem__
+        return _Compiled(
+            self.scenario.bit,
+            [
+                (sum(map(bit_of, c)), frozenset([sum(map(bit_of, e)) for e in self.events(c)]))
+                for c in self.scenario.cover
+            ],
+        )
 
 
 class _Compiled:
-    """Bitmask form of a model in the layout of :attr:`Scenario.bit`: each
-    cover context becomes its variable mask and the masks of its events.
+    """Constraints in the bit ``layout`` of :attr:`Scenario.bit`: each of
+    ``contexts`` is a variable mask and the codes it allows on those bits,
+    as a model's cover contexts and events or the Bell route's truth tables.
 
     ``order`` is the greedy completion order the section search assigns
     variables in: next comes the variable that completes the most open
@@ -232,24 +240,16 @@ class _Compiled:
     ``completed_at[d]`` lists the contexts whose last variable is
     ``order[d]``."""
 
-    def __init__(self, model: PossibilisticModel):
-        scenario = model.scenario
-        self.n = len(scenario.variables)
-        self.bit = scenario.bit
-        self._pairs = tuple(((v, 0), (v, 1), b) for v, b in self.bit.items())
-        bit_of = self.bit.__getitem__
-        self.contexts: list[tuple[int, frozenset[int]]] = [
-            (
-                self.mask(context),
-                frozenset([sum(map(bit_of, event)) for event in model.events(context)]),
-            )
-            for context in scenario.cover
-        ]
+    def __init__(self, layout: Mapping[str, int], contexts: list[tuple[int, frozenset[int]]]):
+        self.n = len(layout)
+        self.bit = layout
+        self._pairs = tuple(((v, 0), (v, 1), b) for v, b in layout.items())
+        self.contexts = contexts
         self.order: list[int] = []
         self.completed_at: list[list[tuple[int, frozenset[int]]]] = []
         # [unassigned part of the context mask, context mask, allowed codes]
-        pending = [[cmask, cmask, allowed] for cmask, allowed in self.contexts]
-        free = list(self.bit.values())
+        pending = [[cmask, cmask, allowed] for cmask, allowed in contexts]
+        free = list(layout.values())
 
         def gain(bit: int) -> tuple[int, float]:
             completes, spread = 0, 0.0
@@ -280,17 +280,43 @@ class _Compiled:
         )
 
 
-def _scan_masks(
-    n: int, contexts: list[tuple[int, frozenset[int]]], deadline: float | None = None
-) -> Iterator[int]:
-    """Every ``n``-bit code whose restriction to each context mask is one of
-    that context's allowed codes, ascending.  The exhaustive-scan kernel of
-    both the brute-force section search and the inequality route."""
-    for code in range(1 << n):
-        if past_deadline(code, deadline):
-            raise TimeBudgetExceeded()
-        if all(code & cmask in allowed for cmask, allowed in contexts):
-            yield code
+def _search_masks(
+    compiled: _Compiled, deadline: float | None, first: bool = False
+) -> list[int]:
+    """Codes that meet every constraint of ``compiled``, ascending; with
+    ``first``, the search stops at the first complete code, so the result
+    is empty exactly when no code meets them all.
+
+    Level-wise search in ``compiled.order``: a block of partial codes is
+    extended by the next variable and filtered by every context that
+    variable completes.  A block over :data:`DEADLINE_STRIDE` codes is split
+    into parts on an explicit stack and finished part by part, which bounds
+    the memory held; the clock is read once per block step.
+    """
+    found: list[int] = []
+    stack = [(0, [0])]
+    while stack:
+        depth, block = stack.pop()
+        while block and depth < compiled.n and len(block) <= DEADLINE_STRIDE:
+            if past_deadline(0, deadline):
+                found.sort()
+                raise TimeBudgetExceeded(partial_codes=found, decode=compiled.decode)
+            bit = compiled.order[depth]
+            block += [code | bit for code in block]
+            for cmask, allowed in compiled.completed_at[depth]:
+                block = [code for code in block if code & cmask in allowed]
+            depth += 1
+        if depth == compiled.n:
+            found += block
+            if first and found:
+                break
+        else:
+            stack += [
+                (depth, block[i : i + DEADLINE_STRIDE])
+                for i in range(0, len(block), DEADLINE_STRIDE)
+            ]
+    found.sort()
+    return found
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,10 @@ from .core import (
     PossibilisticModel,
     Scenario,
     Verdict,
+    _Compiled,
     _failing,
     _passing,
-    _scan_masks,
+    _search_masks,
     canonical_context,
     past_deadline,
     shortlex,
@@ -295,13 +296,21 @@ def _probability(
     )
 
 
-def _measurement_contexts(
-    props: list[Proposition], scenario: Scenario, bound: int
-) -> list[Context]:
+def _contradiction(
+    props: list[Proposition], scenario: Scenario, bound: int, deadline: float | None
+) -> tuple[list[Context], list[tuple[int, frozenset[int]]], bool]:
+    """Measurement context and truth table of each formula, and whether no
+    code meets every table: at once if one has no satisfying row, else by
+    the section search stopped at its first complete code."""
     n = len(scenario.variables)
     if n > bound:
         raise TooLarge(f"{n} variables exceed the exhaustive bound of {bound}")
-    return [measurement_context(prop, scenario) for prop in props]
+    contexts = [measurement_context(prop, scenario) for prop in props]
+    tables = list(_truth_tables(props, scenario.bit, deadline))
+    contradictory = not all(satisfying for _, satisfying in tables) or not (
+        _search_masks(_Compiled(scenario.bit, tables), deadline, first=True)
+    )
+    return contexts, tables, contradictory
 
 
 def eval_probability(prop: Proposition, model: ProbabilisticModel) -> float:
@@ -327,21 +336,13 @@ def jointly_contradictory(
     """Whether no total assignment of the scenario satisfies every formula.
 
     Each formula compiles to its truth table, read as its variable mask and
-    satisfying masked codes, which the scan kernel of
-    :func:`global_sections_bruteforce` filters all ``2^n`` codes by.
-    Sharing that kernel, the route is refereed by ``tests/test_oracle.py``
-    against the independent ``tools/oracle.py``.  Scenarios with more than
-    ``bound`` variables are refused; ``deadline`` covers the compile and the
-    scan.
+    satisfying masked codes, and the section search of ``classify``
+    looks for one code that every table allows.  Sharing that search, the
+    route is refereed by ``tests/test_oracle.py`` against the independent
+    ``tools/oracle.py``.  Scenarios with more than ``bound`` variables are
+    refused; ``deadline`` covers the compile and the search.
     """
-    props = list(props)
-    _measurement_contexts(props, scenario, bound)
-    tables = []
-    for table in _truth_tables(props, scenario.bit, deadline):
-        if not table[1]:
-            return True
-        tables.append(table)
-    return next(_scan_masks(len(scenario.variables), tables, deadline), None) is None
+    return _contradiction(list(props), scenario, bound, deadline)[2]
 
 
 def bell_violation(
@@ -352,19 +353,15 @@ def bell_violation(
 ) -> float:
     """Excess of ``sum_i P(phi_i)`` over ``N - 1``.
 
-    Requires the formulas to be jointly contradictory (otherwise the bound
-    carries no information and :class:`NotContradictory` is raised).  Any
-    positive return value certifies the model is contextual.  Each formula
-    is compiled once, for both the contradiction scan and its probability.
+    Requires the formulas to be jointly contradictory, decided as by
+    :func:`jointly_contradictory` (otherwise the bound carries no
+    information and :class:`NotContradictory` is raised).  Any positive
+    return value certifies the model is contextual.  Each formula is
+    compiled once, for both the contradiction search and its probability.
     """
-    props = list(props)
     scenario = model.scenario
-    contexts = _measurement_contexts(props, scenario, bound)
-    tables = list(_truth_tables(props, scenario.bit, deadline))
-    n = len(scenario.variables)
-    if all(satisfying for _, satisfying in tables) and (
-        next(_scan_masks(n, tables, deadline), None) is not None
-    ):
+    contexts, tables, contradictory = _contradiction(list(props), scenario, bound, deadline)
+    if not contradictory:
         raise NotContradictory(
             "the formulas are jointly satisfiable, so no bound applies"
         )
@@ -372,7 +369,7 @@ def bell_violation(
         _probability(table, model.distribution(context), scenario.bit)
         for table, context in zip(tables, contexts)
     )
-    return total - (len(props) - 1)
+    return total - (len(tables) - 1)
 
 
 def support_propositions(model: PossibilisticModel) -> list[Proposition]:

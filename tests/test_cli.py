@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import subprocess
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choicectx import (
+    PossibilisticModel,
     classify,
     gen_random_model,
     hardy_distribution,
@@ -311,6 +313,17 @@ class TestBellCommand:
         assert rc == 2
         assert "satisfiable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("machine", [[], ["--machine"]], ids=["human", "machine"])
+    def test_budget_zero_exits_3(self, pr_dist_file, pr_props_file, machine, capsys):
+        args = ["bell", pr_dist_file, "--props", pr_props_file, "--budget", "0"]
+        rc = main(args + machine)
+        out = capsys.readouterr().out
+        assert rc == 3
+        if machine:
+            assert json.loads(out)["inconclusive"] is True
+        else:
+            assert out.startswith("inconclusive: time budget exceeded")
+
     def test_formula_error_is_input_error(self, pr_dist_file, tmp_path, capsys):
         props = tmp_path / "bad.props"
         props.write_text("a &\n")
@@ -518,5 +531,91 @@ class TestFormulaFileFuzz:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             rc = main(["bell", model_path, "--props", str(props), *flags])
+        assert rc in {0, 1, 2, 3}
+        assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def model_documents(tmp_path_factory):
+    """Possibilistic and probabilistic documents from the catalog and the
+    generator, parsed, with a formula file of each model's support
+    formulas."""
+    root = tmp_path_factory.mktemp("document_fuzz")
+    models = {
+        "hardy": hardy_table(),
+        "luce_raiffa": luce_raiffa(),
+        "pr_box": pr_box_distribution(),
+        "hardy_dist": hardy_distribution(),
+    }
+    for seed in (1, 2):
+        possibilistic = gen_random_model(6, 4, 0.5, seed)
+        models[f"gen{seed}"] = possibilistic
+        models[f"gen{seed}_dist"] = uniform_over_support(possibilistic)
+    documents = []
+    for name, model in models.items():
+        props = root / f"{name}.props"
+        if isinstance(model, PossibilisticModel):
+            props.write_text(support_text(model))
+        else:
+            props.write_text(support_text(support_reduction(model)))
+        documents.append((json.loads(serialize_model(model)), str(props)))
+    return root, documents
+
+
+ODD_VALUES = [None, True, 0, -1, 2, 0.5, 1e308, "", "a", "x9", [], [[]], {}, {"a": 1}]
+
+
+def mutate_document(data, doc):
+    """Apply one to four random edits to a parsed document: a dropped key or
+    entry, an extra one, an odd value or a repeated entry."""
+    for _ in range(data.draw(st.integers(1, 4))):
+        nodes, todo = [], [doc]
+        while todo:
+            node = todo.pop()
+            nodes.append(node)
+            children = node.values() if isinstance(node, dict) else node
+            todo += [c for c in children if isinstance(c, (dict, list))]
+        node = data.draw(st.sampled_from(nodes))
+        edit = data.draw(st.sampled_from(["drop", "extra", "odd", "repeat"]))
+        odd = copy.deepcopy(data.draw(st.sampled_from(ODD_VALUES)))
+        if isinstance(node, dict):
+            keys = list(node) + ["extra", "p", "context", "assignment", "events"]
+            key = data.draw(st.sampled_from(keys))
+            if edit == "drop":
+                node.pop(key, None)
+            else:
+                node[key] = odd
+        elif node and edit != "extra":
+            at = data.draw(st.integers(0, len(node) - 1))
+            if edit == "drop":
+                del node[at]
+            elif edit == "odd":
+                node[at] = odd
+            else:
+                node.insert(at, copy.deepcopy(node[at]))
+        else:
+            node.insert(data.draw(st.integers(0, len(node))), odd)
+    text = json.dumps(doc)
+    if data.draw(st.integers(0, 3)) == 0:
+        text = text[: data.draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestModelDocumentFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_documents_fail_cleanly(self, model_documents, data):
+        root, documents = model_documents
+        doc, props = data.draw(st.sampled_from(documents))
+        path = root / "mutated.json"
+        path.write_text(mutate_document(data, copy.deepcopy(doc)))
+        command = data.draw(st.sampled_from(["classify", "axioms", "audit", "bell"]))
+        args = [command, str(path)] + (["--props", props] if command == "bell" else [])
+        flags = data.draw(
+            st.sampled_from([[], ["--machine"], ["--strict"], ["--budget", "0"]])
+        )
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(args + flags)
         assert rc in {0, 1, 2, 3}
         assert "Traceback" not in err.getvalue()

@@ -1,17 +1,33 @@
 """Differential tests against ``tools/oracle.py``.
 
-The section search and the inequality route share one exhaustive-scan
-kernel, so agreement between them is no longer independent evidence.  The
-oracle shares no code with the package and referees both on random models.
+The inequality route decides contradiction with the same section search
+that ``classify`` runs, so agreement between them is no independent
+evidence.  The oracle shares no code with the package: it referees the
+search, the inequality route and the axiom checks on random models.
 """
 
 import importlib.util
 from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from choicectx import classify, gen_random_model, strong_contextuality_via_bell
+from choicectx import (
+    NotContradictory,
+    PossibilisticModel,
+    bell_violation,
+    check_no_signalling,
+    check_weak_axiom,
+    classify,
+    gen_random_model,
+    intersection_closed,
+    is_choice_structure,
+    overlap_property,
+    strong_contextuality_via_bell,
+    support_propositions,
+    uniform_over_support,
+)
 
 
 def _load_oracle():
@@ -24,20 +40,26 @@ def _load_oracle():
 
 oracle = _load_oracle()
 
-
-@settings(max_examples=200, deadline=None)
-@given(
+SIZES = dict(
     n=st.integers(1, 8),
     k=st.integers(1, 5),
     density=st.sampled_from([0.25, 0.5, 0.75, 0.9, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_classify_and_bell_route_match_oracle(n, k, density, seed):
-    model = gen_random_model(n, k, density, seed)
-    supports = {
+
+
+def oracle_supports(model):
+    return {
         context: [set(event) for event in model.events(context)]
         for context in model.scenario.cover
     }
+
+
+@settings(max_examples=200, deadline=None)
+@given(**SIZES)
+def test_classify_and_bell_route_match_oracle(n, k, density, seed):
+    model = gen_random_model(n, k, density, seed)
+    supports = oracle_supports(model)
     kind, witness, count = oracle.classify(supports)
 
     ours = classify(model)
@@ -47,3 +69,42 @@ def test_classify_and_bell_route_match_oracle(n, k, density, seed):
         ours_witness = (context, tuple(sorted(event)))
     assert (ours.kind.value, ours_witness, ours.section_count) == (kind, witness, count)
     assert strong_contextuality_via_bell(model) == (kind == "StronglyContextual")
+
+
+@settings(max_examples=200, deadline=None)
+@given(**{**SIZES, "density": st.sampled_from([0.25, 0.4, 0.5, 0.75])})
+def test_bell_violation_matches_oracle(n, k, density, seed):
+    # sparse supports: about one in six usable draws is strongly contextual
+    model = gen_random_model(n, k, density, seed)
+    # a context without events has no uniform distribution
+    assume(all(model.events(context) for context in model.scenario.cover))
+    supports = oracle_supports(model)
+    props = support_propositions(model)
+    distribution = uniform_over_support(model)
+    if oracle.classify(supports)[0] == "StronglyContextual":
+        expected = float(oracle.uniform_bell_sum(supports) - (len(supports) - 1))
+        assert abs(bell_violation(props, distribution) - expected) <= 1e-9
+    else:
+        with pytest.raises(NotContradictory):
+            bell_violation(props, distribution)
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed=st.booleans(), one_event=st.booleans(), **SIZES)
+def test_axiom_verdicts_match_oracle(n, k, density, seed, closed, one_event):
+    model = gen_random_model(n, k, density, seed, intersection_closed=closed)
+    if one_event:
+        # keep the shortlex-first event of each context, so that choice
+        # structures, and with them the weak axiom, are drawn often
+        model = PossibilisticModel.make(
+            model.scenario,
+            {c: model.events_sorted(c)[:1] for c in model.scenario.cover},
+        )
+    supports = oracle_supports(model)
+    assert check_weak_axiom(model).holds == oracle.warp_holds(supports)
+    assert check_no_signalling(model).holds == oracle.no_signalling_holds(supports)
+    assert intersection_closed(model.scenario).holds == oracle.closed_holds(supports)
+    assert overlap_property(model).holds == oracle.overlap_holds(supports)
+    assert is_choice_structure(model).holds == all(
+        len(events) == 1 for events in supports.values()
+    )

@@ -437,3 +437,65 @@ class TestTruthTables:
         assert max(len(model.events_sorted(c)) for c in model.scenario.cover) > 2000
         strong = classify(model).kind is Kind.STRONGLY_CONTEXTUAL
         assert strong_contextuality_via_bell(model) is strong
+
+
+def satisfiable_by_evaluate(props, scenario):
+    """Whether some binding of every scenario variable satisfies all the
+    formulas, by one ``evaluate`` pass per binding."""
+    names = scenario.variables
+    bindings = (
+        {v: code >> j & 1 for j, v in enumerate(names)} for code in range(1 << len(names))
+    )
+    return any(all(prop.evaluate(binding) for prop in props) for binding in bindings)
+
+
+@st.composite
+def formula_families(draw):
+    """Formulas over overlapping contexts of up to eight variables, some of
+    which no context and no formula mentions."""
+    n = draw(st.integers(1, 8))
+    names = [f"v{i}" for i in range(n)]
+    mentioned = names[: draw(st.integers(1, n))]
+    contexts = draw(
+        st.lists(
+            st.lists(st.sampled_from(mentioned), min_size=1, max_size=4, unique=True),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    scenario = Scenario.make(names, contexts)
+    props = draw(
+        st.lists(
+            st.sampled_from(scenario.cover).flatmap(lambda c: formulas_over(list(c))),
+            max_size=5,
+        )
+    )
+    return scenario, props
+
+
+class TestContradictionSearch:
+    @settings(max_examples=250, deadline=None)
+    @given(formula_families())
+    def test_matches_evaluate_over_every_binding(self, family):
+        scenario, props = family
+        assert jointly_contradictory(props, scenario) is not (
+            satisfiable_by_evaluate(props, scenario)
+        )
+
+    @pytest.mark.parametrize("target", [0, 0b10110011100101, (1 << 14) - 1])
+    def test_first_section_after_blocks_split(self, target):
+        # one formula pins all 14 variables, so every partial code survives
+        # until the last variable: blocks pass DEADLINE_STRIDE and split,
+        # and the one section lies in the first, a middle or the last part
+        names = [f"v{i:02d}" for i in range(14)]
+        assert 1 << len(names) > 4 * DEADLINE_STRIDE
+        set_in_target = {v for j, v in enumerate(names) if target >> (13 - j) & 1}
+        literals = [Var(v) if v in set_in_target else Not(Var(v)) for v in names]
+        prop = literals[0]
+        for literal in literals[1:]:
+            prop = prop & literal
+        s = Scenario.make(names, [names])
+        assert not jointly_contradictory([prop], s)
+        # negating one of its literals rules the section out
+        flipped = Not(literals[5])
+        assert jointly_contradictory([prop, flipped], s)
