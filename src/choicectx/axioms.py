@@ -4,6 +4,13 @@ Throughout, the choice function of a context is read off its support:
 ``chosen(x, U) = 1`` iff ``x`` belongs to at least one event of ``C(U)``.
 Each check returns a :class:`Verdict` whose witness, when the property
 fails, is the canonically first counterexample under cover order.
+
+The checks are set algebra on context bitmasks in the :attr:`Scenario.bit`
+layout (variable ``j`` on bit ``n - 1 - j``): each cover context gives its
+variable mask and the mask of its chosen variables, a pair of contexts
+shares ``ma & mb``, and a witness variable is the one at the highest set
+bit of a mask, which is the least name in it.  Names are decoded only for
+the witness.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import PossibilisticModel, Scenario, Verdict, _failing, _passing
+from .core import Context, PossibilisticModel, Scenario, Verdict, _failing, _passing
 from .contextuality import Classification, Kind, classify
 
 _REGION_KIND = {
@@ -19,6 +26,28 @@ _REGION_KIND = {
     Kind.CONTEXTUAL: "contextual",
     Kind.STRONGLY_CONTEXTUAL: "strongly contextual",
 }
+
+
+def _masks(scenario: Scenario) -> list[int]:
+    """The variable mask of each cover context, in cover order."""
+    bit_of = scenario.bit.__getitem__
+    return [sum(map(bit_of, context)) for context in scenario.cover]
+
+
+def _rows(model: PossibilisticModel) -> list[tuple[Context, int, int]]:
+    """One row per cover context: the context, its variable mask and the
+    mask of its chosen variables."""
+    scenario = model.scenario
+    bit_of = scenario.bit.__getitem__
+    return [
+        (context, mask, sum(map(bit_of, model.chosen_set(context))))
+        for context, mask in zip(scenario.cover, _masks(scenario))
+    ]
+
+
+def _names(scenario: Scenario, mask: int) -> list[str]:
+    """The variables of ``mask``, sorted; the first sits at its highest bit."""
+    return [v for v, b in scenario.bit.items() if mask & b]
 
 
 def check_weak_axiom(model: PossibilisticModel) -> Verdict:
@@ -29,31 +58,20 @@ def check_weak_axiom(model: PossibilisticModel) -> Verdict:
     the canonically first (A, B, x, y): context pairs in cover order, then
     x and y each minimal.
     """
-    cover = model.scenario.cover
-    for a in cover:
-        chosen_a = model.chosen_set(a)
-        for b in cover:
-            if a == b:
-                continue
-            shared = sorted(set(a) & set(b))
-            if not shared:
-                continue
-            chosen_b = model.chosen_set(b)
-            ys = [y for y in shared if y in chosen_b]
-            if not ys:
-                continue
-            for x in shared:
-                if x in chosen_a and x not in chosen_b:
-                    return _failing(
-                        f"{x!r} is chosen from {list(a)} and rejected from "
-                        f"{list(b)} even though {ys[0]!r} is chosen there",
-                        {
-                            "context_a": list(a),
-                            "context_b": list(b),
-                            "x": x,
-                            "y": ys[0],
-                        },
-                    )
+    rows = _rows(model)
+    for a, ma, ca in rows:
+        for b, mb, cb in rows:
+            shared = ma & mb
+            # a context never reverses itself (ca == cb leaves no x)
+            reversal = shared & ca & ~cb
+            if reversal and shared & cb:
+                x = _names(model.scenario, reversal)[0]
+                y = _names(model.scenario, shared & cb)[0]
+                return _failing(
+                    f"{x!r} is chosen from {list(a)} and rejected from "
+                    f"{list(b)} even though {y!r} is chosen there",
+                    {"context_a": list(a), "context_b": list(b), "x": x, "y": y},
+                )
     return _passing("no pair of contexts reveals a preference reversal")
 
 
@@ -63,44 +81,31 @@ def check_no_signalling(model: PossibilisticModel) -> Verdict:
     A violation witness is the canonically first (A, B, z) with z in both
     contexts but chosen in exactly one of them.
     """
-    cover = model.scenario.cover
-    for a, b in combinations(cover, 2):
-        shared = sorted(set(a) & set(b))
-        if not shared:
-            continue
-        chosen_a = model.chosen_set(a)
-        chosen_b = model.chosen_set(b)
-        for z in shared:
-            if (z in chosen_a) != (z in chosen_b):
-                in_a, not_in = (a, b) if z in chosen_a else (b, a)
-                return _failing(
-                    f"{z!r} is chosen from {list(in_a)} but not from "
-                    f"{list(not_in)}",
-                    {
-                        "context_a": list(a),
-                        "context_b": list(b),
-                        "variable": z,
-                    },
-                )
+    for (a, ma, ca), (b, mb, cb) in combinations(_rows(model), 2):
+        differ = ma & mb & (ca ^ cb)
+        if differ:
+            z = _names(model.scenario, differ)[0]
+            in_a, not_in = (a, b) if ca & model.scenario.bit[z] else (b, a)
+            return _failing(
+                f"{z!r} is chosen from {list(in_a)} but not from {list(not_in)}",
+                {"context_a": list(a), "context_b": list(b), "variable": z},
+            )
     return _passing("overlapping contexts agree on every shared variable")
 
 
 def intersection_closed(scenario: Scenario) -> Verdict:
     """Whether every nonempty intersection of two distinct cover contexts
     is itself a cover context."""
-    cover = scenario.cover
-    present = set(cover)
-    for a, b in combinations(cover, 2):
-        meet = set(a) & set(b)
-        if meet and tuple(sorted(meet)) not in present:
+    masks = _masks(scenario)
+    present = set(masks)
+    for (a, ma), (b, mb) in combinations(zip(scenario.cover, masks), 2):
+        meet = ma & mb
+        if meet and meet not in present:
+            names = _names(scenario, meet)
             return _failing(
-                f"{sorted(meet)} is the intersection of {list(a)} and "
-                f"{list(b)} but is not a context",
-                {
-                    "context_a": list(a),
-                    "context_b": list(b),
-                    "intersection": sorted(meet),
-                },
+                f"{names} is the intersection of {list(a)} and {list(b)} "
+                "but is not a context",
+                {"context_a": list(a), "context_b": list(b), "intersection": names},
             )
     return _passing("the cover is closed under nonempty intersections")
 
@@ -112,20 +117,19 @@ def overlap_property(model: PossibilisticModel) -> Verdict:
     Disjoint pairs are skipped; the quantifier runs over distinct contexts
     with nonempty intersection.
     """
-    cover = model.scenario.cover
-    for a, b in combinations(cover, 2):
-        shared = set(a) & set(b)
+    for (a, ma, ca), (b, mb, cb) in combinations(_rows(model), 2):
+        shared = ma & mb
         if not shared:
             continue
-        for side, other in ((a, b), (b, a)):
-            if not (shared & model.chosen_set(side)):
+        for side, chosen in ((a, ca), (b, cb)):
+            if not shared & chosen:
+                overlap = _names(model.scenario, shared)
                 return _failing(
-                    f"nothing in the overlap {sorted(shared)} is chosen "
-                    f"from {list(side)}",
+                    f"nothing in the overlap {overlap} is chosen from {list(side)}",
                     {
                         "context_a": list(a),
                         "context_b": list(b),
-                        "overlap": sorted(shared),
+                        "overlap": overlap,
                         "empty_side": list(side),
                     },
                 )
@@ -143,6 +147,22 @@ def is_choice_structure(model: PossibilisticModel) -> Verdict:
                 {"context": list(context), "event_count": count},
             )
     return _passing("every context has exactly one event")
+
+
+# the five checks by name, in report order; the names are also the
+# AuditReport fields
+CHECKS = {
+    "weak_axiom": check_weak_axiom,
+    "no_signalling": check_no_signalling,
+    "intersection_closed": lambda model: intersection_closed(model.scenario),
+    "overlap_property": overlap_property,
+    "choice_structure": is_choice_structure,
+}
+
+
+def verdicts(model: PossibilisticModel) -> dict[str, Verdict]:
+    """The verdicts of the five checks, keyed as :data:`CHECKS`."""
+    return {name: check(model) for name, check in CHECKS.items()}
 
 
 @dataclass(frozen=True)
@@ -189,30 +209,21 @@ class AuditReport:
 
     def to_doc(self) -> dict:
         return {
-            "weak_axiom": self.weak_axiom.to_doc(),
-            "no_signalling": self.no_signalling.to_doc(),
-            "intersection_closed": self.intersection_closed.to_doc(),
-            "overlap_property": self.overlap_property.to_doc(),
-            "choice_structure": self.choice_structure.to_doc(),
+            **{name: getattr(self, name).to_doc() for name in CHECKS},
             "classification": self.classification.to_doc(),
             "theorems": [check.to_doc() for check in self.theorem_checks],
         }
 
 
 def _has_disjoint_pair(scenario: Scenario) -> bool:
-    return any(
-        not (set(a) & set(b)) for a, b in combinations(scenario.cover, 2)
-    )
+    return any(not ma & mb for ma, mb in combinations(_masks(scenario), 2))
 
 
 def audit(model: PossibilisticModel, deadline: float | None = None) -> AuditReport:
     """Run every axiom check, classify, and test each implication on the
     result."""
-    warp = check_weak_axiom(model)
-    signalling = check_no_signalling(model)
-    closed = intersection_closed(model.scenario)
-    overlap = overlap_property(model)
-    single = is_choice_structure(model)
+    found = verdicts(model)
+    warp, signalling, closed, overlap, _ = found.values()
     classification = classify(model, deadline)
 
     kind = classification.kind
@@ -289,11 +300,7 @@ def audit(model: PossibilisticModel, deadline: float | None = None) -> AuditRepo
     )
 
     return AuditReport(
-        weak_axiom=warp,
-        no_signalling=signalling,
-        intersection_closed=closed,
-        overlap_property=overlap,
-        choice_structure=single,
+        **found,
         classification=classification,
         theorem_checks=tuple(checks),
     )

@@ -22,20 +22,10 @@ def bell_scenario() -> Scenario:
     )
 
 
-def _model(scenario: Scenario, supports: dict) -> PossibilisticModel:
-    return PossibilisticModel.make(
-        scenario,
-        {
-            context: {frozenset(event) for event in events}
-            for context, events in supports.items()
-        },
-    )
-
-
 def double_headed_coin() -> PossibilisticModel:
     """Non-contextual: one measurement is deterministically 1, the rest are
     free.  Eight global sections, every event realized."""
-    return _model(
+    return PossibilisticModel.make(
         bell_scenario(),
         {
             ("a", "b"): [{"a"}, {"a", "b"}],
@@ -49,7 +39,7 @@ def double_headed_coin() -> PossibilisticModel:
 def hardy_table() -> PossibilisticModel:
     """Contextual but not strongly so: the all-zero event of the first
     context is realized by no global section, yet sections exist."""
-    return _model(
+    return PossibilisticModel.make(
         bell_scenario(),
         {
             ("a", "b"): [set(), {"a"}, {"b"}, {"a", "b"}],
@@ -63,7 +53,7 @@ def hardy_table() -> PossibilisticModel:
 def hardy_relabeled() -> PossibilisticModel:
     """The same shape with the forbidden corners moved: here the doubly
     occupied event of the first context is unrealizable."""
-    return _model(
+    return PossibilisticModel.make(
         bell_scenario(),
         {
             ("a", "b"): [set(), {"a"}, {"b"}, {"a", "b"}],
@@ -77,7 +67,7 @@ def hardy_relabeled() -> PossibilisticModel:
 def pr_box() -> PossibilisticModel:
     """Strongly contextual: perfect correlation on three contexts and
     perfect anticorrelation on the fourth leave no global section."""
-    return _model(
+    return PossibilisticModel.make(
         bell_scenario(),
         {
             ("a", "b"): [set(), {"a", "b"}],
@@ -103,7 +93,7 @@ def hardy_distribution() -> ProbabilisticModel:
 def luce_raiffa() -> PossibilisticModel:
     """The diner who takes salmon from the short menu but steak from the
     long one: a weak-axiom violation on an intersection-closed cover."""
-    return _model(
+    return PossibilisticModel.make(
         Scenario.make(
             ["FrogLegs", "Salmon", "Steak"],
             [["Salmon", "Steak"], ["FrogLegs", "Salmon", "Steak"]],
@@ -118,7 +108,7 @@ def luce_raiffa() -> PossibilisticModel:
 def warp_noncontextual() -> PossibilisticModel:
     """Weak axiom holds, no-signalling holds, non-contextual: the same
     variable is chosen from both overlapping menus."""
-    return _model(
+    return PossibilisticModel.make(
         Scenario.make(["a", "b", "c"], [["a", "b"], ["a", "c"]]),
         {
             ("a", "b"): [{"a"}],
@@ -130,7 +120,7 @@ def warp_noncontextual() -> PossibilisticModel:
 def warp_contextual() -> PossibilisticModel:
     """Weak axiom holds vacuously (the chosen elements never meet the
     overlap), yet no global section exists."""
-    return _model(
+    return PossibilisticModel.make(
         Scenario.make(["a", "b", "c"], [["a", "b"], ["b", "c"]]),
         {
             ("a", "b"): [{"a"}],
@@ -142,7 +132,7 @@ def warp_contextual() -> PossibilisticModel:
 def warp_signalling() -> PossibilisticModel:
     """Weak axiom holds vacuously while the contexts disagree about x:
     chosen from the short menu, rejected from the long one."""
-    return _model(
+    return PossibilisticModel.make(
         Scenario.make(["x", "y", "z"], [["x", "y"], ["x", "y", "z"]]),
         {
             ("x", "y"): [{"x"}],

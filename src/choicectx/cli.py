@@ -19,15 +19,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .axioms import (
-    AuditReport,
-    audit,
-    check_no_signalling,
-    check_weak_axiom,
-    intersection_closed,
-    is_choice_structure,
-    overlap_property,
-)
+from .axioms import CHECKS, AuditReport, audit, verdicts
 from .catalog import gen_random_model
 from .contextuality import Classification, classify
 from .core import (
@@ -193,13 +185,7 @@ def _classification_lines(classification: Classification) -> list[str]:
 
 def _report_lines(report: AuditReport) -> list[str]:
     lines = []
-    for name in (
-        "weak_axiom",
-        "no_signalling",
-        "intersection_closed",
-        "overlap_property",
-        "choice_structure",
-    ):
+    for name in CHECKS:
         lines.extend(_verdict_lines(name, getattr(report, name)))
     lines.append(
         f"classification: {report.classification.kind} "
@@ -275,19 +261,13 @@ def _dispatch(config: RunConfig) -> int:
 
     if config.command == "axioms":
         model = _as_possibilistic(_load_model(config))
-        verdicts = {
-            "weak_axiom": check_weak_axiom(model),
-            "no_signalling": check_no_signalling(model),
-            "intersection_closed": intersection_closed(model.scenario),
-            "overlap_property": overlap_property(model),
-            "choice_structure": is_choice_structure(model),
-        }
+        found = verdicts(model)
         lines = []
-        for name, verdict in verdicts.items():
+        for name, verdict in found.items():
             lines.extend(_verdict_lines(name, verdict))
-        doc = {name: verdict.to_doc() for name, verdict in verdicts.items()}
+        doc = {name: verdict.to_doc() for name, verdict in found.items()}
         _emit(config, doc, lines)
-        bad = not verdicts["weak_axiom"].holds or not verdicts["no_signalling"].holds
+        bad = not found["weak_axiom"].holds or not found["no_signalling"].holds
         return 1 if config.strict and bad else 0
 
     if config.command == "audit":

@@ -29,7 +29,6 @@ from .core import (
     PossibilisticModel,
     _search_masks,
     past_deadline,
-    shortlex,
 )
 from .errors import DomainMismatch, TimeBudgetExceeded, TooLarge
 
@@ -130,8 +129,10 @@ def classify(
     """Place a model in the hierarchy, with a witness for contextuality.
 
     The witness is the canonically first unrealized event: contexts are
-    taken in cover order and events in shortlex order.  ``deadline`` covers
-    both the search and the pass that finds the witness.
+    taken in cover order and events in shortlex order, which on codes in
+    the :attr:`Scenario.bit` layout is the key ``(code.bit_count(), -code)``;
+    only the least unrealized code is decoded.  ``deadline`` covers both
+    the search and the pass that finds the witness.
     """
     compiled = model.compiled
     sections = _search_masks(compiled, deadline)
@@ -148,9 +149,7 @@ def classify(
                 break
         unrealized = allowed - realized
         if unrealized:
-            event = min(
-                (e for e in model.events(context) if compiled.mask(e) in unrealized),
-                key=shortlex,
-            )
+            code = min(unrealized, key=lambda code: (code.bit_count(), -code))
+            event = compiled.decode(code).support()
             return Classification(Kind.CONTEXTUAL, (context, event), len(sections))
     return Classification(Kind.NONCONTEXTUAL, None, len(sections))

@@ -26,6 +26,7 @@ serialization is byte-stable.  Unknown keys are rejected.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Iterator
 
 from .core import (
@@ -83,9 +84,11 @@ def parse_model(text: str) -> Model:
     """Parse a model document.
 
     Raises :class:`ModelSyntaxError` for malformed JSON (with line/column)
-    and :class:`ModelSemanticError` for format violations (with a path into
-    the document).  The returned model always satisfies the structural
-    invariants; distribution sums are left to ``validate_probabilistic``.
+    or JSON nested too deeply to decode, and :class:`ModelSemanticError` for
+    format violations, a probability that is no finite float included (with
+    a path into the document).  The returned model always satisfies the
+    structural invariants; negative probabilities and distribution sums are
+    left to ``validate_probabilistic``.
 
     Every check runs on every document, but no path is built for a check
     that passes: the events of a context are tested in bulk, and a failing
@@ -97,6 +100,8 @@ def parse_model(text: str) -> Model:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelSyntaxError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ModelSyntaxError("document nests too deeply") from None
 
     _require(isinstance(doc, dict), "document must be a JSON object", "$")
     unknown = sorted(set(doc) - _TOP_KEYS)
@@ -265,7 +270,13 @@ def _distribution(
         if assignment in seen:
             raise ModelSemanticError("duplicate assignment", f"{dpath}.assignment")
         seen.add(assignment)
-        entries.append((assignment, float(p)))
+        try:
+            p = float(p)
+        except OverflowError:  # an integer past the float range
+            p = math.inf
+        if not math.isfinite(p):
+            raise ModelSemanticError("non-finite probability", f"{dpath}.p")
+        entries.append((assignment, p))
     return entries
 
 

@@ -54,6 +54,17 @@ class TestAxiomVerdicts:
             "y": "Steak",
         }
 
+    def test_weak_axiom_witness_takes_least_names(self):
+        # x may be a or b, y may be c or d
+        s = Scenario.make("abcde", ["abcd", "abcde"])
+        m = PossibilisticModel.make(s, {"abcd": ["ab"], "abcde": ["cd"]})
+        assert check_weak_axiom(m).witness == {
+            "context_a": ["a", "b", "c", "d"],
+            "context_b": ["a", "b", "c", "d", "e"],
+            "x": "a",
+            "y": "c",
+        }
+
     def test_no_signalling_witness(self):
         verdict = check_no_signalling(warp_signalling())
         assert verdict.witness == {

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import subprocess
@@ -25,6 +26,7 @@ from choicectx import (
     uniform_over_support,
     validate_model,
 )
+from choicectx import catalog
 from choicectx.cli import RunConfig, main, parse_args, run
 from choicectx.contextuality import Kind
 from choicectx.proplang import MAX_NESTING
@@ -184,6 +186,33 @@ class TestNonFiniteProbability:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["classify", "axioms"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                NAN_DOCUMENT.replace("NaN", "1" + "0" * 400),
+                "probabilistic[0].distribution[0].p: non-finite probability",
+            ),
+            (NAN_DOCUMENT.replace("NaN", "1e999"), "distribution[0].p: non-finite"),
+            ("[" * 200_000, "document nests too deeply"),
+        ],
+        ids=["big-int", "overflow", "deep-nesting"],
+    )
+    def test_unreadable_document_exits_2(self, command, text, message, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "choicectx", command, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestAxiomsCommand:
     def test_human_output(self, tmp_path, capsys):
@@ -217,6 +246,73 @@ class TestAxiomsCommand:
     def test_strict_passes_hardy(self, hardy_file):
         # hardy is contextual but satisfies both axioms; axioms is not classify
         assert run(RunConfig(command="axioms", model_path=hardy_file, strict=True)) == 0
+
+
+# sha256 of the stdout of `axioms`, `axioms --machine`, `audit` and
+# `audit --machine` on each possibilistic catalog model: the order, wording
+# and witnesses of both reports, byte for byte
+CATALOG_STDOUT = {
+    "double_headed_coin": (
+        "d6f169754f5485f590a1b8de0c07a249e96c28d549404ce4c8272fbbe18bb693",
+        "751bcc0a378478a1b12e05729e954b308a454d0b975066d4b1819a98d61fb467",
+        "4352f6133546f9ab9aa6692883897ed949393f863e93836f3cc35db4d2d3eee4",
+        "d23aec50e05998755545cd5b91295da56ed20ba46e115acdda331eda13ce6ed0",
+    ),
+    "hardy_table": (
+        "b0609becf42c30dbb6d2ad3c7842debb21597679cc851f31c32021719092e886",
+        "b6456d0a3f6d5f51325e7d1eba58a3c14de29a297f7299b648d8c9b8f02db98d",
+        "b785881ace426c7f9147da3c7705455b3d91a0313cf6b576dd3e884a7fe2715f",
+        "614e165f7eb1c6cf23a2ea3bcbe8a330ae35bd4d322ff665518e643d2005b1b8",
+    ),
+    "hardy_relabeled": (
+        "b0609becf42c30dbb6d2ad3c7842debb21597679cc851f31c32021719092e886",
+        "b6456d0a3f6d5f51325e7d1eba58a3c14de29a297f7299b648d8c9b8f02db98d",
+        "b785881ace426c7f9147da3c7705455b3d91a0313cf6b576dd3e884a7fe2715f",
+        "4f19925b1081998bee879bafa7fb41df4ee73fdf0a851a71e1402bb03e3457db",
+    ),
+    "pr_box": (
+        "d6f169754f5485f590a1b8de0c07a249e96c28d549404ce4c8272fbbe18bb693",
+        "751bcc0a378478a1b12e05729e954b308a454d0b975066d4b1819a98d61fb467",
+        "dee1140f50eac97cdf4b9b8ac4b23f6c5fd73e9e2b39d2fa357d4a564ad29cb9",
+        "02443400f456198d4b55e0883cfb65096adc6ba5f344a8247220a71109d121c9",
+    ),
+    "luce_raiffa": (
+        "c77ea64ec3187091724f316d7a2651126fedceb20e0ee5dfc6b305b299d5f67e",
+        "25a8f2d8a401ae7726632be09a17d64ca3089a58e82e587a04df7a4571ac52cf",
+        "24939eafe24ea882b9c9c6724e3df4e232b9a69dca92c35951975522f914c438",
+        "8db7d09db58286dcf68d400b1c6a396ec0156b3e79f1fb8b80a720ef84391105",
+    ),
+    "warp_noncontextual": (
+        "7e1f705ac5a85970c0069edb0c2439a2e9580884688cfac671c59294d67263bb",
+        "cd14b7a178422f19f19cba8b14c8720b36ceb2133aa5abae1629709168e29921",
+        "b9f2ae68609342b8ae6b456ba3245cf0b69fb1714a4e22c798304ecaecfda089",
+        "822b30e0103fba97d260fe8f054fb3587a2e85d8820e2456cfae04c9af3d2b52",
+    ),
+    "warp_contextual": (
+        "e97c1e52085631649c1a3a05c9236bd95ac6f835516104b702a7c41a42d2a754",
+        "e0eb97550fcf33808de1f024be11b7f58fb341c2339914b1cfcacd3fa5fd086f",
+        "48c55cd860defae2ce5646511efb9b2810541cca731c94774830303d2cf8bd55",
+        "77855364cda7b917aec8020559e0d02f8669245b6c663161c4f688b18b7cfc03",
+    ),
+    "warp_signalling": (
+        "2c705dcc02e70056e8bc27df8c0a9c5c9d029c274732d97b8a504b140a4e7da7",
+        "fe964071394ccf4a65a71e2d7e7eff1478b47a1f33ee698df12c97bdd32ee6f0",
+        "d82d90ac3e31aab9606ad986d98f73d2972c1b54ff2a81db0ce791c0efc60e7e",
+        "f8b2b47bc26ff934c0daef5f07cc043560ad88ea388e3e772edd72f47dad2cd9",
+    ),
+}
+
+
+class TestCatalogReports:
+    @pytest.mark.parametrize("name", CATALOG_STDOUT)
+    def test_stdout_bytes_are_frozen(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_model(getattr(catalog, name)()))
+        digests = []
+        for argv in (["axioms"], ["axioms", "--machine"], ["audit"], ["audit", "--machine"]):
+            assert main([*argv, str(path)]) == 0
+            digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+        assert tuple(digests) == CATALOG_STDOUT[name]
 
 
 class TestAuditCommand:

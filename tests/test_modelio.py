@@ -87,6 +87,12 @@ class TestSyntaxErrors:
             parse_model("[1, 2]")
         assert err.value.path == "$"
 
+    def test_deep_nesting(self):
+        # json.loads gives up with RecursionError long before 200,000 levels
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model("[" * 200_000)
+        assert str(err.value) == "document nests too deeply"
+
 
 def base_doc():
     return {
@@ -355,6 +361,19 @@ class TestFirstError:
             parse_model(json.dumps(doc))
         assert err.value.path == path
         assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "p",
+        ["1" + "0" * 400, "-1" + "0" * 400, "1e999", "NaN", "Infinity", "-Infinity"],
+        ids=["big-int", "big-negative-int", "overflow", "nan", "inf", "-inf"],
+    )
+    def test_non_finite_probability(self, p):
+        doc = prob_doc()
+        doc["probabilistic"][0]["distribution"][1]["p"] = "P"
+        text = json.dumps(doc).replace('"P"', p)
+        with pytest.raises(ModelSemanticError) as err:
+            parse_model(text)
+        assert str(err.value) == f"{DIST}[1].p: non-finite probability"
 
     def test_integral_float_outcomes_are_bits(self):
         doc = prob_doc()

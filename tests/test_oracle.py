@@ -90,21 +90,41 @@ def test_bell_violation_matches_oracle(n, k, density, seed):
 
 
 @settings(max_examples=300, deadline=None)
-@given(closed=st.booleans(), one_event=st.booleans(), **SIZES)
-def test_axiom_verdicts_match_oracle(n, k, density, seed, closed, one_event):
+@given(closed=st.booleans(), one_event=st.booleans(), pick=st.integers(0, 63), **SIZES)
+def test_axiom_verdicts_match_oracle(n, k, density, seed, closed, one_event, pick):
     model = gen_random_model(n, k, density, seed, intersection_closed=closed)
     if one_event:
-        # keep the shortlex-first event of each context, so that choice
-        # structures, and with them the weak axiom, are drawn often
+        # keep one event of each context (the shortlex-first when pick is
+        # 0), so that choice structures, and with them the weak axiom and
+        # its witnesses, are drawn often
         model = PossibilisticModel.make(
             model.scenario,
-            {c: model.events_sorted(c)[:1] for c in model.scenario.cover},
+            {
+                c: model.events_sorted(c)[pick % max(1, len(model.events(c))) :][:1]
+                for c in model.scenario.cover
+            },
         )
     supports = oracle_supports(model)
-    assert check_weak_axiom(model).holds == oracle.warp_holds(supports)
-    assert check_no_signalling(model).holds == oracle.no_signalling_holds(supports)
-    assert intersection_closed(model.scenario).holds == oracle.closed_holds(supports)
-    assert overlap_property(model).holds == oracle.overlap_holds(supports)
-    assert is_choice_structure(model).holds == all(
+    ours = {
+        "weak_axiom": check_weak_axiom(model),
+        "no_signalling": check_no_signalling(model),
+        "intersection_closed": intersection_closed(model.scenario),
+        "overlap_property": overlap_property(model),
+        "choice_structure": is_choice_structure(model),
+    }
+    assert ours["weak_axiom"].holds == oracle.warp_holds(supports)
+    assert ours["no_signalling"].holds == oracle.no_signalling_holds(supports)
+    assert ours["intersection_closed"].holds == oracle.closed_holds(supports)
+    assert ours["overlap_property"].holds == oracle.overlap_holds(supports)
+    assert ours["choice_structure"].holds == all(
         len(events) == 1 for events in supports.values()
     )
+    # the canonically first counterexample of each failing check
+    assert {name: verdict.witness for name, verdict in ours.items()} == {
+        "weak_axiom": oracle.warp_witness(supports),
+        "no_signalling": oracle.no_signalling_witness(supports),
+        "intersection_closed": oracle.closed_witness(supports),
+        "overlap_property": oracle.overlap_witness(supports),
+        "choice_structure": oracle.choice_structure_witness(supports),
+    }
+

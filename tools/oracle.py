@@ -139,6 +139,85 @@ def overlap_holds(supports):
     )
 
 
+# The canonically first counterexample of each check, or None when it holds:
+# context pairs in cover order, then the least variable names.
+
+
+def cover_of(supports):
+    return sorted(supports, key=shortlex)
+
+
+def pairs_of(supports):
+    contexts = cover_of(supports)
+    return [(a, b) for i, a in enumerate(contexts) for b in contexts[i + 1 :]]
+
+
+def warp_witness(supports):
+    for a in cover_of(supports):
+        for b in cover_of(supports):
+            shared = set(a) & set(b)
+            xs = [
+                x
+                for x in shared
+                if x in chosen(supports, a) and x not in chosen(supports, b)
+            ]
+            ys = [y for y in shared if y in chosen(supports, b)]
+            if xs and ys:
+                return {
+                    "context_a": list(a),
+                    "context_b": list(b),
+                    "x": min(xs),
+                    "y": min(ys),
+                }
+    return None
+
+
+def no_signalling_witness(supports):
+    for a, b in pairs_of(supports):
+        differ = [
+            z
+            for z in set(a) & set(b)
+            if (z in chosen(supports, a)) != (z in chosen(supports, b))
+        ]
+        if differ:
+            return {"context_a": list(a), "context_b": list(b), "variable": min(differ)}
+    return None
+
+
+def closed_witness(supports):
+    contexts = [set(c) for c in supports]
+    for a, b in pairs_of(supports):
+        meet = set(a) & set(b)
+        if meet and meet not in contexts:
+            return {
+                "context_a": list(a),
+                "context_b": list(b),
+                "intersection": sorted(meet),
+            }
+    return None
+
+
+def overlap_witness(supports):
+    for a, b in pairs_of(supports):
+        shared = set(a) & set(b)
+        for side in (a, b):
+            if shared and not shared & chosen(supports, side):
+                return {
+                    "context_a": list(a),
+                    "context_b": list(b),
+                    "overlap": sorted(shared),
+                    "empty_side": list(side),
+                }
+    return None
+
+
+def choice_structure_witness(supports):
+    for context in cover_of(supports):
+        if len(supports[context]) != 1:
+            return {"context": list(context), "event_count": len(supports[context])}
+    return None
+
+
 def uniform_bell_sum(supports):
     # sum over contexts of P(outcome in support) under the per-context
     # uniform distribution; exact arithmetic
