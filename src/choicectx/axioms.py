@@ -16,7 +16,9 @@ the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from .core import Context, PossibilisticModel, Scenario, Verdict, _failing, _passing
 from .contextuality import Classification, Kind, classify
@@ -28,26 +30,14 @@ _REGION_KIND = {
 }
 
 
-def _masks(scenario: Scenario) -> list[int]:
-    """The variable mask of each cover context, in cover order."""
-    bit_of = scenario.bit.__getitem__
-    return [sum(map(bit_of, context)) for context in scenario.cover]
-
-
 def _rows(model: PossibilisticModel) -> list[tuple[Context, int, int]]:
     """One row per cover context: the context, its variable mask and the
-    mask of its chosen variables."""
+    mask of its chosen variables, the OR of its event codes."""
     scenario = model.scenario
-    bit_of = scenario.bit.__getitem__
     return [
-        (context, mask, sum(map(bit_of, model.chosen_set(context))))
-        for context, mask in zip(scenario.cover, _masks(scenario))
+        (context, mask, reduce(or_, model._codes_of(context), 0))
+        for context, mask in zip(scenario.cover, scenario._masks)
     ]
-
-
-def _names(scenario: Scenario, mask: int) -> list[str]:
-    """The variables of ``mask``, sorted; the first sits at its highest bit."""
-    return [v for v, b in scenario.bit.items() if mask & b]
 
 
 def check_weak_axiom(model: PossibilisticModel) -> Verdict:
@@ -65,8 +55,8 @@ def check_weak_axiom(model: PossibilisticModel) -> Verdict:
             # a context never reverses itself (ca == cb leaves no x)
             reversal = shared & ca & ~cb
             if reversal and shared & cb:
-                x = _names(model.scenario, reversal)[0]
-                y = _names(model.scenario, shared & cb)[0]
+                x = model.scenario._names(reversal)[0]
+                y = model.scenario._names(shared & cb)[0]
                 return _failing(
                     f"{x!r} is chosen from {list(a)} and rejected from "
                     f"{list(b)} even though {y!r} is chosen there",
@@ -84,7 +74,7 @@ def check_no_signalling(model: PossibilisticModel) -> Verdict:
     for (a, ma, ca), (b, mb, cb) in combinations(_rows(model), 2):
         differ = ma & mb & (ca ^ cb)
         if differ:
-            z = _names(model.scenario, differ)[0]
+            z = model.scenario._names(differ)[0]
             in_a, not_in = (a, b) if ca & model.scenario.bit[z] else (b, a)
             return _failing(
                 f"{z!r} is chosen from {list(in_a)} but not from {list(not_in)}",
@@ -96,12 +86,12 @@ def check_no_signalling(model: PossibilisticModel) -> Verdict:
 def intersection_closed(scenario: Scenario) -> Verdict:
     """Whether every nonempty intersection of two distinct cover contexts
     is itself a cover context."""
-    masks = _masks(scenario)
+    masks = scenario._masks
     present = set(masks)
     for (a, ma), (b, mb) in combinations(zip(scenario.cover, masks), 2):
         meet = ma & mb
         if meet and meet not in present:
-            names = _names(scenario, meet)
+            names = scenario._names(meet)
             return _failing(
                 f"{names} is the intersection of {list(a)} and {list(b)} "
                 "but is not a context",
@@ -123,7 +113,7 @@ def overlap_property(model: PossibilisticModel) -> Verdict:
             continue
         for side, chosen in ((a, ca), (b, cb)):
             if not shared & chosen:
-                overlap = _names(model.scenario, shared)
+                overlap = model.scenario._names(shared)
                 return _failing(
                     f"nothing in the overlap {overlap} is chosen from {list(side)}",
                     {
@@ -139,8 +129,9 @@ def overlap_property(model: PossibilisticModel) -> Verdict:
 def is_choice_structure(model: PossibilisticModel) -> Verdict:
     """Whether every context has exactly one event, i.e. the model is a
     single-valued choice structure rather than a multi-valued one."""
+    model.scenario._masks  # an undeclared variable raises, as in every check
     for context in model.scenario.cover:
-        count = len(model.events(context))
+        count = len(model._codes_of(context))
         if count != 1:
             return _failing(
                 f"context {list(context)} has {count} events instead of 1",
@@ -216,7 +207,7 @@ class AuditReport:
 
 
 def _has_disjoint_pair(scenario: Scenario) -> bool:
-    return any(not ma & mb for ma, mb in combinations(_masks(scenario), 2))
+    return any(not ma & mb for ma, mb in combinations(scenario._masks, 2))
 
 
 def audit(model: PossibilisticModel, deadline: float | None = None) -> AuditReport:

@@ -6,9 +6,9 @@ the test suite pins down.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations, compress
 
-from .core import PossibilisticModel, Scenario
+from .core import PossibilisticModel, Scenario, _set_rows
 from .errors import TooLarge
 from .probabilistic import ProbabilisticModel, uniform_over_support
 
@@ -167,22 +167,16 @@ def gen_random_model(
     width = len(str(n_variables - 1))
     names = [f"x{i:0{width}d}" for i in range(n_variables)]
 
-    contexts: list[frozenset[str]] = []
-    seen: set[frozenset[str]] = set()
+    contexts: dict[frozenset[str], None] = {}  # an ordered set
     for _ in range(n_contexts):
         for _attempt in range(64):
-            mask = rng.random(n_variables) < 0.5
-            candidate = frozenset(n for n, keep in zip(names, mask) if keep)
-            if candidate and candidate not in seen:
-                seen.add(candidate)
-                contexts.append(candidate)
+            candidate = frozenset(compress(names, rng.random(n_variables) < 0.5))
+            if candidate and candidate not in contexts:
+                contexts[candidate] = None
                 break
-
-    covered = set().union(*contexts) if contexts else set()
-    uncovered = frozenset(set(names) - covered)
+    uncovered = frozenset(names).difference(*contexts)
     if uncovered:
-        seen.add(uncovered)
-        contexts.append(uncovered)
+        contexts[uncovered] = None
 
     if intersection_closed:
         changed = True
@@ -190,20 +184,18 @@ def gen_random_model(
             changed = False
             for a, b in combinations(list(contexts), 2):
                 meet = a & b
-                if meet and meet not in seen:
-                    seen.add(meet)
-                    contexts.append(meet)
+                if meet and meet not in contexts:
+                    contexts[meet] = None
                     changed = True
 
     scenario = Scenario.make(names, contexts)
-    supports: dict[tuple[str, ...], set[frozenset[str]]] = {}
+    supports: dict[tuple[str, ...], frozenset[int]] = {}
     for context in scenario.cover:
         k = len(context)
         if k > 24:
             raise TooLarge(f"context of {k} variables is too large to enumerate")
-        draws = rng.random(1 << k) < density
-        supports[context] = {
-            frozenset(context[j] for j in range(k) if (code >> j) & 1)
-            for code in np.flatnonzero(draws)
-        }
-    return PossibilisticModel.make(scenario, supports)
+        draws = (rng.random(1 << k) < density).tobytes()
+        supports[context] = frozenset(
+            chain.from_iterable(_set_rows(list(context), scenario.bit, draws))
+        )
+    return PossibilisticModel._from_codes(scenario, supports)

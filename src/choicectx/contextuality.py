@@ -27,7 +27,9 @@ from .core import (
     Context,
     Event,
     PossibilisticModel,
+    _mask,
     _search_masks,
+    _shortlex_codes,
     past_deadline,
 )
 from .errors import DomainMismatch, TimeBudgetExceeded, TooLarge
@@ -80,7 +82,7 @@ def is_global_section(assignment: Assignment, model: PossibilisticModel) -> bool
             parts.append(f"extraneous variables {extra}")
         raise DomainMismatch("assignment is not total on the scenario: " + "; ".join(parts))
     compiled = model.compiled
-    code = compiled.mask(assignment.support())
+    code = _mask(compiled.bit, assignment.support())
     return all(code & cmask in allowed for cmask, allowed in compiled.contexts)
 
 
@@ -149,7 +151,6 @@ def classify(
                 break
         unrealized = allowed - realized
         if unrealized:
-            code = min(unrealized, key=lambda code: (code.bit_count(), -code))
-            event = compiled.decode(code).support()
+            event = compiled.decode(_shortlex_codes(unrealized)[0]).support()
             return Classification(Kind.CONTEXTUAL, (context, event), len(sections))
     return Classification(Kind.NONCONTEXTUAL, None, len(sections))

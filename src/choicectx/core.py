@@ -4,12 +4,18 @@ A scenario is a finite set of binary variables (alternatives, measurements)
 together with a cover of contexts (menus, experiments): the subsets of
 variables that can be observed jointly.  A possibilistic model attaches to
 each context the set of *events* that can occur there, where an event is
-recorded as the subset of context variables that came out 1 (were chosen).
+the subset of context variables that came out 1 (were chosen).
+
+A model stores each event once, as a code in the :attr:`Scenario.bit`
+layout: the OR of its variables' bits.  Names are decoded from the codes
+only at the API boundary (``supports``, ``events``, witnesses, documents).
 
 Everything here is immutable after construction and safe to share between
 threads.  Canonical ordering is used throughout so that equal models have
 equal representations: variables sort lexicographically, while contexts and
 events sort shortlex (by size, then lexicographically as sorted tuples).
+On codes, the shortlex order of events is the key
+``(code.bit_count(), -code)``.
 """
 
 from __future__ import annotations
@@ -17,13 +23,16 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Mapping
+from functools import cached_property, reduce
+from itertools import compress
+from operator import or_
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     TimeBudgetExceeded,
     UnboundVariable,
     UnknownContext,
+    UnknownVariable,
     VariableNotInContext,
 )
 
@@ -66,6 +75,42 @@ def format_event(event: Iterable[str]) -> str:
     return "{" + ",".join(sorted(event)) + "}"
 
 
+def _in_shortlex(mapping: Mapping) -> dict:
+    """``mapping`` keyed by canonical contexts, in shortlex order."""
+    canon = {canonical_context(context): value for context, value in mapping.items()}
+    return {context: canon[context] for context in sorted(canon, key=shortlex)}
+
+
+def _mask(bit: Mapping[str, int], names: Iterable[str]) -> int:
+    """Code of distinct ``names`` in the layout ``bit``; a name the layout
+    lacks raises :class:`UnknownVariable`."""
+    try:
+        return sum(map(bit.__getitem__, names))
+    except KeyError as exc:
+        raise UnknownVariable(f"undeclared variable {exc.args[0]!r}") from None
+
+
+def _shortlex_codes(codes: Iterable[int]) -> list[int]:
+    """Codes in the shortlex order of their events: ``(bit_count, -code)``."""
+    return sorted(sorted(codes, reverse=True), key=int.bit_count)
+
+
+# rows of a table are decoded in blocks of 2^10
+_BLOCK_BITS = 10
+
+
+def _set_rows(names: list[str], bit: Mapping[str, int], flags: bytes) -> Iterator:
+    """Codes of the rows with a nonzero byte in ``flags``, block by block;
+    row ``i`` binds ``names[j]`` to bit ``j`` of ``i``."""
+    low, high = [0], [0]  # the codes of a row's low and high bits
+    for j, name in enumerate(names):
+        codes = low if j < _BLOCK_BITS else high
+        codes += [code | bit[name] for code in codes]
+    for block, top in enumerate(high):
+        chosen = flags[block * len(low) : (block + 1) * len(low)]
+        yield [top | code for code in compress(low, chosen)]
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A variable set plus a cover of observable contexts.
@@ -86,11 +131,21 @@ class Scenario:
 
     @cached_property
     def bit(self) -> dict[str, int]:
-        """Bit of each variable in packed codes: variable ``j`` occupies bit
-        ``n - 1 - j``, so ascending codes enumerate total assignments in
-        lexicographic order."""
+        """Bit of each variable in packed codes: the ``j``-th variable in
+        sorted order occupies bit ``n - 1 - j``, so ascending codes enumerate
+        total assignments in lexicographic order."""
         n = len(self.variables)
-        return {v: 1 << (n - 1 - j) for j, v in enumerate(self.variables)}
+        return {v: 1 << (n - 1 - j) for j, v in enumerate(sorted(self.variables))}
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        """The variable mask of each cover context; an undeclared variable
+        raises :class:`UnknownVariable`."""
+        return tuple(_mask(self.bit, context) for context in self.cover)
+
+    def _names(self, code: int) -> list[str]:
+        """The variables of ``code``, sorted."""
+        return [v for v, b in self.bit.items() if code & b]
 
     def has_context(self, context: Iterable[str]) -> bool:
         return canonical_context(context) in set(self.cover)
@@ -148,18 +203,38 @@ class Assignment:
         return frozenset(v for v, b in self.bindings if b == 1)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, init=False)
 class PossibilisticModel:
     """Per-context sets of possible events over a scenario.
 
     ``supports`` maps each cover context (sorted tuple) to a frozenset of
     events; an event is the frozenset of context variables with outcome 1,
-    so the all-zero outcome is the empty event.  Construction does not
-    check invariants; run :func:`validate_model` for a verdict.
+    so the all-zero outcome is the empty event.  Each context's events are
+    stored once, as a frozenset of codes in the :attr:`Scenario.bit`
+    layout; ``supports``, :meth:`events`, :meth:`events_sorted` and
+    :meth:`chosen_set` decode names from them.  The constructor takes
+    name-set events and encodes each once: an event naming a variable the
+    scenario does not declare raises :class:`UnknownVariable`.
+    Construction checks no other invariant; run :func:`validate_model` for
+    a verdict.
     """
 
     scenario: Scenario
-    supports: Mapping[Context, frozenset[Event]] = field(hash=False)
+    _codes: Mapping[Context, frozenset[int]] = field(hash=False)
+
+    def __init__(self, scenario: Scenario, supports: Mapping[Context, Iterable]):
+        codes = {
+            context: frozenset([_mask(scenario.bit, set(event)) for event in events])
+            for context, events in supports.items()
+        }
+        self.__dict__.update(scenario=scenario, _codes=codes)
+
+    @classmethod
+    def _from_codes(cls, scenario: Scenario, codes: Mapping) -> "PossibilisticModel":
+        """A model over events already encoded in the scenario's layout."""
+        model = cls.__new__(cls)
+        model.__dict__.update(scenario=scenario, _codes=codes)
+        return model
 
     @classmethod
     def make(
@@ -167,40 +242,36 @@ class PossibilisticModel:
         scenario: Scenario,
         supports: Mapping[Iterable[str], Iterable[Iterable[str]]],
     ) -> "PossibilisticModel":
-        canon: dict[Context, frozenset[Event]] = {}
-        for context, events in supports.items():
-            canon[canonical_context(context)] = frozenset(
-                frozenset(e) for e in events
-            )
-        ordered = {
-            c: canon[c] for c in sorted(canon, key=shortlex)
+        return cls(scenario, _in_shortlex(supports))
+
+    @cached_property
+    def supports(self) -> dict[Context, frozenset[Event]]:
+        return {
+            context: frozenset(map(frozenset, map(self.scenario._names, codes)))
+            for context, codes in self._codes.items()
         }
-        return cls(scenario=scenario, supports=ordered)
+
+    def _codes_of(self, context: Iterable[str]) -> frozenset[int]:
+        key = canonical_context(context)
+        if key not in self._codes:
+            raise UnknownContext(f"context {format_event(key)} is not in the cover")
+        return self._codes[key]
+
+    def _event_names(self, context: Iterable[str]) -> list[list[str]]:
+        """The events of a context as name lists, in shortlex order."""
+        return list(map(self.scenario._names, _shortlex_codes(self._codes_of(context))))
 
     def events(self, context: Iterable[str]) -> frozenset[Event]:
-        key = canonical_context(context)
-        try:
-            return self.supports[key]
-        except KeyError:
-            raise UnknownContext(f"context {format_event(key)} is not in the cover") from None
+        self._codes_of(context)  # refuses a context outside the model
+        return self.supports[canonical_context(context)]
 
     def events_sorted(self, context: Iterable[str]) -> list[Event]:
         """Events of a context in canonical (shortlex) order."""
-        return sorted(self.events(context), key=shortlex)
-
-    @cached_property
-    def _chosen_sets(self) -> dict[Context, frozenset[str]]:
-        return {
-            c: frozenset().union(*events) if events else frozenset()
-            for c, events in self.supports.items()
-        }
+        return list(map(frozenset, self._event_names(context)))
 
     def chosen_set(self, context: Iterable[str]) -> frozenset[str]:
         """All variables that belong to at least one event of the context."""
-        key = canonical_context(context)
-        if key not in self.supports:
-            raise UnknownContext(f"context {format_event(key)} is not in the cover")
-        return self._chosen_sets[key]
+        return frozenset(self.scenario._names(reduce(or_, self._codes_of(context), 0)))
 
     def chosen(self, variable: str, context: Iterable[str]) -> int:
         """1 iff ``variable`` occurs in some event of ``context``.
@@ -218,14 +289,9 @@ class PossibilisticModel:
     @cached_property
     def compiled(self) -> "_Compiled":
         """Bitmask form of the model, built on first use."""
-        bit_of = self.scenario.bit.__getitem__
-        return _Compiled(
-            self.scenario.bit,
-            [
-                (sum(map(bit_of, c)), frozenset([sum(map(bit_of, e)) for e in self.events(c)]))
-                for c in self.scenario.cover
-            ],
-        )
+        scenario = self.scenario
+        contexts = list(zip(scenario._masks, map(self._codes_of, scenario.cover)))
+        return _Compiled(scenario.bit, contexts)
 
 
 class _Compiled:
@@ -270,11 +336,8 @@ class _Compiled:
             )
             pending = [context for context in pending if context[0]]
 
-    def mask(self, variables: Iterable[str]) -> int:
-        return sum(map(self.bit.__getitem__, variables))
-
     def decode(self, code: int) -> Assignment:
-        # scenario variables are sorted, so the bindings already are
+        # a scenario's layout lists its variables sorted, so the bindings are
         return Assignment(
             bindings=tuple([one if code & b else zero for zero, one, b in self._pairs])
         )
@@ -402,30 +465,31 @@ def validate_model(model: PossibilisticModel) -> Verdict:
 
     cover_set = set(scenario.cover)
     for context in scenario.cover:
-        if context not in model.supports:
+        if context not in model._codes:
             return _failing(
                 f"no support entry for context {format_event(context)}",
                 {"reason": "missing-support", "context": list(context)},
             )
-    for context in model.supports:
+    for context in model._codes:
         if context not in cover_set:
             return _failing(
                 f"support entry for unknown context {format_event(context)}",
                 {"reason": "unknown-context", "context": list(context)},
             )
 
-    for context in scenario.cover:
-        for event in model.events_sorted(context):
-            if not event <= set(context):
-                return _failing(
-                    f"event {format_event(event)} is not a subset of context "
-                    f"{format_event(context)}",
-                    {
-                        "reason": "event-outside-context",
-                        "context": list(context),
-                        "event": sorted(event),
-                    },
-                )
+    for context, cmask in zip(scenario.cover, scenario._masks):
+        bad = [code for code in model._codes[context] if code & ~cmask]
+        if bad:
+            event = scenario._names(_shortlex_codes(bad)[0])
+            return _failing(
+                f"event {format_event(event)} is not a subset of context "
+                f"{format_event(context)}",
+                {
+                    "reason": "event-outside-context",
+                    "context": list(context),
+                    "event": event,
+                },
+            )
 
     return _passing("model is well-formed", warnings=_empty_support_warnings(model))
 
@@ -436,5 +500,5 @@ def _empty_support_warnings(model: PossibilisticModel) -> tuple[str, ...]:
         f"context {format_event(context)} has an empty support set; "
         "no global section can exist"
         for context in model.scenario.cover
-        if not model.supports[context]
+        if not model._codes[context]
     )

@@ -87,7 +87,8 @@ class PropositionSyntaxError(ChoiceCtxError):
 
 
 class UnknownVariable(ChoiceCtxError):
-    """A formula mentions a variable the scenario does not declare."""
+    """A formula, event or context names a variable the scenario does not
+    declare."""
 
 
 class NotMeasurable(ChoiceCtxError):

@@ -91,10 +91,12 @@ def parse_model(text: str) -> Model:
     left to ``validate_probabilistic``.
 
     Every check runs on every document, but no path is built for a check
-    that passes: the events of a context are tested in bulk, and a failing
-    table is rechecked event by event in document order to name the first
-    bad one; distribution entries are checked one by one, with the path
-    below an entry built only when its check fails.
+    that passes: the events of a context are encoded and tested in bulk,
+    and a failing table is rechecked event by event in document order to
+    name the first bad one; distribution entries are checked one by one,
+    with the path below an entry built only when its check fails.  Each
+    event is read straight into its code in the scenario's
+    :attr:`Scenario.bit` layout, the form a possibilistic model stores.
     """
     try:
         doc = json.loads(text)
@@ -180,50 +182,49 @@ def _per_context(
 def _parse_possibilistic(
     value: Any, scenario: Scenario, path: str
 ) -> PossibilisticModel:
-    supports: dict[tuple[str, ...], frozenset[frozenset[str]]] = {}
+    bit = scenario.bit
+    # cover order, as from ``PossibilisticModel.make``; _per_context fills each key
+    codes = dict.fromkeys(scenario.cover, frozenset())
     for context, raw_events, epath in _per_context(
         value, scenario, path, "events", "support"
     ):
-        supports[context] = _events(raw_events, frozenset(context), epath)
-    # the cover is shortlex-sorted, the order ``PossibilisticModel.make`` gives
-    return PossibilisticModel(scenario, {c: supports[c] for c in scenario.cover})
+        codes[context] = _events(raw_events, {v: bit[v] for v in context}, epath)
+    return PossibilisticModel._from_codes(scenario, codes)
 
 
-def _events(raw_events: list, scope: frozenset[str], path: str) -> frozenset:
-    """The support of one context, tested in bulk: every event is an array
-    of distinct members of ``scope`` and no event repeats.  Only a table
-    that fails goes through :func:`_checked_events`, which names the first
-    bad event."""
+def _events(raw_events: list, bit: dict[str, int], path: str) -> frozenset[int]:
+    """The support of one context as codes, tested in bulk: every event is
+    an array of members of the context (``bit`` holds their bits) with one
+    code bit per member, and no two events share a code.  Only a failing
+    table goes through :func:`_checked_events`, which names the first one."""
     try:
-        events = list(map(frozenset, raw_events))
-    except TypeError:  # an unhashable member, or an event that is no array
-        return _checked_events(raw_events, scope, path)
-    support = frozenset(events)
+        codes = [sum(map(bit.__getitem__, event)) for event in raw_events]
+    except (KeyError, TypeError):  # a member outside the context, or no array
+        return _checked_events(raw_events, bit, path)
+    support = frozenset(codes)
     if (
-        len(support) == len(events)
+        len(support) == len(codes)
         and set(map(type, raw_events)) <= {list}
-        and list(map(len, events)) == list(map(len, raw_events))
-        and all(map(scope.issuperset, events))
+        and list(map(int.bit_count, codes)) == list(map(len, raw_events))
     ):
         return support
-    return _checked_events(raw_events, scope, path)
+    return _checked_events(raw_events, bit, path)
 
 
-def _checked_events(raw_events: list, scope: frozenset[str], path: str) -> frozenset:
+def _checked_events(raw_events: list, bit: dict[str, int], path: str) -> frozenset[int]:
     """Each event checked in document order, with a path to the first one
     that fails."""
-    events: set[frozenset[str]] = set()
+    codes: set[int] = set()
     for j, raw in enumerate(raw_events):
         vpath = f"{path}[{j}]"
         members = _string_list(raw, vpath)
-        _require(
-            len(set(members)) == len(members), "duplicate variable in event", vpath
-        )
-        event = frozenset(members)
-        _require(event <= scope, "event is not a subset of its context", vpath)
-        _require(event not in events, "duplicate event", vpath)
-        events.add(event)
-    return frozenset(events)
+        event = set(members)
+        _require(len(event) == len(members), "duplicate variable in event", vpath)
+        _require(event <= bit.keys(), "event is not a subset of its context", vpath)
+        code = sum(map(bit.__getitem__, event))
+        _require(code not in codes, "duplicate event", vpath)
+        codes.add(code)
+    return frozenset(codes)
 
 
 def _parse_probabilistic(
@@ -289,10 +290,7 @@ def serialize_model(model: Model) -> str:
     }
     if isinstance(model, PossibilisticModel):
         doc["possibilistic"] = [
-            {
-                "context": list(context),
-                "events": [sorted(event) for event in model.events_sorted(context)],
-            }
+            {"context": list(context), "events": model._event_names(context)}
             for context in scenario.cover
         ]
     else:

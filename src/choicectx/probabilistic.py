@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
+from functools import reduce
 from typing import Iterable, Iterator, Mapping
 
 from .core import (
@@ -30,11 +30,13 @@ from .core import (
     Verdict,
     _Compiled,
     _failing,
+    _in_shortlex,
+    _mask,
     _passing,
     _search_masks,
+    _set_rows,
     canonical_context,
     past_deadline,
-    shortlex,
     validate_model,
 )
 from .errors import NotContradictory, TimeBudgetExceeded, TooLarge, UnknownContext
@@ -66,7 +68,7 @@ class ProbabilisticModel:
             Iterable[str], Iterable[tuple[Mapping[str, int] | Assignment, float]]
         ],
     ) -> "ProbabilisticModel":
-        canonical: dict[Context, tuple[DistributionEntry, ...]] = {}
+        canonical: dict[Iterable[str], tuple[DistributionEntry, ...]] = {}
         for context, entries in distributions.items():
             rows = [
                 (
@@ -75,13 +77,8 @@ class ProbabilisticModel:
                 )
                 for entry, p in entries
             ]
-            rows.sort(key=lambda row: row[0])
-            canonical[canonical_context(context)] = tuple(rows)
-        ordered = {
-            context: canonical[context]
-            for context in sorted(canonical, key=shortlex)
-        }
-        return cls(scenario=scenario, distributions=ordered)
+            canonical[context] = tuple(sorted(rows, key=lambda row: row[0]))
+        return cls(scenario=scenario, distributions=_in_shortlex(canonical))
 
     def distribution(self, context: Iterable[str]) -> tuple[DistributionEntry, ...]:
         key = canonical_context(context)
@@ -164,15 +161,16 @@ def support_reduction(
     model: ProbabilisticModel, threshold: float = SUPPORT_EPSILON
 ) -> PossibilisticModel:
     """Forget probabilities, keeping the events with ``p > threshold``."""
+    bit = model.scenario.bit
     supports = {
-        context: {
-            assignment.support()
+        context: frozenset(
+            _mask(bit, [v for v, b in assignment.bindings if b])
             for assignment, p in entries
             if p > threshold
-        }
+        )
         for context, entries in model.distributions.items()
     }
-    return PossibilisticModel.make(model.scenario, supports)
+    return PossibilisticModel._from_codes(model.scenario, _in_shortlex(supports))
 
 
 def uniform_over_support(model: PossibilisticModel) -> ProbabilisticModel:
@@ -197,16 +195,6 @@ def uniform_over_support(model: PossibilisticModel) -> ProbabilisticModel:
 _NEGATE, _CONJOIN, _DISJOIN = object(), object(), object()
 # "0"/"1" characters of a printed truth table to the bytes 0/1
 _ROW_FLAGS = bytes.maketrans(b"01", b"\0\1")
-# rows are decoded in blocks of 2^10, one compile step each
-_BLOCK_BITS = 10
-
-
-def _row_codes(names: list[str], bit: Mapping[str, int]) -> list[int]:
-    """Masked code of each row, ``names[j]`` bound to bit ``j`` of the row."""
-    codes = [0]
-    for name in names:
-        codes += [code | bit[name] for code in codes]
-    return codes
 
 
 def _truth_tables(
@@ -269,18 +257,13 @@ def _truth_tables(
 
         (table,) = values
         flags = format(table, f"0{rows}b")[::-1].encode().translate(_ROW_FLAGS)
-        split = min(len(names), _BLOCK_BITS)
-        low = _row_codes(names[:split], bit)
-        high = _row_codes(names[split:], bit)
         satisfying: list[int] = []
-        for block, top in enumerate(high):
+        for block in _set_rows(names, bit, flags):
             steps += 1
             if past_deadline(steps, deadline):
                 raise TimeBudgetExceeded()
-            chosen = flags[block * len(low) : (block + 1) * len(low)]
-            satisfying += [top | code for code in compress(low, chosen)]
-        # the last row sets every variable, so its code is the mask
-        yield low[-1] | high[-1], frozenset(satisfying)
+            satisfying += block
+        yield _mask(bit, names), frozenset(satisfying)
 
 
 def _probability(
@@ -378,20 +361,11 @@ def support_propositions(model: PossibilisticModel) -> list[Proposition]:
     event).  Empty supports yield the constant false."""
     props: list[Proposition] = []
     for context in model.scenario.cover:
-        disjunction: Proposition | None = None
-        for event in model.events_sorted(context):
-            conjunction: Proposition | None = None
-            for name in context:
-                literal: Proposition = (
-                    Var(name) if name in event else Not(Var(name))
-                )
-                conjunction = (
-                    literal if conjunction is None else And(conjunction, literal)
-                )
-            disjunction = (
-                conjunction if disjunction is None else Or(disjunction, conjunction)
-            )
-        props.append(Const(False) if disjunction is None else disjunction)
+        terms = [
+            reduce(And, [Var(v) if v in event else Not(Var(v)) for v in context])
+            for event in model.events_sorted(context)
+        ]
+        props.append(reduce(Or, terms) if terms else Const(False))
     return props
 
 

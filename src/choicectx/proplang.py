@@ -24,17 +24,49 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 from .core import Context, Scenario
 from .errors import NotMeasurable, PropositionSyntaxError, UnknownVariable
 
 
 class Proposition:
-    """Base class for formula nodes."""
+    """Base class for formula nodes.
+
+    Every method walks the formula with :meth:`_walk` on an explicit stack,
+    so a chain of any length is handled without recursion.  A node class
+    says how one node expands for ``evaluate`` (``_postfix``) and
+    ``to_text`` (``_text``); equality, hashing and ``repr`` read each node's
+    class and fields (:func:`_prefix`, :func:`_repr`), field by field as a
+    dataclass does."""
+
+    def _walk(self, expand: Callable[["Proposition"], Sequence[object]]) -> list:
+        """Depth first, left to right: the items ``expand`` gives for this
+        node, each formula among them replaced in turn by its own items."""
+        items: list[object] = []
+        todo: list[object] = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, Proposition):
+                todo += expand(item)[::-1]
+            else:
+                items.append(item)
+        return items
 
     def evaluate(self, binding: Mapping[str, int]) -> bool:
-        raise NotImplementedError
+        values: list[bool] = []
+        for item in self._walk(lambda node: node._postfix(binding)):
+            if item is _NOT:
+                values[-1] = not values[-1]
+            elif item is _AND:
+                right = values.pop()
+                values[-1] = values[-1] and right
+            elif item is _OR:
+                right = values.pop()
+                values[-1] = values[-1] or right
+            else:
+                values.append(item)
+        return values[0]
 
     def variables(self) -> frozenset[str]:
         """The variables the formula mentions."""
@@ -42,22 +74,22 @@ class Proposition:
 
     @cached_property
     def _variables(self) -> frozenset[str]:
-        # an explicit stack, so a chain of any length is walked without
-        # recursion; nodes are immutable, so each formula is walked once
-        names = set()
-        todo: list[Proposition] = [self]
-        while todo:
-            node = todo.pop()
-            if isinstance(node, Var):
-                names.add(node.name)
-            elif isinstance(node, Not):
-                todo.append(node.operand)
-            elif isinstance(node, (And, Or)):
-                todo += (node.left, node.right)
-        return frozenset(names)
+        # nodes are immutable, so each formula is walked once
+        return frozenset(self._walk(_mentions))
 
     def to_text(self) -> str:
-        raise NotImplementedError
+        return "".join(self._walk(lambda node: node._text()))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._walk(_prefix) == other._walk(_prefix)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._walk(_prefix)))
+
+    def __repr__(self) -> str:
+        return "".join(self._walk(_repr))
 
     def __and__(self, other: "Proposition") -> "Proposition":
         return And(self, other)
@@ -69,70 +101,98 @@ class Proposition:
         return Not(self)
 
 
-@dataclass(frozen=True)
+def _mentions(node: Proposition) -> tuple[object, ...]:
+    """A variable's name, or the operands of any other node."""
+    kind = type(node)
+    if kind is Var:
+        return (node.name,)
+    if kind is Const:
+        return ()
+    if kind is Not:
+        return (node.operand,)
+    return (node.left, node.right)
+
+
+def _prefix(node: Proposition) -> tuple[object, ...]:
+    """The node's class, then its fields in order."""
+    return (type(node), *[getattr(node, name) for name in node.__match_args__])
+
+
+def _repr(node: Proposition) -> list[object]:
+    """The pieces of a dataclass ``repr``: ``Name(field=value, ...)``."""
+    parts: list[object] = [type(node).__qualname__ + "("]
+    for i, name in enumerate(node.__match_args__):
+        value = getattr(node, name)
+        parts += [
+            ", " * (i > 0) + name + "=",
+            value if isinstance(value, Proposition) else repr(value),
+        ]
+    return parts + [")"]
+
+
+def _grouped(node: Proposition, kinds: tuple[type, ...]) -> tuple[object, ...]:
+    return ("(", node, ")") if isinstance(node, kinds) else (node,)
+
+
+# operator marks of the postfix form that ``evaluate`` folds
+_NOT, _AND, _OR = object(), object(), object()
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Proposition):
     name: str
 
-    def evaluate(self, binding: Mapping[str, int]) -> bool:
-        return bool(binding[self.name])
+    def _postfix(self, binding: Mapping[str, int]) -> Sequence[object]:
+        return (bool(binding[self.name]),)
 
-    def to_text(self) -> str:
-        return self.name
+    def _text(self) -> Sequence[object]:
+        return (self.name,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Proposition):
     value: bool
 
-    def evaluate(self, binding: Mapping[str, int]) -> bool:
-        return self.value
+    def _postfix(self, binding: Mapping[str, int]) -> Sequence[object]:
+        return (self.value,)
 
-    def to_text(self) -> str:
-        return "1" if self.value else "0"
+    def _text(self) -> Sequence[object]:
+        return ("1" if self.value else "0",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Not(Proposition):
     operand: Proposition
 
-    def evaluate(self, binding: Mapping[str, int]) -> bool:
-        return not self.operand.evaluate(binding)
+    def _postfix(self, binding: Mapping[str, int]) -> Sequence[object]:
+        return (self.operand, _NOT)
 
-    def to_text(self) -> str:
-        inner = self.operand.to_text()
-        if isinstance(self.operand, (And, Or)):
-            inner = f"({inner})"
-        return f"!{inner}"
+    def _text(self) -> Sequence[object]:
+        return ("!", *_grouped(self.operand, (And, Or)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class And(Proposition):
     left: Proposition
     right: Proposition
 
-    def evaluate(self, binding: Mapping[str, int]) -> bool:
-        return self.left.evaluate(binding) and self.right.evaluate(binding)
+    def _postfix(self, binding: Mapping[str, int]) -> Sequence[object]:
+        return (self.left, self.right, _AND)
 
-    def to_text(self) -> str:
-        parts = []
-        for child in (self.left, self.right):
-            text = child.to_text()
-            if isinstance(child, Or):
-                text = f"({text})"
-            parts.append(text)
-        return " & ".join(parts)
+    def _text(self) -> Sequence[object]:
+        return (*_grouped(self.left, (Or,)), " & ", *_grouped(self.right, (Or,)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Or(Proposition):
     left: Proposition
     right: Proposition
 
-    def evaluate(self, binding: Mapping[str, int]) -> bool:
-        return self.left.evaluate(binding) or self.right.evaluate(binding)
+    def _postfix(self, binding: Mapping[str, int]) -> Sequence[object]:
+        return (self.left, self.right, _OR)
 
-    def to_text(self) -> str:
-        return f"{self.left.to_text()} | {self.right.to_text()}"
+    def _text(self) -> Sequence[object]:
+        return (self.left, " | ", self.right)
 
 
 # whitespace matches neither group, so ``finditer`` steps over it
@@ -168,6 +228,7 @@ class _Parser:
         self.line = line
         self.at = 0
         self.depth = 0
+        self.names: set[str] = set()
 
     def fail(self, message: str) -> PropositionSyntaxError:
         value = self.values[self.at]
@@ -217,6 +278,7 @@ class _Parser:
             node = Const(value == "1")
         elif value not in ("", "&", "|", ")"):
             node = Var(value)
+            self.names.add(value)
         else:
             raise self.fail("expected a variable, constant, '!' or '('")
         self.at += 1
@@ -233,6 +295,8 @@ def parse_formula(text: str, line: int | None = None) -> Proposition:
     node = parser.formula()
     if parser.values[parser.at]:
         raise parser.fail("expected end of input")
+    # each identifier became a Var of the tree: its variables, without a walk
+    node.__dict__["_variables"] = frozenset(parser.names)
     return node
 
 

@@ -1,12 +1,14 @@
 import pytest
 
 from choicectx import (
+    ChoiceCtxError,
     Kind,
     PossibilisticModel,
     Scenario,
     audit,
     check_no_signalling,
     check_weak_axiom,
+    classify,
     double_headed_coin,
     hardy_relabeled,
     hardy_table,
@@ -19,6 +21,7 @@ from choicectx import (
     warp_noncontextual,
     warp_signalling,
 )
+from choicectx.axioms import CHECKS
 
 # (warp, no_signalling, closed, overlap, choice_structure) frozen from
 # tools/oracle.py
@@ -201,3 +204,22 @@ class TestAudit:
         assert audit(warp_signalling()).region() == (
             "weak axiom holds; signalling; strongly contextual"
         )
+
+
+class TestUndeclaredVariables:
+    """A cover naming a variable the scenario does not declare is refused
+    with a package error that names it, never a bare ``KeyError``."""
+
+    @pytest.fixture
+    def model(self):
+        scenario = Scenario.make(["a"], [["a", "b"]])
+        return PossibilisticModel.make(scenario, {("a", "b"): [set(), {"a"}]})
+
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_each_check(self, model, name):
+        with pytest.raises(ChoiceCtxError, match="'b'"):
+            CHECKS[name](model)
+
+    def test_classify(self, model):
+        with pytest.raises(ChoiceCtxError, match="'b'"):
+            classify(model)

@@ -472,6 +472,44 @@ class TestGenCommand:
         assert rc == 2
         assert "density" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                "--vars 6 --contexts 4 --density 0.5 --seed 1",
+                "8e5815242a8f47793a19b217c8f26e92802858a890a2a3b9031c8ebda9633d71",
+            ),
+            (
+                "--vars 9 --contexts 5 --density 0.4 --seed 7 --closed",
+                "df7f7ee3d1c32eff5fdc482542d8197a701e4fc513927ab7dc8da4ca01224c34",
+            ),
+            (
+                "--vars 8 --contexts 3 --density 0 --seed 2",
+                "2e755aaf770d8a3625b2abf278042877fccb02219732fef5e9b258af47a0fc32",
+            ),
+            (
+                "--vars 8 --contexts 3 --density 1 --seed 3",
+                "e35f5ce6d5b61f6ac5496bbb56fffbfb834b6d64fca5404deb873ebb1dac5273",
+            ),
+            (
+                # contexts of 2 and 14 variables: the wide one is drawn as
+                # 2^14 rows, decoded in blocks of 2^10
+                "--vars 16 --contexts 1 --density 0.3 --seed 45",
+                "e28c93f6a2183cf42165221e1482ddd03c5ed545bffea9e698761c15c147b4ec",
+            ),
+            (
+                "--vars 12 --contexts 6 --density 0.6 --seed 1003",
+                "d8484e9e85330e95eb0d5dfc82809b4651f2e00ac8cde5d63561d1c040ff8d2b",
+            ),
+        ],
+    )
+    def test_output_bytes_are_frozen(self, capsys, args, digest):
+        # digests of the stdout of ``choicectx gen`` with these arguments, as
+        # recorded before events were stored as codes
+        assert main(["gen", *args.split()]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

@@ -1,9 +1,12 @@
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choicectx import (
     Assignment,
+    ChoiceCtxError,
     PossibilisticModel,
     Scenario,
     UnboundVariable,
@@ -12,6 +15,8 @@ from choicectx import (
     canonical_context,
     format_event,
     gen_random_model,
+    parse_model,
+    serialize_model,
     validate_model,
 )
 from choicectx.core import shortlex
@@ -139,6 +144,57 @@ class TestPossibilisticModel:
     def test_format_event(self):
         assert format_event(frozenset({"b", "a"})) == "{a,b}"
         assert format_event(frozenset()) == "{}"
+
+    @pytest.mark.parametrize("build", ["make", "constructor"])
+    def test_undeclared_event_variable_is_refused(self, build):
+        # such an event has no code in the scenario's layout
+        s = Scenario.make(["a", "b"], [["a"], ["b"]])
+        supports = {("a",): [frozenset({"ghost"})], ("b",): []}
+        with pytest.raises(ChoiceCtxError, match="'ghost'"):
+            if build == "make":
+                PossibilisticModel.make(s, supports)
+            else:
+                PossibilisticModel(scenario=s, supports=supports)
+
+
+class TestViews:
+    """``supports``, ``events``, ``events_sorted`` and ``chosen_set`` are
+    decoded from the stored codes; each is checked against its definition
+    on names."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        k=st.integers(1, 6),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        closed=st.booleans(),
+        parsed=st.booleans(),
+    )
+    def test_views_match_their_definitions(self, n, k, density, seed, closed, parsed):
+        model = gen_random_model(n, k, density, seed, intersection_closed=closed)
+        if parsed:
+            model = parse_model(serialize_model(model))
+        supports = model.supports
+        assert list(supports) == list(model.scenario.cover)
+        for context, events in supports.items():
+            assert type(events) is frozenset
+            assert all(type(event) is frozenset for event in events)
+            assert model.events(context) == events
+            assert model.events_sorted(context) == sorted(events, key=shortlex)
+            assert model.chosen_set(context) == frozenset().union(*events)
+        again = PossibilisticModel.make(model.scenario, supports)
+        assert again == model
+        assert hash(again) == hash(model)
+
+    def test_unsorted_scenario_keeps_shortlex_order(self):
+        # codes order events shortlex because bits follow the sorted names,
+        # also for a scenario built without ``Scenario.make``
+        s = Scenario(variables=("b", "a"), cover=(("a", "b"),))
+        m = PossibilisticModel(s, {("a", "b"): [{"b"}, {"a"}, {"a", "b"}]})
+        assert m.events_sorted(["a", "b"]) == [{"a"}, {"b"}, {"a", "b"}]
+        doc = json.loads(serialize_model(m))
+        assert doc["possibilistic"][0]["events"] == [["a"], ["b"], ["a", "b"]]
 
 
 class TestCompiled:

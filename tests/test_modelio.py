@@ -316,6 +316,8 @@ class TestFirstError:
             (["b", "a", "b"], "duplicate variable in event", f"{EVENTS}[1]"),
             (["a", "c"], "event is not a subset of its context", f"{EVENTS}[1]"),
             (["b"], "duplicate event", f"{EVENTS}[1]"),
+            # the same event as the next one, its members in another order
+            (["b", "a"], "duplicate event", f"{EVENTS}[2]"),
         ],
     )
     def test_event(self, event, message, path):

@@ -12,10 +12,12 @@ from choicectx import (
     UnknownVariable,
     Var,
     bell_scenario,
+    gen_random_model,
     measurement_context,
     parse_formula,
     parse_proposition,
     parse_propositions,
+    support_propositions,
 )
 from choicectx.proplang import MAX_NESTING
 
@@ -122,6 +124,53 @@ class TestRendering:
         assert parse_formula("a & (b | c)").to_text() == "a & (b | c)"
         assert parse_formula("a & b | c").to_text() == "a & b | c"
         assert parse_formula("!(a & b)").to_text() == "!(a & b)"
+
+
+class TestLongFormulas:
+    """Every formula method walks a chain of thousands of nodes without
+    recursion, and gives on small formulas what a field-by-field dataclass
+    gives."""
+
+    def test_methods_on_a_2057_disjunct_support_formula(self):
+        model = gen_random_model(18, 8, 0.5, seed=3)
+        context = model.scenario.cover[-1]
+        events = model.events_sorted(context)
+        assert len(events) == 2057
+        phi = support_propositions(model)[-1]
+        copy = support_propositions(model)[-1]
+
+        inside = {v: int(v in events[0]) for v in context}
+        outside = next(
+            binding
+            for binding in ({v: int(v == w) for v in context} for w in context)
+            if frozenset(v for v in context if binding[v]) not in events
+        )
+        assert phi.evaluate(inside) is True
+        assert phi.evaluate(outside) is False
+        text = phi.to_text()
+        assert text.count(" | ") == 2056
+        assert parse_formula(text) == phi
+        assert parse_formula(text).variables() == frozenset(context)
+        assert copy is not phi and copy == phi
+        assert hash(copy) == hash(phi)
+        assert phi != Or(phi.left, Not(phi.right))
+        assert repr(phi).startswith("Or(left=Or(left=Or(left=")
+        assert repr(phi).count("Var(name=") == 2057 * len(context)
+        assert phi.variables() == frozenset(context)
+
+    def test_small_formulas(self):
+        phi = And(Not(Var("a")), Or(Const(True), Var("b")))
+        assert repr(phi) == (
+            "And(left=Not(operand=Var(name='a')), "
+            "right=Or(left=Const(value=True), right=Var(name='b')))"
+        )
+        assert phi.to_text() == "!a & (1 | b)"
+        same = And(Not(Var("a")), Or(Const(True), Var("b")))
+        assert phi == same and hash(phi) == hash(same)
+        assert phi != And(Not(Var("a")), Or(Var("b"), Const(True)))
+        assert phi != Or(Not(Var("a")), Or(Const(True), Var("b")))
+        assert Var("a") != "a"
+        assert {Var("a"), Var("a"), Var("b")} == {Var("a"), Var("b")}
 
 
 class TestScenarioChecks:
