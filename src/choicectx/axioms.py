@@ -16,9 +16,7 @@ the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
-from operator import or_
 
 from .core import Context, PossibilisticModel, Scenario, Verdict, _failing, _passing
 from .contextuality import Classification, Kind, classify
@@ -35,7 +33,7 @@ def _rows(model: PossibilisticModel) -> list[tuple[Context, int, int]]:
     mask of its chosen variables, the OR of its event codes."""
     scenario = model.scenario
     return [
-        (context, mask, reduce(or_, model._codes_of(context), 0))
+        (context, mask, model._chosen[model._key(context)])
         for context, mask in zip(scenario.cover, scenario._masks)
     ]
 
@@ -131,7 +129,7 @@ def is_choice_structure(model: PossibilisticModel) -> Verdict:
     single-valued choice structure rather than a multi-valued one."""
     model.scenario._masks  # an undeclared variable raises, as in every check
     for context in model.scenario.cover:
-        count = len(model._codes_of(context))
+        count = len(model._codes[model._key(context)])
         if count != 1:
             return _failing(
                 f"context {list(context)} has {count} events instead of 1",

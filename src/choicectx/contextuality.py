@@ -29,7 +29,7 @@ from .core import (
     PossibilisticModel,
     _mask,
     _search_masks,
-    _shortlex_codes,
+    _shortlex_key,
     past_deadline,
 )
 from .errors import DomainMismatch, TimeBudgetExceeded, TooLarge
@@ -151,6 +151,6 @@ def classify(
                 break
         unrealized = allowed - realized
         if unrealized:
-            event = compiled.decode(_shortlex_codes(unrealized)[0]).support()
+            event = compiled.decode(min(unrealized, key=_shortlex_key)).support()
             return Classification(Kind.CONTEXTUAL, (context, event), len(sections))
     return Classification(Kind.NONCONTEXTUAL, None, len(sections))

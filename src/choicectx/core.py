@@ -90,9 +90,9 @@ def _mask(bit: Mapping[str, int], names: Iterable[str]) -> int:
         raise UnknownVariable(f"undeclared variable {exc.args[0]!r}") from None
 
 
-def _shortlex_codes(codes: Iterable[int]) -> list[int]:
-    """Codes in the shortlex order of their events: ``(bit_count, -code)``."""
-    return sorted(sorted(codes, reverse=True), key=int.bit_count)
+def _shortlex_key(code: int) -> tuple[int, int]:
+    """Sort key putting codes in the shortlex order of their events."""
+    return (code.bit_count(), -code)
 
 
 # rows of a table are decoded in blocks of 2^10
@@ -220,20 +220,20 @@ class PossibilisticModel:
     """
 
     scenario: Scenario
-    _codes: Mapping[Context, frozenset[int]] = field(hash=False)
+    _codes: Mapping[Context, frozenset[int]] = field(init=False, repr=False, hash=False)
 
     def __init__(self, scenario: Scenario, supports: Mapping[Context, Iterable]):
         codes = {
             context: frozenset([_mask(scenario.bit, set(event)) for event in events])
             for context, events in supports.items()
         }
-        self.__dict__.update(scenario=scenario, _codes=codes)
+        self.__dict__.update(scenario=scenario, _codes=codes, _decoded={})
 
     @classmethod
     def _from_codes(cls, scenario: Scenario, codes: Mapping) -> "PossibilisticModel":
         """A model over events already encoded in the scenario's layout."""
         model = cls.__new__(cls)
-        model.__dict__.update(scenario=scenario, _codes=codes)
+        model.__dict__.update(scenario=scenario, _codes=codes, _decoded={})
         return model
 
     @classmethod
@@ -244,26 +244,39 @@ class PossibilisticModel:
     ) -> "PossibilisticModel":
         return cls(scenario, _in_shortlex(supports))
 
+    def __repr__(self) -> str:
+        return f"PossibilisticModel(scenario={self.scenario!r}, supports={self.supports!r})"
+
     @cached_property
     def supports(self) -> dict[Context, frozenset[Event]]:
-        return {
-            context: frozenset(map(frozenset, map(self.scenario._names, codes)))
-            for context, codes in self._codes.items()
-        }
+        return {context: self._events_of(context) for context in self._codes}
 
-    def _codes_of(self, context: Iterable[str]) -> frozenset[int]:
+    def _events_of(self, key: Context) -> frozenset[Event]:
+        """The events of the model's context ``key``, decoded on first use."""
+        if key not in self._decoded:
+            names = map(self.scenario._names, self._codes[key])
+            self._decoded[key] = frozenset(map(frozenset, names))
+        return self._decoded[key]
+
+    @cached_property
+    def _chosen(self) -> dict[Context, int]:
+        """The chosen mask of each context: the OR of its event codes."""
+        return {context: reduce(or_, codes, 0) for context, codes in self._codes.items()}
+
+    def _key(self, context: Iterable[str]) -> Context:
+        """The canonical form of one of the model's contexts."""
         key = canonical_context(context)
         if key not in self._codes:
             raise UnknownContext(f"context {format_event(key)} is not in the cover")
-        return self._codes[key]
+        return key
 
     def _event_names(self, context: Iterable[str]) -> list[list[str]]:
         """The events of a context as name lists, in shortlex order."""
-        return list(map(self.scenario._names, _shortlex_codes(self._codes_of(context))))
+        codes = sorted(self._codes[self._key(context)], key=_shortlex_key)
+        return list(map(self.scenario._names, codes))
 
     def events(self, context: Iterable[str]) -> frozenset[Event]:
-        self._codes_of(context)  # refuses a context outside the model
-        return self.supports[canonical_context(context)]
+        return self._events_of(self._key(context))
 
     def events_sorted(self, context: Iterable[str]) -> list[Event]:
         """Events of a context in canonical (shortlex) order."""
@@ -271,27 +284,26 @@ class PossibilisticModel:
 
     def chosen_set(self, context: Iterable[str]) -> frozenset[str]:
         """All variables that belong to at least one event of the context."""
-        return frozenset(self.scenario._names(reduce(or_, self._codes_of(context), 0)))
+        return frozenset(self.scenario._names(self._chosen[self._key(context)]))
 
     def chosen(self, variable: str, context: Iterable[str]) -> int:
         """1 iff ``variable`` occurs in some event of ``context``.
 
         This is the choice function of the context, read off the support.
         """
-        key = canonical_context(context)
-        chosen = self.chosen_set(key)
+        key = self._key(context)
         if variable not in key:
             raise VariableNotInContext(
                 f"variable {variable!r} is not in context {format_event(key)}"
             )
-        return 1 if variable in chosen else 0
+        return 1 if self._chosen[key] & self.scenario.bit.get(variable, 0) else 0
 
     @cached_property
     def compiled(self) -> "_Compiled":
         """Bitmask form of the model, built on first use."""
         scenario = self.scenario
-        contexts = list(zip(scenario._masks, map(self._codes_of, scenario.cover)))
-        return _Compiled(scenario.bit, contexts)
+        codes = [self._codes[self._key(context)] for context in scenario.cover]
+        return _Compiled(scenario.bit, list(zip(scenario._masks, codes)))
 
 
 class _Compiled:
@@ -480,7 +492,7 @@ def validate_model(model: PossibilisticModel) -> Verdict:
     for context, cmask in zip(scenario.cover, scenario._masks):
         bad = [code for code in model._codes[context] if code & ~cmask]
         if bad:
-            event = scenario._names(_shortlex_codes(bad)[0])
+            event = scenario._names(min(bad, key=_shortlex_key))
             return _failing(
                 f"event {format_event(event)} is not a subset of context "
                 f"{format_event(context)}",

@@ -164,9 +164,7 @@ def support_reduction(
     bit = model.scenario.bit
     supports = {
         context: frozenset(
-            _mask(bit, [v for v, b in assignment.bindings if b])
-            for assignment, p in entries
-            if p > threshold
+            _mask(bit, assignment.support()) for assignment, p in entries if p > threshold
         )
         for context, entries in model.distributions.items()
     }

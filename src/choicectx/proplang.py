@@ -33,12 +33,13 @@ from .errors import NotMeasurable, PropositionSyntaxError, UnknownVariable
 class Proposition:
     """Base class for formula nodes.
 
-    Every method walks the formula with :meth:`_walk` on an explicit stack,
-    so a chain of any length is handled without recursion.  A node class
-    says how one node expands for ``evaluate`` (``_postfix``) and
-    ``to_text`` (``_text``); equality, hashing and ``repr`` read each node's
-    class and fields (:func:`_prefix`, :func:`_repr`), field by field as a
-    dataclass does."""
+    Every method walks the formula on an explicit stack, so a chain of any
+    length is handled without recursion.  ``evaluate`` runs its own loop,
+    which skips an operand the result no longer depends on; the others
+    share :meth:`_walk`.  A node class says how one node expands for
+    ``evaluate`` (``_steps``) and ``to_text`` (``_text``); equality, hashing
+    and ``repr`` read each node's class and fields (:func:`_prefix`,
+    :func:`_repr`), field by field as a dataclass does."""
 
     def _walk(self, expand: Callable[["Proposition"], Sequence[object]]) -> list:
         """Depth first, left to right: the items ``expand`` gives for this
@@ -54,19 +55,26 @@ class Proposition:
         return items
 
     def evaluate(self, binding: Mapping[str, int]) -> bool:
-        values: list[bool] = []
-        for item in self._walk(lambda node: node._postfix(binding)):
-            if item is _NOT:
-                values[-1] = not values[-1]
+        """The formula's value under ``binding``.  Like Python's ``and`` and
+        ``or``, a connective whose left operand decides it never reads its
+        right operand, so ``binding`` need not bind that operand's
+        variables."""
+        todo: list[object] = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, Proposition):
+                todo += item._steps(binding)[::-1]
+            elif item is _NOT:
+                value = not value
             elif item is _AND:
-                right = values.pop()
-                values[-1] = values[-1] and right
+                if not value:
+                    todo.pop()  # the right operand, unread
             elif item is _OR:
-                right = values.pop()
-                values[-1] = values[-1] or right
+                if value:
+                    todo.pop()
             else:
-                values.append(item)
-        return values[0]
+                value = item
+        return value
 
     def variables(self) -> frozenset[str]:
         """The variables the formula mentions."""
@@ -134,7 +142,7 @@ def _grouped(node: Proposition, kinds: tuple[type, ...]) -> tuple[object, ...]:
     return ("(", node, ")") if isinstance(node, kinds) else (node,)
 
 
-# operator marks of the postfix form that ``evaluate`` folds
+# marks ``evaluate`` meets once an operand has its value
 _NOT, _AND, _OR = object(), object(), object()
 
 
@@ -142,7 +150,7 @@ _NOT, _AND, _OR = object(), object(), object()
 class Var(Proposition):
     name: str
 
-    def _postfix(self, binding: Mapping[str, int]) -> Sequence[object]:
+    def _steps(self, binding: Mapping[str, int]) -> Sequence[object]:
         return (bool(binding[self.name]),)
 
     def _text(self) -> Sequence[object]:
@@ -153,7 +161,7 @@ class Var(Proposition):
 class Const(Proposition):
     value: bool
 
-    def _postfix(self, binding: Mapping[str, int]) -> Sequence[object]:
+    def _steps(self, binding: Mapping[str, int]) -> Sequence[object]:
         return (self.value,)
 
     def _text(self) -> Sequence[object]:
@@ -164,7 +172,7 @@ class Const(Proposition):
 class Not(Proposition):
     operand: Proposition
 
-    def _postfix(self, binding: Mapping[str, int]) -> Sequence[object]:
+    def _steps(self, binding: Mapping[str, int]) -> Sequence[object]:
         return (self.operand, _NOT)
 
     def _text(self) -> Sequence[object]:
@@ -176,8 +184,8 @@ class And(Proposition):
     left: Proposition
     right: Proposition
 
-    def _postfix(self, binding: Mapping[str, int]) -> Sequence[object]:
-        return (self.left, self.right, _AND)
+    def _steps(self, binding: Mapping[str, int]) -> Sequence[object]:
+        return (self.left, _AND, self.right)
 
     def _text(self) -> Sequence[object]:
         return (*_grouped(self.left, (Or,)), " & ", *_grouped(self.right, (Or,)))
@@ -188,8 +196,8 @@ class Or(Proposition):
     left: Proposition
     right: Proposition
 
-    def _postfix(self, binding: Mapping[str, int]) -> Sequence[object]:
-        return (self.left, self.right, _OR)
+    def _steps(self, binding: Mapping[str, int]) -> Sequence[object]:
+        return (self.left, _OR, self.right)
 
     def _text(self) -> Sequence[object]:
         return (self.left, " | ", self.right)
@@ -228,7 +236,6 @@ class _Parser:
         self.line = line
         self.at = 0
         self.depth = 0
-        self.names: set[str] = set()
 
     def fail(self, message: str) -> PropositionSyntaxError:
         value = self.values[self.at]
@@ -278,7 +285,6 @@ class _Parser:
             node = Const(value == "1")
         elif value not in ("", "&", "|", ")"):
             node = Var(value)
-            self.names.add(value)
         else:
             raise self.fail("expected a variable, constant, '!' or '('")
         self.at += 1
@@ -295,8 +301,6 @@ def parse_formula(text: str, line: int | None = None) -> Proposition:
     node = parser.formula()
     if parser.values[parser.at]:
         raise parser.fail("expected end of input")
-    # each identifier became a Var of the tree: its variables, without a walk
-    node.__dict__["_variables"] = frozenset(parser.names)
     return node
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -140,6 +141,17 @@ class TestPossibilisticModel:
         one = PossibilisticModel.make(s, {("a", "b"): [frozenset({"a"})]})
         two = PossibilisticModel.make(s, {("b", "a"): [frozenset({"a"})]})
         assert one == two
+
+    def test_repr_and_replace_speak_in_supports(self):
+        s = Scenario.make(["a", "b"], [["a", "b"]])
+        m = PossibilisticModel.make(s, {("a", "b"): [frozenset({"a"})]})
+        assert repr(m) == (
+            f"PossibilisticModel(scenario={s!r}, "
+            "supports={('a', 'b'): frozenset({frozenset({'a'})})})"
+        )
+        other = dataclasses.replace(m, supports={("a", "b"): [frozenset({"b"})]})
+        assert other.events(["a", "b"]) == {frozenset({"b"})}
+        assert other != m
 
     def test_format_event(self):
         assert format_event(frozenset({"b", "a"})) == "{a,b}"

@@ -88,6 +88,15 @@ class TestEvaluation:
         assert Const(True).evaluate({})
         assert not Const(False).evaluate({})
 
+    def test_connectives_short_circuit(self):
+        # once the left operand decides, the right one is never read
+        assert (Var("a") | Var("b")).evaluate({"a": 1}) is True
+        assert (Const(False) & Var("z")).evaluate({}) is False
+        assert (~Var("a") & (Var("b") | Var("c"))).evaluate({"a": 1}) is False
+        assert (Var("a") | Var("b") & Var("c")).evaluate({"a": 0, "b": 0}) is False
+        with pytest.raises(KeyError):
+            (Var("a") | Var("b")).evaluate({"a": 0})
+
     def test_variables(self):
         phi = parse_formula("a & (b | !a')")
         assert phi.variables() == {"a", "b", "a'"}
