@@ -12,6 +12,9 @@ from .core import PossibilisticModel, Scenario, _set_rows
 from .errors import TooLarge
 from .probabilistic import ProbabilisticModel, uniform_over_support
 
+# most rows the generator draws over all support tables, sum of 2^|context|
+GEN_TABLE_ROWS_LIMIT = 1 << 20
+
 
 def bell_scenario() -> Scenario:
     """Two parties with two binary measurements each: variables a, a' on
@@ -153,7 +156,9 @@ def gen_random_model(
     Contexts are random nonempty variable subsets (duplicates dropped, so
     ``n_contexts`` is an upper bound); a catch-all context covers any
     leftover variables.  Each subset of a context becomes an event with
-    probability ``density``.
+    probability ``density``.  Covers whose tables would hold more than
+    :data:`GEN_TABLE_ROWS_LIMIT` rows in all raise :class:`TooLarge` before
+    any table is drawn.
     """
     if n_variables < 1:
         raise ValueError("at least one variable is required")
@@ -189,12 +194,16 @@ def gen_random_model(
                     changed = True
 
     scenario = Scenario.make(names, contexts)
+    rows = sum(1 << len(context) for context in scenario.cover)
+    if rows > GEN_TABLE_ROWS_LIMIT:
+        widest = max(map(len, scenario.cover))
+        raise TooLarge(
+            f"{len(scenario.cover)} contexts of up to {widest} variables have "
+            f"{rows:,} outcomes to draw, over the limit of {GEN_TABLE_ROWS_LIMIT:,}"
+        )
     supports: dict[tuple[str, ...], frozenset[int]] = {}
     for context in scenario.cover:
-        k = len(context)
-        if k > 24:
-            raise TooLarge(f"context of {k} variables is too large to enumerate")
-        draws = (rng.random(1 << k) < density).tobytes()
+        draws = (rng.random(1 << len(context)) < density).tobytes()
         supports[context] = frozenset(
             chain.from_iterable(_set_rows(list(context), scenario.bit, draws))
         )

@@ -306,18 +306,16 @@ def run(config: RunConfig) -> int:
         return _dispatch(config)
     except TimeBudgetExceeded as exc:
         partial = exc.partial_count
-        if config.machine:
-            doc = {
-                "inconclusive": True,
-                "reason": "time budget exceeded",
-                "partial_section_count": partial,
-            }
-            print(json.dumps(doc, indent=2))
-        else:
-            print(
-                "inconclusive: time budget exceeded "
-                f"({partial} sections found before expiry)"
-            )
+        doc = {
+            "inconclusive": True,
+            "reason": "time budget exceeded",
+            "partial_section_count": partial,
+        }
+        line = (
+            "inconclusive: time budget exceeded "
+            f"({partial} sections found before expiry)"
+        )
+        _emit(config, doc, [line])
         return 3
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -95,6 +95,12 @@ def _shortlex_key(code: int) -> tuple[int, int]:
     return (code.bit_count(), -code)
 
 
+def _shortlex_sorted(codes: Iterable[int]) -> list[int]:
+    """``codes`` sorted by :func:`_shortlex_key`, as two sorts on built-in
+    keys: descending, then stably by bit count."""
+    return sorted(sorted(codes, reverse=True), key=int.bit_count)
+
+
 # rows of a table are decoded in blocks of 2^10
 _BLOCK_BITS = 10
 
@@ -270,17 +276,13 @@ class PossibilisticModel:
             raise UnknownContext(f"context {format_event(key)} is not in the cover")
         return key
 
-    def _event_names(self, context: Iterable[str]) -> list[list[str]]:
-        """The events of a context as name lists, in shortlex order."""
-        codes = sorted(self._codes[self._key(context)], key=_shortlex_key)
-        return list(map(self.scenario._names, codes))
-
     def events(self, context: Iterable[str]) -> frozenset[Event]:
         return self._events_of(self._key(context))
 
     def events_sorted(self, context: Iterable[str]) -> list[Event]:
         """Events of a context in canonical (shortlex) order."""
-        return list(map(frozenset, self._event_names(context)))
+        codes = _shortlex_sorted(self._codes[self._key(context)])
+        return [frozenset(self.scenario._names(code)) for code in codes]
 
     def chosen_set(self, context: Iterable[str]) -> frozenset[str]:
         """All variables that belong to at least one event of the context."""

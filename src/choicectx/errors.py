@@ -27,7 +27,8 @@ class DomainMismatch(ChoiceCtxError):
 
 
 class TooLarge(ChoiceCtxError):
-    """An exhaustive enumeration would exceed the configured variable bound."""
+    """An exhaustive enumeration would exceed its bound: the configured
+    variable bound, or the generator's limit on support-table rows."""
 
 
 class TimeBudgetExceeded(ChoiceCtxError):

@@ -20,20 +20,26 @@ table or a per-context probability distribution:
 
 Input is order-insensitive; output is canonically sorted and deterministic,
 so ``parse_model(serialize_model(m))`` is the identity on valid models and
-serialization is byte-stable.  Unknown keys are rejected.
+serialization is byte-stable.  Unknown keys are rejected.  The examples
+above show the structure; written documents put every array item and
+object member on a line of its own, exactly as
+``json.dumps(doc, indent=2, ensure_ascii=False)`` lays them out, but by a
+writer made for this one shape (:func:`serialize_model`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Iterator
+from functools import cache
+from typing import Any, Callable, Iterable, Iterator
 
 from .core import (
     VARIABLE_RE,
     Assignment,
     PossibilisticModel,
     Scenario,
+    _shortlex_sorted,
     canonical_context,
 )
 from .errors import ModelSemanticError, ModelSyntaxError
@@ -282,26 +288,127 @@ def _distribution(
 
 
 def serialize_model(model: Model) -> str:
-    """Render a model as its canonical document (deterministic bytes)."""
+    """Render a model as its canonical document (deterministic bytes).
+
+    The text is ``json.dumps(doc, indent=2, ensure_ascii=False)`` plus a
+    newline, for the document ``doc`` of the module docstring, but written
+    by hand for that known shape (:func:`_write`): an indented
+    :func:`json.dumps` runs json's pure-Python encoder.  Each name is
+    quoted once per call and every number is written as json writes it
+    (:func:`_scalar`); events come in shortlex order, each one's text read
+    off its code (:func:`_event_texts`) without decoding it to names.
+    """
     scenario = model.scenario
-    doc: dict[str, Any] = {
-        "variables": list(scenario.variables),
-        "contexts": [list(c) for c in scenario.cover],
-    }
+    quote = cache(_scalar)  # each name once per document
+
+    def names(members: Iterable[str]) -> list[str]:
+        return [quote(v) for v in members]
+
     if isinstance(model, PossibilisticModel):
-        doc["possibilistic"] = [
-            {"context": list(context), "events": model._event_names(context)}
-            for context in scenario.cover
-        ]
+        kind, key, table = '"possibilistic"', '"events"', _event_texts
     else:
-        doc["probabilistic"] = [
-            {
-                "context": list(context),
-                "distribution": [
-                    {"assignment": assignment.as_dict(), "p": float(p)}
-                    for assignment, p in model.distribution(context)
-                ],
-            }
-            for context in scenario.cover
-        ]
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        kind, key, table = '"probabilistic"', '"distribution"', _distribution_entries
+    doc = {
+        '"variables"': names(scenario.variables),
+        '"contexts"': [names(c) for c in scenario.cover],
+        kind: [{'"context"': names(c), key: table(model, c, quote)} for c in scenario.cover],
+    }
+    out: list[str] = []
+    _write(doc, "", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value: str | list | dict, indent: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as an indented :func:`json.dumps` lays it
+    out, its first line at ``indent``: a string is JSON text already, a
+    list is an array and a dict an object keyed by JSON texts.  The items
+    of a list are all strings or none."""
+    if isinstance(value, str):
+        out.append(value)
+        return
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not value:
+        out.append(brackets)
+        return
+    inner = indent + "  "
+    separator = f",\n{inner}"
+    out.append(f"{brackets[0]}\n{inner}")
+    if isinstance(value, dict):
+        for i, (key, item) in enumerate(value.items()):
+            out.append(f"{separator}{key}: " if i else f"{key}: ")
+            _write(item, inner, out)
+    elif isinstance(value[0], str):
+        out.append(separator.join(value))
+    else:
+        for i, item in enumerate(value):
+            if i:
+                out.append(separator)
+            _write(item, inner, out)
+    out.append(f"\n{indent}{brackets[1]}")
+
+
+def _scalar(value: Any) -> str:
+    """``value`` as :func:`json.dumps` writes it: an int or a finite float
+    by its repr, anything else (a name, ``NaN``, ``Infinity``, a bool)
+    through json's C encoder."""
+    kind = type(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value, ensure_ascii=False)
+
+
+# the indentation of an event's members and of its closing bracket: an event
+# sits at depth 4 of the document, two spaces per level
+_MEMBER_INDENT, _EVENT_INDENT = " " * 10, " " * 8
+
+
+def _event_texts(
+    model: PossibilisticModel, context: tuple[str, ...], quote: Callable[[str], str]
+) -> list[str]:
+    """The events of ``context`` as array texts at their depth in the
+    document, in shortlex order.
+
+    The names the context's events hold (its chosen mask) are cut into two
+    halves, and each half gets the member text of every subset of it, keyed
+    by the subset's code (:func:`_subset_texts`); an event's text joins one
+    lookup in each."""
+    scenario = model.scenario
+    key = model._key(context)
+    members = scenario._names(model._chosen[key])
+    half = len(members) // 2
+    high, high_mask = _subset_texts(members[:half], scenario.bit, quote)
+    low, low_mask = _subset_texts(members[half:], scenario.bit, quote)
+    close = f"\n{_EVENT_INDENT}]"
+    return [
+        # [1:] drops the separator in front of the first member
+        f"[{(high[code & high_mask] + low[code & low_mask])[1:]}{close}" if code else "[]"
+        for code in _shortlex_sorted(model._codes[key])
+    ]
+
+
+def _subset_texts(
+    members: list[str], bit: dict[str, int], quote: Callable[[str], str]
+) -> tuple[dict[int, str], int]:
+    """The text of each subset of ``members`` (sorted names) keyed by its
+    code in the layout ``bit``, and the mask of all of them.  A subset's
+    text gives each member in order as ``,`` and a new line, then the
+    quoted name at the depth of an event's members."""
+    texts = {0: ""}
+    for name in members:
+        b, piece = bit[name], f",\n{_MEMBER_INDENT}{quote(name)}"
+        texts |= {code | b: text + piece for code, text in texts.items()}
+    return texts, sum(map(bit.__getitem__, members))
+
+
+def _distribution_entries(
+    model: ProbabilisticModel, context: tuple[str, ...], quote: Callable[[str], str]
+) -> list[dict]:
+    """The entries of ``context``'s distribution as objects for :func:`_write`."""
+    return [
+        {
+            '"assignment"': {quote(v): _scalar(b) for v, b in assignment.as_dict().items()},
+            '"p"': _scalar(float(p)),
+        }
+        for assignment, p in model.distribution(context)
+    ]

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import io
 import json
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from choicectx import (
     PossibilisticModel,
+    TooLarge,
     classify,
     gen_random_model,
     hardy_distribution,
@@ -161,6 +163,22 @@ class TestClassifyCommand:
         assert rc == 3
         assert doc["inconclusive"] is True
         assert "partial_section_count" in doc
+
+    @pytest.mark.parametrize("machine", [False, True], ids=["human", "machine"])
+    def test_budget_expiry_report_bytes(self, tmp_path, capsys, machine):
+        path = tmp_path / "wide.json"
+        path.write_text(serialize_model(gen_random_model(12, 1, 1.0, seed=0)))
+        config = RunConfig(
+            command="classify", model_path=str(path), budget=0.0, machine=machine
+        )
+        assert run(config) == 3
+        expected = (
+            '{\n  "inconclusive": true,\n  "reason": "time budget exceeded",\n'
+            '  "partial_section_count": 0\n}\n'
+            if machine
+            else "inconclusive: time budget exceeded (0 sections found before expiry)\n"
+        )
+        assert capsys.readouterr().out == expected
 
 
     @pytest.mark.parametrize("budget", ["-1", "nan"])
@@ -509,6 +527,31 @@ class TestGenCommand:
         assert main(["gen", *args.split()]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_table_mass_is_bounded_before_drawing(self):
+        # contexts of 6, 14, 20 and 24 variables: 2^24 + 2^20 + ... rows
+        with pytest.raises(TooLarge, match="17,842,240 outcomes"):
+            gen_random_model(40, 3, 0.5, seed=1)
+
+    def test_oversized_gen_exits_2_in_bounded_memory(self):
+        # unbounded, this cover used to draw tables until memory ran out
+        limit = 2 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "choicectx", "gen", "--vars", "40",
+             "--contexts", "3", "--density", "0.5", "--seed", "1"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "over the limit of 1,048,576" in proc.stderr
 
 
 class TestEntryPoint:

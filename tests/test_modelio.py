@@ -9,12 +9,16 @@ from choicectx import (
     ModelSyntaxError,
     PossibilisticModel,
     ProbabilisticModel,
+    Scenario,
+    catalog,
     double_headed_coin,
     gen_random_model,
     parse_model,
     pr_box_distribution,
     serialize_model,
+    uniform_over_support,
 )
+from choicectx.core import shortlex
 
 
 def doc_of(model):
@@ -381,3 +385,119 @@ class TestFirstError:
         doc = prob_doc()
         doc["probabilistic"][0]["distribution"][1]["assignment"] = {"a": 1.0, "b": 1}
         assert parse_model(json.dumps(doc)) == parse_model(json.dumps(prob_doc()))
+
+
+def reference_text(model):
+    """The canonical document rendered the way it was before the writer was
+    written by hand: the document as a dict through an indented json.dumps.
+    Events are sorted on their names here, not on their codes."""
+    scenario = model.scenario
+    doc = {
+        "variables": list(scenario.variables),
+        "contexts": [list(c) for c in scenario.cover],
+    }
+    if isinstance(model, PossibilisticModel):
+        doc["possibilistic"] = [
+            {
+                "context": list(context),
+                "events": [
+                    sorted(event) for event in sorted(model.events(context), key=shortlex)
+                ],
+            }
+            for context in scenario.cover
+        ]
+    else:
+        doc["probabilistic"] = [
+            {
+                "context": list(context),
+                "distribution": [
+                    {"assignment": assignment.as_dict(), "p": float(p)}
+                    for assignment, p in model.distribution(context)
+                ],
+            }
+            for context in scenario.cover
+        ]
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+CATALOG = [
+    "double_headed_coin",
+    "hardy_table",
+    "hardy_relabeled",
+    "pr_box",
+    "luce_raiffa",
+    "warp_noncontextual",
+    "warp_contextual",
+    "warp_signalling",
+    "pr_box_distribution",
+    "hardy_distribution",
+]
+
+ODD_NAMES = ('a"b', "a\\b", "é", "x\x01y", "z")
+
+
+class TestByteIdentity:
+    """``serialize_model`` writes exactly the bytes of the indented
+    ``json.dumps`` of the document."""
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_catalog(self, name):
+        model = getattr(catalog, name)()
+        assert serialize_model(model) == reference_text(model)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        k=st.integers(1, 6),
+        density=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+        closed=st.booleans(),
+    )
+    def test_random_models(self, n, k, density, seed, closed):
+        model = gen_random_model(n, k, density, seed, intersection_closed=closed)
+        assert serialize_model(model) == reference_text(model)
+        if all(model.supports.values()):
+            uniform = uniform_over_support(model)
+            assert serialize_model(uniform) == reference_text(uniform)
+
+    def test_draws_cover_empty_supports_and_the_empty_event(self):
+        empty = gen_random_model(8, 4, 0.0, seed=5)
+        full = gen_random_model(8, 4, 1.0, seed=5, intersection_closed=True)
+        assert not any(empty.supports.values())
+        assert all(frozenset() in events for events in full.supports.values())
+        for model in (empty, full):
+            assert serialize_model(model) == reference_text(model)
+
+    def test_names_json_escapes(self):
+        scenario = Scenario.make(ODD_NAMES, [ODD_NAMES[:3], ODD_NAMES[2:], ["z"]])
+        model = PossibilisticModel.make(
+            scenario,
+            {
+                ODD_NAMES[:3]: [set(), {"é"}, {'a"b', "a\\b"}, set(ODD_NAMES[:3])],
+                ODD_NAMES[2:]: [{"x\x01y"}, {"é", "z"}],
+                ("z",): [],
+            },
+        )
+        text = serialize_model(model)
+        assert text == reference_text(model)
+        assert '"a\\"b"' in text and '"a\\\\b"' in text and '"x\\u0001y"' in text
+        assert '"é"' in text
+
+    def test_probabilities_as_json_writes_floats(self):
+        scenario = Scenario.make(["a", "b"], [["a"], ["a", "b"]])
+        model = ProbabilisticModel.make(
+            scenario,
+            {
+                ("a",): [({"a": 0}, float("nan")), ({"a": 1}, float("inf"))],
+                ("a", "b"): [
+                    ({"a": 0, "b": 0}, 1 / 3),
+                    ({"a": 0, "b": 1}, 1e-300),
+                    ({"a": 1, "b": 0}, -float("inf")),
+                    ({"a": 1, "b": 1}, -0.0),
+                ],
+            },
+        )
+        text = serialize_model(model)
+        assert text == reference_text(model)
+        for number in ("NaN", "Infinity", "-Infinity", "0.3333333333333333", "1e-300", "-0.0"):
+            assert f'"p": {number}\n' in text
