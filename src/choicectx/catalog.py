@@ -6,7 +6,7 @@ the test suite pins down.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, compress
+from itertools import chain, compress
 
 from .core import PossibilisticModel, Scenario, _set_rows
 from .errors import TooLarge
@@ -158,7 +158,8 @@ def gen_random_model(
     leftover variables.  Each subset of a context becomes an event with
     probability ``density``.  Covers whose tables would hold more than
     :data:`GEN_TABLE_ROWS_LIMIT` rows in all raise :class:`TooLarge` before
-    any table is drawn.
+    any table is drawn, and a closed cover as soon as its closure passes
+    that limit.
     """
     if n_variables < 1:
         raise ValueError("at least one variable is required")
@@ -183,24 +184,23 @@ def gen_random_model(
     if uncovered:
         contexts[uncovered] = None
 
+    rows = sum(1 << len(context) for context in contexts)
+    _check_table_rows(rows, contexts)
     if intersection_closed:
-        changed = True
-        while changed:
-            changed = False
-            for a, b in combinations(list(contexts), 2):
+        # every meet of drawn contexts comes from meeting one at a time
+        drawn = list(contexts)
+        pending = list(contexts)
+        while pending:
+            a = pending.pop()
+            for b in drawn:
                 meet = a & b
                 if meet and meet not in contexts:
                     contexts[meet] = None
-                    changed = True
+                    pending.append(meet)
+                    rows += 1 << len(meet)
+                    _check_table_rows(rows, contexts)  # refuse mid-closure
 
     scenario = Scenario.make(names, contexts)
-    rows = sum(1 << len(context) for context in scenario.cover)
-    if rows > GEN_TABLE_ROWS_LIMIT:
-        widest = max(map(len, scenario.cover))
-        raise TooLarge(
-            f"{len(scenario.cover)} contexts of up to {widest} variables have "
-            f"{rows:,} outcomes to draw, over the limit of {GEN_TABLE_ROWS_LIMIT:,}"
-        )
     supports: dict[tuple[str, ...], frozenset[int]] = {}
     for context in scenario.cover:
         draws = (rng.random(1 << len(context)) < density).tobytes()
@@ -208,3 +208,13 @@ def gen_random_model(
             chain.from_iterable(_set_rows(list(context), scenario.bit, draws))
         )
     return PossibilisticModel._from_codes(scenario, supports)
+
+
+def _check_table_rows(rows: int, contexts: dict[frozenset[str], None]) -> None:
+    """Raise :class:`TooLarge` if ``rows``, the table rows of ``contexts``,
+    pass :data:`GEN_TABLE_ROWS_LIMIT`."""
+    if rows > GEN_TABLE_ROWS_LIMIT:
+        raise TooLarge(
+            f"{len(contexts)} contexts of up to {max(map(len, contexts))} variables "
+            f"have {rows:,} outcomes to draw, over the limit of {GEN_TABLE_ROWS_LIMIT:,}"
+        )

@@ -97,7 +97,8 @@ def _shortlex_key(code: int) -> tuple[int, int]:
 
 def _shortlex_sorted(codes: Iterable[int]) -> list[int]:
     """``codes`` sorted by :func:`_shortlex_key`, as two sorts on built-in
-    keys: descending, then stably by bit count."""
+    keys: descending, then stably by bit count.  On the events a document
+    writes this is faster than sorting on the tuple key."""
     return sorted(sorted(codes, reverse=True), key=int.bit_count)
 
 

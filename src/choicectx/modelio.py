@@ -295,8 +295,9 @@ def serialize_model(model: Model) -> str:
     by hand for that known shape (:func:`_write`): an indented
     :func:`json.dumps` runs json's pure-Python encoder.  Each name is
     quoted once per call and every number is written as json writes it
-    (:func:`_scalar`); events come in shortlex order, each one's text read
-    off its code (:func:`_event_texts`) without decoding it to names.
+    (:func:`_scalar`); events come in shortlex order, each one's text
+    built from its code and the context's quoted names
+    (:func:`_event_texts`).
     """
     scenario = model.scenario
     quote = cache(_scalar)  # each name once per document
@@ -367,38 +368,18 @@ def _event_texts(
     model: PossibilisticModel, context: tuple[str, ...], quote: Callable[[str], str]
 ) -> list[str]:
     """The events of ``context`` as array texts at their depth in the
-    document, in shortlex order.
-
-    The names the context's events hold (its chosen mask) are cut into two
-    halves, and each half gets the member text of every subset of it, keyed
-    by the subset's code (:func:`_subset_texts`); an event's text joins one
-    lookup in each."""
-    scenario = model.scenario
-    key = model._key(context)
-    members = scenario._names(model._chosen[key])
-    half = len(members) // 2
-    high, high_mask = _subset_texts(members[:half], scenario.bit, quote)
-    low, low_mask = _subset_texts(members[half:], scenario.bit, quote)
+    document, in shortlex order: each one lists the context's quoted names
+    whose bits its code holds, in name order, one per line."""
+    bit = model.scenario.bit
+    members = [(bit[v], quote(v)) for v in context]
+    separator = f",\n{_MEMBER_INDENT}"
     close = f"\n{_EVENT_INDENT}]"
     return [
-        # [1:] drops the separator in front of the first member
-        f"[{(high[code & high_mask] + low[code & low_mask])[1:]}{close}" if code else "[]"
-        for code in _shortlex_sorted(model._codes[key])
+        f"[\n{_MEMBER_INDENT}{separator.join([q for b, q in members if code & b])}{close}"
+        if code
+        else "[]"
+        for code in _shortlex_sorted(model._codes[model._key(context)])
     ]
-
-
-def _subset_texts(
-    members: list[str], bit: dict[str, int], quote: Callable[[str], str]
-) -> tuple[dict[int, str], int]:
-    """The text of each subset of ``members`` (sorted names) keyed by its
-    code in the layout ``bit``, and the mask of all of them.  A subset's
-    text gives each member in order as ``,`` and a new line, then the
-    quoted name at the depth of an event's members."""
-    texts = {0: ""}
-    for name in members:
-        b, piece = bit[name], f",\n{_MEMBER_INDENT}{quote(name)}"
-        texts |= {code | b: text + piece for code, text in texts.items()}
-    return texts, sum(map(bit.__getitem__, members))
 
 
 def _distribution_entries(

@@ -553,6 +553,33 @@ class TestGenCommand:
         assert "Traceback" not in proc.stderr
         assert "over the limit of 1,048,576" in proc.stderr
 
+    def test_closure_is_refused_once_it_passes_the_limit(self):
+        # the 120 drawn contexts fit; their meets push the tables past the limit
+        gen_random_model(22, 120, 0.0, seed=1)
+        with pytest.raises(TooLarge, match="over the limit of 1,048,576") as info:
+            gen_random_model(22, 120, 0.0, seed=1, intersection_closed=True)
+        assert int(str(info.value).split()[0]) > 121
+
+    def test_oversized_closed_gen_exits_2_in_bounded_time(self):
+        # the closure once ran for a minute before this cover was refused
+        limit = 2 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "choicectx", "gen", "--vars", "40",
+             "--contexts", "36", "--density", "0.5", "--seed", "1", "--closed"],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "over the limit of 1,048,576" in proc.stderr
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

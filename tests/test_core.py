@@ -20,7 +20,7 @@ from choicectx import (
     serialize_model,
     validate_model,
 )
-from choicectx.core import shortlex
+from choicectx.core import _shortlex_key, _shortlex_sorted, shortlex
 
 names = st.text(alphabet="abcxyz_'", min_size=1, max_size=4).filter(
     lambda s: not s[0].isdigit() and s[0] != "'"
@@ -323,3 +323,9 @@ class TestValidateModel:
             "narrative": verdict.narrative,
             "warnings": [],
         }
+
+
+class TestShortlexCodes:
+    @given(st.sets(st.integers(0, (1 << 12) - 1), max_size=200))
+    def test_sort_agrees_with_key(self, codes):
+        assert _shortlex_sorted(codes) == sorted(codes, key=_shortlex_key)

@@ -468,6 +468,19 @@ class TestByteIdentity:
         for model in (empty, full):
             assert serialize_model(model) == reference_text(model)
 
+    def test_wide_context_with_few_events(self):
+        # 60 names in one context: the work follows the events, not 2^60
+        names = [f"v{i:02d}" for i in range(60)]
+        scenario = Scenario.make(names, [names, names[:1]])
+        model = PossibilisticModel.make(
+            scenario,
+            {
+                tuple(names): [set(), set(names), set(names[::2]), {"v59"}],
+                ("v00",): [{"v00"}],
+            },
+        )
+        assert serialize_model(model) == reference_text(model)
+
     def test_names_json_escapes(self):
         scenario = Scenario.make(ODD_NAMES, [ODD_NAMES[:3], ODD_NAMES[2:], ["z"]])
         model = PossibilisticModel.make(
