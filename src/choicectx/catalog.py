@@ -8,12 +8,9 @@ from __future__ import annotations
 
 from itertools import chain, compress
 
-from .core import PossibilisticModel, Scenario, _set_rows
+from .core import TABLE_ROWS_LIMIT, PossibilisticModel, Scenario, _set_rows
 from .errors import TooLarge
 from .probabilistic import ProbabilisticModel, uniform_over_support
-
-# most rows the generator draws over all support tables, sum of 2^|context|
-GEN_TABLE_ROWS_LIMIT = 1 << 20
 
 
 def bell_scenario() -> Scenario:
@@ -157,7 +154,7 @@ def gen_random_model(
     ``n_contexts`` is an upper bound); a catch-all context covers any
     leftover variables.  Each subset of a context becomes an event with
     probability ``density``.  Covers whose tables would hold more than
-    :data:`GEN_TABLE_ROWS_LIMIT` rows in all raise :class:`TooLarge` before
+    :data:`TABLE_ROWS_LIMIT` rows in all raise :class:`TooLarge` before
     any table is drawn, and a closed cover as soon as its closure passes
     that limit.
     """
@@ -212,9 +209,9 @@ def gen_random_model(
 
 def _check_table_rows(rows: int, contexts: dict[frozenset[str], None]) -> None:
     """Raise :class:`TooLarge` if ``rows``, the table rows of ``contexts``,
-    pass :data:`GEN_TABLE_ROWS_LIMIT`."""
-    if rows > GEN_TABLE_ROWS_LIMIT:
+    pass :data:`TABLE_ROWS_LIMIT`."""
+    if rows > TABLE_ROWS_LIMIT:
         raise TooLarge(
             f"{len(contexts)} contexts of up to {max(map(len, contexts))} variables "
-            f"have {rows:,} outcomes to draw, over the limit of {GEN_TABLE_ROWS_LIMIT:,}"
+            f"have {rows:,} outcomes to draw, over the limit of {TABLE_ROWS_LIMIT:,}"
         )

@@ -143,7 +143,7 @@ def classify(
     for context, (cmask, allowed) in zip(model.scenario.cover, compiled.contexts):
         realized: set[int] = set()
         for start in range(0, len(sections), DEADLINE_STRIDE):
-            if past_deadline(start, deadline):
+            if past_deadline(deadline):
                 raise TimeBudgetExceeded(partial_codes=sections, decode=compiled.decode)
             realized.update(map(cmask.__and__, sections[start : start + DEADLINE_STRIDE]))
             # realized <= allowed, so equal sizes mean every event is realized

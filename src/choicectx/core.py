@@ -44,20 +44,22 @@ Event = frozenset[str]
 # largest variable count the brute-force search and the Bell route accept by default
 EXHAUSTIVE_BOUND_DEFAULT = 24
 
-# units of work (formula compile steps, witness-pass sections) between two
-# reads of the clock against a deadline; also the most partial codes a block
-# of the section search holds before it is split
+# units of work between two reads of the clock against a deadline: steps of
+# the formula compile, sections of the witness pass; also the most partial
+# codes a block of the section search holds before it is split, the search
+# reading the clock once per block step
 DEADLINE_STRIDE = 1024
 
+# most table rows the package builds for one input, summed over its tables:
+# gen's support tables (2^|context| each) and the Bell route's truth tables
+# (2^k each for a formula over k variables)
+TABLE_ROWS_LIMIT = 1 << 20
 
-def past_deadline(work: int, deadline: float | None) -> bool:
-    """Whether ``deadline`` (a ``time.monotonic`` value) has passed, reading
-    the clock only when ``work`` is a multiple of :data:`DEADLINE_STRIDE`."""
-    return (
-        deadline is not None
-        and work % DEADLINE_STRIDE == 0
-        and time.monotonic() > deadline
-    )
+
+def past_deadline(deadline: float | None) -> bool:
+    """Whether ``deadline`` (a ``time.monotonic`` value) has passed; a loop
+    calls it once per :data:`DEADLINE_STRIDE` units of its work."""
+    return deadline is not None and time.monotonic() > deadline
 
 
 def canonical_context(variables: Iterable[str]) -> Context:
@@ -376,7 +378,7 @@ def _search_masks(
     while stack:
         depth, block = stack.pop()
         while block and depth < compiled.n and len(block) <= DEADLINE_STRIDE:
-            if past_deadline(0, deadline):
+            if past_deadline(deadline):
                 found.sort()
                 raise TimeBudgetExceeded(partial_codes=found, decode=compiled.decode)
             bit = compiled.order[depth]

@@ -22,7 +22,9 @@ from functools import reduce
 from typing import Iterable, Iterator, Mapping
 
 from .core import (
+    DEADLINE_STRIDE,
     EXHAUSTIVE_BOUND_DEFAULT,
+    TABLE_ROWS_LIMIT,
     Assignment,
     Context,
     PossibilisticModel,
@@ -189,26 +191,31 @@ def uniform_over_support(model: PossibilisticModel) -> ProbabilisticModel:
     return ProbabilisticModel.make(model.scenario, distributions)
 
 
-# operator marks on the compile stack, popped once both operands are tables
-_NEGATE, _CONJOIN, _DISJOIN = object(), object(), object()
 # "0"/"1" characters of a printed truth table to the bytes 0/1
 _ROW_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _truth_tables(
-    props: Iterable[Proposition], bit: Mapping[str, int], deadline: float | None
+    props: list[Proposition], bit: Mapping[str, int], deadline: float | None
 ) -> Iterator[tuple[int, frozenset[int]]]:
     """Compile each formula to its variable mask and satisfying masked codes.
 
     A formula over ``k`` variables becomes its whole truth table as one
     ``2^k``-bit integer: row ``i`` binds the formula's ``j``-th variable (in
     ascending scenario bit) to bit ``j`` of ``i``, so ascending rows are
-    ascending submasks.  The tree is walked bottom-up on an explicit stack,
-    ``&``/``|``/``!`` acting on whole tables, and the set rows are decoded
-    to codes.  ``deadline`` is read once every :data:`DEADLINE_STRIDE`
-    steps over all the formulas, a step being a node, an operator or a
-    block of decoded rows.
+    ascending submasks.  The prefix form is read backwards on a stack of
+    values, ``&``/``|``/``!`` acting on whole tables, and the set rows are
+    decoded to codes.  Tables over :data:`TABLE_ROWS_LIMIT` rows in all are
+    refused with :class:`TooLarge` before any is built.  ``deadline`` is
+    read once every :data:`DEADLINE_STRIDE` steps over all the formulas, a
+    step being a node, a connective's operator or a block of decoded rows.
     """
+    rows_in_all = sum(1 << len(prop.variables()) for prop in props)
+    if rows_in_all > TABLE_ROWS_LIMIT:
+        raise TooLarge(
+            f"the formulas' truth tables would hold {rows_in_all:,} rows, "
+            f"over the limit of {TABLE_ROWS_LIMIT:,}"
+        )
     steps = 0
     for prop in props:
         names = sorted(prop.variables(), key=bit.__getitem__)
@@ -224,41 +231,35 @@ def _truth_tables(
                 width *= 2
             table_of[name] = pattern
 
-        values: list[int] = []
-        todo: list[object] = [prop]
-        while todo:
-            node = todo.pop()
-            steps += 1
-            if past_deadline(steps, deadline):
+        values: list = []
+        for item in reversed(prop._items):
+            if not isinstance(item, type):
+                values.append(item)  # a field: a variable's name or a constant
+                continue
+            # a connective is a node and an operator, two steps
+            work = 1 if item is Var or item is Const else 2
+            steps += work
+            if steps % DEADLINE_STRIDE < work and past_deadline(deadline):
                 raise TimeBudgetExceeded()
-            kind = type(node)
-            if kind is Var:
-                values.append(table_of[node.name])
-            elif node is _CONJOIN:
-                right = values.pop()
-                values[-1] &= right
-            elif node is _NEGATE:
+            if item is Var:
+                values[-1] = table_of[values[-1]]
+            elif item is And:
+                values.append(values.pop() & values.pop())
+            elif item is Not:
                 values[-1] ^= full
-            elif kind is And:
-                todo += (_CONJOIN, node.right, node.left)
-            elif kind is Not:
-                todo += (_NEGATE, node.operand)
-            elif node is _DISJOIN:
-                right = values.pop()
-                values[-1] |= right
-            elif kind is Or:
-                todo += (_DISJOIN, node.right, node.left)
-            elif kind is Const:
-                values.append(full if node.value else 0)
+            elif item is Or:
+                values.append(values.pop() | values.pop())
+            elif item is Const:
+                values[-1] = full if values[-1] else 0
             else:
-                raise TypeError(f"cannot compile {node!r}")
+                raise TypeError(f"cannot compile a {item.__qualname__} node")
 
         (table,) = values
         flags = format(table, f"0{rows}b")[::-1].encode().translate(_ROW_FLAGS)
         satisfying: list[int] = []
         for block in _set_rows(names, bit, flags):
             steps += 1
-            if past_deadline(steps, deadline):
+            if not steps % DEADLINE_STRIDE and past_deadline(deadline):
                 raise TimeBudgetExceeded()
             satisfying += block
         yield _mask(bit, names), frozenset(satisfying)

@@ -16,7 +16,10 @@ be of any length.  ``parse_proposition`` additionally checks the formula
 against a scenario: every variable must be declared and the variable set
 must fit inside a single cover context, otherwise the formula has no
 measurement context.  AST nodes support ``&``, ``|`` and ``~`` for
-programmatic construction.
+programmatic construction.  Each formula is flattened once, when first
+needed, into a prefix form: every node's class, then its fields in order.
+Equality, hashing and ``variables()`` read that form, and the Bell route
+compiles it to a truth table.
 """
 
 from __future__ import annotations
@@ -34,12 +37,11 @@ class Proposition:
     """Base class for formula nodes.
 
     Every method walks the formula on an explicit stack, so a chain of any
-    length is handled without recursion.  ``evaluate`` runs its own loop,
-    which skips an operand the result no longer depends on; the others
-    share :meth:`_walk`.  A node class says how one node expands for
-    ``evaluate`` (``_steps``) and ``to_text`` (``_text``); equality, hashing
-    and ``repr`` read each node's class and fields (:func:`_prefix`,
-    :func:`_repr`), field by field as a dataclass does."""
+    length is handled without recursion.  ``==``, ``hash`` and
+    ``variables()`` read the prefix form :attr:`_items`.  ``evaluate`` runs
+    its own loop, which skips an operand the result no longer depends on;
+    ``to_text`` and ``repr`` share :meth:`_walk`, a node class saying how
+    one node expands (``_steps``, ``_text``, :func:`_repr`)."""
 
     def _walk(self, expand: Callable[["Proposition"], Sequence[object]]) -> list:
         """Depth first, left to right: the items ``expand`` gives for this
@@ -81,9 +83,34 @@ class Proposition:
         return self._variables
 
     @cached_property
+    def _items(self) -> tuple[object, ...]:
+        # each node's class, then its fields, depth first; nodes are
+        # immutable, so each formula is flattened once
+        items: list[object] = []
+        todo: list[object] = [self]
+        while todo:
+            item = todo.pop()
+            kind = type(item)
+            if kind is Var:
+                items += (Var, item.name)
+            elif kind is And or kind is Or:
+                items.append(kind)
+                todo += (item.right, item.left)
+            elif kind is Not:
+                items.append(Not)
+                todo.append(item.operand)
+            elif isinstance(item, Proposition):  # Const and any other node class
+                items.append(kind)
+                todo += [getattr(item, name) for name in reversed(item.__match_args__)]
+            else:
+                items.append(item)
+        return tuple(items)
+
+    @cached_property
     def _variables(self) -> frozenset[str]:
-        # nodes are immutable, so each formula is walked once
-        return frozenset(self._walk(_mentions))
+        # a variable's name is the item after its class
+        items = self._items
+        return frozenset([name for kind, name in zip(items, items[1:]) if kind is Var])
 
     def to_text(self) -> str:
         return "".join(self._walk(lambda node: node._text()))
@@ -91,10 +118,10 @@ class Proposition:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._walk(_prefix) == other._walk(_prefix)
+        return self._items == other._items
 
     def __hash__(self) -> int:
-        return hash(tuple(self._walk(_prefix)))
+        return hash(self._items)
 
     def __repr__(self) -> str:
         return "".join(self._walk(_repr))
@@ -107,23 +134,6 @@ class Proposition:
 
     def __invert__(self) -> "Proposition":
         return Not(self)
-
-
-def _mentions(node: Proposition) -> tuple[object, ...]:
-    """A variable's name, or the operands of any other node."""
-    kind = type(node)
-    if kind is Var:
-        return (node.name,)
-    if kind is Const:
-        return ()
-    if kind is Not:
-        return (node.operand,)
-    return (node.left, node.right)
-
-
-def _prefix(node: Proposition) -> tuple[object, ...]:
-    """The node's class, then its fields in order."""
-    return (type(node), *[getattr(node, name) for name in node.__match_args__])
 
 
 def _repr(node: Proposition) -> list[object]:

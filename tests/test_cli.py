@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from choicectx import (
     PossibilisticModel,
+    ProbabilisticModel,
+    Scenario,
     TooLarge,
     classify,
     gen_random_model,
@@ -657,6 +659,34 @@ class TestBellInputLimits:
         assert "Traceback" not in proc.stderr
         assert "nests deeper than" in proc.stderr
         assert "line 2, position 100" in proc.stderr
+
+    def test_oversized_truth_tables_exit_2_in_bounded_memory(self, tmp_path):
+        # one formula over 24 variables has 2^24 truth-table rows; its
+        # satisfying codes once filled memory before the search could start
+        names = [f"x{i:02d}" for i in range(24)]
+        s = Scenario.make(names, [names])
+        model = ProbabilisticModel.make(s, {tuple(names): [({v: 0 for v in names}, 1.0)]})
+        doc = tmp_path / "wide.json"
+        doc.write_text(serialize_model(model))
+        props = tmp_path / "wide.props"
+        props.write_text(" | ".join(names) + "\n")
+        limit = 1 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "choicectx", "bell", str(doc), "--props", str(props)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "truth tables would hold 16,777,216 rows" in proc.stderr
+        assert "over the limit of 1,048,576" in proc.stderr
 
     def test_wide_contexts(self, tmp_path, capsys):
         # the widest context holds 1,234 events, so its support formula is a

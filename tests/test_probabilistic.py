@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, reject, settings
@@ -15,6 +16,7 @@ from choicectx import (
     Or,
     PossibilisticModel,
     ProbabilisticModel,
+    Proposition,
     Scenario,
     TimeBudgetExceeded,
     TooLarge,
@@ -194,12 +196,60 @@ class TestJointlyContradictory:
         with pytest.raises(NotMeasurable):
             jointly_contradictory([parse_formula("a & a'")], bell_scenario())
 
+    def test_unknown_node_class_is_not_compiled(self):
+        @dataclass(frozen=True, eq=False, repr=False)
+        class Xor(Proposition):
+            left: Proposition
+            right: Proposition
+
+        phi = Xor(Var("a"), Not(Var("b")))
+        assert phi.variables() == {"a", "b"}
+        assert phi == Xor(Var("a"), Not(Var("b"))) != Xor(Var("b"), Not(Var("a")))
+        with pytest.raises(TypeError, match="cannot compile a .*Xor node"):
+            jointly_contradictory([Var("a") & phi], bell_scenario())
+
     def test_expired_deadline(self):
         phis = support_propositions(pr_box())
         with pytest.raises(TimeBudgetExceeded):
             jointly_contradictory(
                 phis, bell_scenario(), deadline=time.monotonic() - 1.0
             )
+
+
+class TestTableRowsLimit:
+    """Every family's truth tables hold at most 2^20 rows in all; a larger
+    family is refused before any table is built."""
+
+    @staticmethod
+    def conjunction(k):
+        names = [f"v{i:02d}" for i in range(k)]
+        scenario = Scenario.make(names, [names])
+        prop = Var(names[0])
+        for name in names[1:]:
+            prop = prop & Var(name)
+        return scenario, prop
+
+    def test_twenty_variables_fit(self):
+        scenario, prop = self.conjunction(20)
+        assert not jointly_contradictory([prop], scenario)
+        assert jointly_contradictory([prop & Not(Var("v07"))], scenario)
+
+    def test_twenty_one_variables_are_refused(self):
+        scenario, prop = self.conjunction(21)
+        with pytest.raises(TooLarge, match="would hold 2,097,152 rows"):
+            jointly_contradictory([prop], scenario)
+        model = ProbabilisticModel.make(
+            scenario, {scenario.cover[0]: [({v: 1 for v in scenario.variables}, 1.0)]}
+        )
+        with pytest.raises(TooLarge, match="over the limit of 1,048,576"):
+            eval_probability(prop, model)
+
+    def test_the_limit_is_on_the_sum(self):
+        scenario, prop = self.conjunction(20)
+        with pytest.raises(TooLarge, match="would hold 1,048,577 rows"):
+            jointly_contradictory([prop, Const(True)], scenario)
+        with pytest.raises(TooLarge, match="would hold 2,097,152 rows"):
+            jointly_contradictory([prop, prop], scenario)
 
 
 class TestBellViolation:

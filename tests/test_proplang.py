@@ -1,5 +1,7 @@
+from dataclasses import fields
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choicectx import (
@@ -8,6 +10,7 @@ from choicectx import (
     Not,
     NotMeasurable,
     Or,
+    Proposition,
     PropositionSyntaxError,
     UnknownVariable,
     Var,
@@ -180,6 +183,80 @@ class TestLongFormulas:
         assert phi != Or(Not(Var("a")), Or(Const(True), Var("b")))
         assert Var("a") != "a"
         assert {Var("a"), Var("a"), Var("b")} == {Var("a"), Var("b")}
+
+
+def reference_form(value):
+    """A node's class and its fields, each field that is a formula in turn
+    replaced by its own form: the dataclass view, built recursively."""
+    if isinstance(value, Proposition):
+        return (type(value), *[reference_form(getattr(value, f.name)) for f in fields(value)])
+    return value
+
+
+def reference_variables(value):
+    if type(value) is Var:
+        return {value.name}
+    if isinstance(value, Proposition):
+        return set().union(*[reference_variables(getattr(value, f.name)) for f in fields(value)])
+    return set()
+
+
+def rebuilt(value):
+    """A copy of the formula sharing no node with it."""
+    if isinstance(value, Proposition):
+        return type(value)(*[rebuilt(getattr(value, f.name)) for f in fields(value)])
+    return value
+
+
+# leaves built in code with fields the parser never gives: an int or a name
+# as a constant, and variables named like constants or node classes
+odd_formulas = st.recursive(
+    st.sampled_from(
+        [
+            Var("a"),
+            Var("b"),
+            Var("1"),
+            Var("Const"),
+            Const(True),
+            Const(False),
+            Const(1),
+            Const(0),
+            Const("a"),
+            Const("1"),
+        ]
+    ),
+    lambda sub: st.one_of(
+        sub.map(Not),
+        st.tuples(sub, sub).map(lambda pair: And(*pair)),
+        st.tuples(sub, sub).map(lambda pair: Or(*pair)),
+    ),
+    max_leaves=6,
+)
+
+
+class TestPrefixForm:
+    """``==``, ``hash`` and ``variables()`` read the cached prefix form; a
+    recursive walk of the dataclass fields is the reference."""
+
+    @settings(max_examples=400)
+    @given(odd_formulas, odd_formulas, st.booleans())
+    def test_matches_the_recursive_reference(self, phi, other, copy):
+        if copy:
+            other = rebuilt(phi)
+        same = reference_form(phi) == reference_form(other)
+        assert (phi == other) is same
+        assert (phi != other) is not same
+        if same:
+            assert hash(phi) == hash(other)
+        assert phi.variables() == reference_variables(phi)
+        assert other.variables() == reference_variables(other)
+
+    def test_node_types_are_kept(self):
+        assert Not(Const("a")) != Not(Var("a"))
+        assert Const("a").variables() == frozenset()
+        assert Var("1") != Const(1) and Var("1") != Const("1")
+        assert Const(1) == Const(True) and hash(Const(1)) == hash(Const(True))
+        assert And(Var("a"), Const("b")).variables() == {"a"}
 
 
 class TestScenarioChecks:
