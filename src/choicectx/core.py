@@ -7,8 +7,10 @@ each context the set of *events* that can occur there, where an event is
 the subset of context variables that came out 1 (were chosen).
 
 A model stores each event once, as a code in the :attr:`Scenario.bit`
-layout: the OR of its variables' bits.  Names are decoded from the codes
-only at the API boundary (``supports``, ``events``, witnesses, documents).
+layout: the OR of its variables' bits; a probabilistic model stores
+``(code, p)`` pairs, coding the variables each assignment sets to 1.
+Names and assignments are decoded from the codes only at the API boundary
+(``supports``, ``events``, ``distribution``, witnesses, documents).
 
 Everything here is immutable after construction and safe to share between
 threads.  Canonical ordering is used throughout so that equal models have
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     TimeBudgetExceeded,
@@ -212,6 +214,13 @@ class Assignment:
         return frozenset(v for v, b in self.bindings if b == 1)
 
 
+def _decoder(bit: Mapping[str, int], names: Iterable[str]) -> Callable[[int], Assignment]:
+    """The function decoding a code in the layout ``bit`` to its assignment
+    of ``names``, which are sorted; a name the layout lacks reads 0."""
+    pairs = [((v, 0), (v, 1), bit.get(v, 0)) for v in names]
+    return lambda code: Assignment(tuple([one if code & b else zero for zero, one, b in pairs]))
+
+
 @dataclass(frozen=True, init=False)
 class PossibilisticModel:
     """Per-context sets of possible events over a scenario.
@@ -326,7 +335,8 @@ class _Compiled:
     def __init__(self, layout: Mapping[str, int], contexts: list[tuple[int, frozenset[int]]]):
         self.n = len(layout)
         self.bit = layout
-        self._pairs = tuple(((v, 0), (v, 1), b) for v, b in layout.items())
+        # a scenario's layout lists its variables sorted
+        self.decode = _decoder(layout, layout)
         self.contexts = contexts
         self.order: list[int] = []
         self.completed_at: list[list[tuple[int, frozenset[int]]]] = []
@@ -352,12 +362,6 @@ class _Compiled:
                 [(cmask, allowed) for rest, cmask, allowed in pending if not rest]
             )
             pending = [context for context in pending if context[0]]
-
-    def decode(self, code: int) -> Assignment:
-        # a scenario's layout lists its variables sorted, so the bindings are
-        return Assignment(
-            bindings=tuple([one if code & b else zero for zero, one, b in self._pairs])
-        )
 
 
 def _search_masks(

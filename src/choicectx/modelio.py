@@ -32,11 +32,10 @@ from __future__ import annotations
 import json
 import math
 from functools import cache
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from .core import (
     VARIABLE_RE,
-    Assignment,
     PossibilisticModel,
     Scenario,
     _shortlex_sorted,
@@ -101,8 +100,8 @@ def parse_model(text: str) -> Model:
     and a failing table is rechecked event by event in document order to
     name the first bad one; distribution entries are checked one by one,
     with the path below an entry built only when its check fails.  Each
-    event is read straight into its code in the scenario's
-    :attr:`Scenario.bit` layout, the form a possibilistic model stores.
+    event and each entry's assignment is read straight into its code in the
+    scenario's :attr:`Scenario.bit` layout, the form both models store.
     """
     try:
         doc = json.loads(text)
@@ -116,10 +115,9 @@ def parse_model(text: str) -> Model:
     _require(not unknown, f"unknown key {unknown[0]!r}" if unknown else "", "$")
     _require("variables" in doc, "missing required key 'variables'", "$")
     _require("contexts" in doc, "missing required key 'contexts'", "$")
-    has_poss = "possibilistic" in doc
-    has_prob = "probabilistic" in doc
+    kinds = _TABLES.keys() & doc.keys()
     _require(
-        has_poss != has_prob,
+        len(kinds) == 1,
         "exactly one of 'possibilistic' and 'probabilistic' is required",
         "$",
     )
@@ -145,9 +143,27 @@ def parse_model(text: str) -> Model:
     )
 
     scenario = Scenario.make(names, contexts)
-    if has_poss:
-        return _parse_possibilistic(doc["possibilistic"], scenario, "possibilistic")
-    return _parse_probabilistic(doc["probabilistic"], scenario, "probabilistic")
+    (kind,) = kinds
+    key, noun, table, model = _TABLES[kind]
+    _require(isinstance(doc[kind], list), "expected an array", kind)
+    # every cover context needs exactly one entry; the cover order is make's
+    codes = dict.fromkeys(scenario.cover)
+    for i, raw in enumerate(doc[kind]):
+        entry = _object(raw, ("context", key), f"{kind}[{i}]")
+        cpath = f"{kind}[{i}].context"
+        context = _context_of(entry["context"], known, cpath)
+        _require(context in codes, "context is not in the cover", cpath)
+        _require(codes[context] is None, f"duplicate {noun} entry", cpath)
+        tpath = f"{kind}[{i}].{key}"
+        _require(isinstance(entry[key], list), "expected an array", tpath)
+        codes[context] = table(entry[key], {v: scenario.bit[v] for v in context}, tpath)
+    missing = [context for context, found in codes.items() if found is None]
+    _require(
+        not missing,
+        f"missing {noun} entry for context {list(missing[0])}" if missing else "",
+        kind,
+    )
+    return model._from_codes(scenario, codes)
 
 
 def _object(value: Any, keys: tuple[str, ...], path: str) -> dict:
@@ -158,44 +174,6 @@ def _object(value: Any, keys: tuple[str, ...], path: str) -> dict:
     for key in keys:
         _require(key in value, f"missing key {key!r}", path)
     return value
-
-
-def _per_context(
-    value: Any, scenario: Scenario, path: str, key: str, noun: str
-) -> Iterator[tuple[tuple[str, ...], list, str]]:
-    """The entries of a per-context table as (context, ``key`` array, path
-    of that array); every cover context needs exactly one entry."""
-    _require(isinstance(value, list), "expected an array", path)
-    cover = set(scenario.cover)
-    seen: set[tuple[str, ...]] = set()
-    for i, raw in enumerate(value):
-        entry = _object(raw, ("context", key), f"{path}[{i}]")
-        cpath = f"{path}[{i}].context"
-        context = _context_of(entry["context"], set(scenario.variables), cpath)
-        _require(context in cover, "context is not in the cover", cpath)
-        _require(context not in seen, f"duplicate {noun} entry", cpath)
-        seen.add(context)
-        _require(isinstance(entry[key], list), "expected an array", f"{path}[{i}].{key}")
-        yield context, entry[key], f"{path}[{i}].{key}"
-    missing = [c for c in scenario.cover if c not in seen]
-    _require(
-        not missing,
-        f"missing {noun} entry for context {list(missing[0])}" if missing else "",
-        path,
-    )
-
-
-def _parse_possibilistic(
-    value: Any, scenario: Scenario, path: str
-) -> PossibilisticModel:
-    bit = scenario.bit
-    # cover order, as from ``PossibilisticModel.make``; _per_context fills each key
-    codes = dict.fromkeys(scenario.cover, frozenset())
-    for context, raw_events, epath in _per_context(
-        value, scenario, path, "events", "support"
-    ):
-        codes[context] = _events(raw_events, {v: bit[v] for v in context}, epath)
-    return PossibilisticModel._from_codes(scenario, codes)
 
 
 def _events(raw_events: list, bit: dict[str, int], path: str) -> frozenset[int]:
@@ -233,58 +211,53 @@ def _checked_events(raw_events: list, bit: dict[str, int], path: str) -> frozens
     return frozenset(codes)
 
 
-def _parse_probabilistic(
-    value: Any, scenario: Scenario, path: str
-) -> ProbabilisticModel:
-    distributions: dict[tuple[str, ...], list[tuple[Assignment, float]]] = {}
-    for context, raw_entries, epath in _per_context(
-        value, scenario, path, "distribution", "distribution"
-    ):
-        distributions[context] = _distribution(raw_entries, frozenset(context), epath)
-    return ProbabilisticModel.make(scenario, distributions)
-
-
 def _distribution(
-    raw_entries: list, scope: frozenset[str], path: str
-) -> list[tuple[Assignment, float]]:
-    """The distribution of one context, each entry checked in document order;
-    the paths below an entry are built only for the check that fails."""
-    entries: list[tuple[Assignment, float]] = []
-    seen: set[Assignment] = set()
+    raw_entries: list, bit: dict[str, int], path: str
+) -> tuple[tuple[int, float], ...]:
+    """The distribution of one context as ``(code, p)`` pairs, ascending; each
+    entry is checked in document order, and the paths below it are built
+    only for the check that fails."""
+    entries: dict[int, float] = {}
     for j, raw in enumerate(raw_entries):
         dpath = f"{path}[{j}]"
         raw = _object(raw, ("assignment", "p"), dpath)
         mapping = raw["assignment"]
         if not isinstance(mapping, dict):
             raise ModelSemanticError("expected an object", f"{dpath}.assignment")
-        for var, bit in mapping.items():
-            if var not in scope:
+        for var, outcome in mapping.items():
+            if var not in bit:
                 raise ModelSemanticError(
                     f"variable {var!r} is not in the context", f"{dpath}.assignment"
                 )
-            if isinstance(bit, bool) or bit not in (0, 1):
+            if isinstance(outcome, bool) or outcome not in (0, 1):
                 raise ModelSemanticError(
                     "outcome must be 0 or 1", f"{dpath}.assignment.{var}"
                 )
-        if mapping.keys() != scope:
+        if mapping.keys() != bit.keys():
             raise ModelSemanticError(
                 "assignment must bind every context variable", f"{dpath}.assignment"
             )
         p = raw["p"]
         if isinstance(p, bool) or not isinstance(p, (int, float)):
             raise ModelSemanticError("probability must be a number", f"{dpath}.p")
-        assignment = Assignment.make(mapping)
-        if assignment in seen:
+        code = sum(bit[var] for var, outcome in mapping.items() if outcome)
+        if code in entries:
             raise ModelSemanticError("duplicate assignment", f"{dpath}.assignment")
-        seen.add(assignment)
         try:
             p = float(p)
         except OverflowError:  # an integer past the float range
             p = math.inf
         if not math.isfinite(p):
             raise ModelSemanticError("non-finite probability", f"{dpath}.p")
-        entries.append((assignment, p))
-    return entries
+        entries[code] = p
+    return tuple(sorted(entries.items()))
+
+
+# per kind of model: the key and noun of its per-context entries, the reader of one, its class
+_TABLES: dict[str, tuple[str, str, Callable, type]] = {
+    "possibilistic": ("events", "support", _events, PossibilisticModel),
+    "probabilistic": ("distribution", "distribution", _distribution, ProbabilisticModel),
+}
 
 
 def serialize_model(model: Model) -> str:
@@ -297,7 +270,8 @@ def serialize_model(model: Model) -> str:
     quoted once per call and every number is written as json writes it
     (:func:`_scalar`); events come in shortlex order, each one's text
     built from its code and the context's quoted names
-    (:func:`_event_texts`).
+    (:func:`_event_texts`), and so is each distribution entry's assignment,
+    in ascending code order (:func:`_distribution_entries`).
     """
     scenario = model.scenario
     quote = cache(_scalar)  # each name once per document
@@ -386,10 +360,12 @@ def _distribution_entries(
     model: ProbabilisticModel, context: tuple[str, ...], quote: Callable[[str], str]
 ) -> list[dict]:
     """The entries of ``context``'s distribution as objects for :func:`_write`."""
+    bit = model.scenario.bit
+    members = [(bit[v], quote(v)) for v in context]
     return [
         {
-            '"assignment"': {quote(v): _scalar(b) for v, b in assignment.as_dict().items()},
-            '"p"': _scalar(float(p)),
+            '"assignment"': {q: "1" if code & b else "0" for b, q in members},
+            '"p"': _scalar(p),
         }
-        for assignment, p in model.distribution(context)
+        for code, p in model._codes[model._key(context)]
     ]

@@ -31,6 +31,7 @@ from .core import (
     Scenario,
     Verdict,
     _Compiled,
+    _decoder,
     _failing,
     _in_shortlex,
     _mask,
@@ -47,20 +48,34 @@ from .proplang import And, Const, Not, Or, Proposition, Var, measurement_context
 # probabilities this close to zero are treated as zero
 SUPPORT_EPSILON = 1e-9
 
-DistributionEntry = tuple[Assignment, float]
+# a context's distribution: (code, p) pairs in ascending code order
+Entries = tuple[tuple[int, float], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProbabilisticModel:
     """Per-context distributions over total context assignments.
 
-    ``distributions`` maps each cover context to ``(assignment, p)`` pairs;
-    construction canonicalizes order, numeric validity is checked separately
-    by :func:`validate_probabilistic`.
-    """
+    Each distribution is stored once, as ``(code, p)`` pairs in ascending
+    code order (the :class:`Assignment` order), a code being the OR of the
+    :attr:`Scenario.bit` bits its assignment sets to 1; ``distributions``
+    and :meth:`distribution` decode them.  :meth:`make` encodes name-keyed
+    entries and notes the first, in cover then entry order, that is not
+    total on its context or repeats one; :func:`validate_probabilistic`
+    reports it."""
 
     scenario: Scenario
-    distributions: Mapping[Context, tuple[DistributionEntry, ...]] = field(hash=False)
+    _codes: Mapping[Context, Entries] = field(init=False, repr=False, hash=False)
+    _fault: Verdict | None = field(init=False, repr=False, hash=False)
+
+    @classmethod
+    def _from_codes(
+        cls, scenario: Scenario, codes: Mapping[Context, Entries], fault: Verdict | None = None
+    ) -> "ProbabilisticModel":
+        """A model over entries already encoded in the scenario's layout."""
+        model = cls.__new__(cls)
+        model.__dict__.update(scenario=scenario, _codes=codes, _fault=fault)
+        return model
 
     @classmethod
     def make(
@@ -70,26 +85,58 @@ class ProbabilisticModel:
             Iterable[str], Iterable[tuple[Mapping[str, int] | Assignment, float]]
         ],
     ) -> "ProbabilisticModel":
-        canonical: dict[Iterable[str], tuple[DistributionEntry, ...]] = {}
-        for context, entries in distributions.items():
-            rows = [
-                (
-                    entry if isinstance(entry, Assignment) else Assignment.make(entry),
-                    float(p),
-                )
-                for entry, p in entries
-            ]
-            canonical[context] = tuple(sorted(rows, key=lambda row: row[0]))
-        return cls(scenario=scenario, distributions=_in_shortlex(canonical))
+        bit = scenario.bit
+        codes: dict[Context, Entries] = {}
+        fault = None
+        for context, entries in _in_shortlex(distributions).items():
+            pairs: dict[int, float] = {}
+            for entry, p in entries:
+                binding = dict(entry.bindings if isinstance(entry, Assignment) else entry)
+                # an undeclared variable has no bit; the structural check reports it
+                code = sum(bit.get(v, 0) for v, b in binding.items() if b == 1)
+                if fault is None:
+                    fault = _entry_fault(context, binding, code in pairs)
+                pairs[code] = float(p)
+            codes[context] = tuple(sorted(pairs.items()))
+        return cls._from_codes(scenario, codes, fault)
 
-    def distribution(self, context: Iterable[str]) -> tuple[DistributionEntry, ...]:
+    def __repr__(self) -> str:
+        scenario, distributions = self.scenario, self.distributions
+        return f"ProbabilisticModel({scenario=}, {distributions=})"
+
+    @property
+    def distributions(self) -> dict[Context, tuple[tuple[Assignment, float], ...]]:
+        """Each context's ``(assignment, p)`` pairs, decoded."""
+        return {context: self.distribution(context) for context in self._codes}
+
+    def _key(self, context: Iterable[str]) -> Context:
+        """The canonical form of one of the model's contexts."""
         key = canonical_context(context)
-        try:
-            return self.distributions[key]
-        except KeyError:
-            raise UnknownContext(
-                f"context {list(key)} has no distribution"
-            ) from None
+        if key not in self._codes:
+            raise UnknownContext(f"context {list(key)} has no distribution")
+        return key
+
+    def distribution(self, context: Iterable[str]) -> tuple[tuple[Assignment, float], ...]:
+        key = self._key(context)
+        decode = _decoder(self.scenario.bit, key)
+        return tuple([(decode(code), p) for code, p in self._codes[key]])
+
+
+def _entry_fault(context: Context, binding: dict, repeated: bool) -> Verdict | None:
+    """The fault of an entry that binds other variables than ``context``'s
+    or repeats an earlier entry's code, if it has one."""
+    total = binding.keys() == set(context)
+    if total and not repeated:
+        return None
+    assignment = Assignment.make(binding).as_dict()
+    if total:
+        reason = "duplicate-assignment"
+        message = f"context {list(context)} lists assignment {assignment} twice"
+    else:
+        reason = "partial-assignment"
+        message = f"assignment {assignment} is not total on context {list(context)}"
+    witness = {"reason": reason, "context": list(context), "assignment": assignment}
+    return _failing(message, witness)
 
 
 def validate_probabilistic(
@@ -99,41 +146,20 @@ def validate_probabilistic(
 
     Every cover context needs exactly one distribution; entries must be
     total on their context, pairwise distinct, finite and nonnegative; each
-    distribution must sum to one within ``tolerance``.
+    distribution must sum to one within ``tolerance``.  The first entry
+    that is not total or repeats one was noted by :meth:`ProbabilisticModel.make`.
     """
     scenario = model.scenario
-    skeleton = PossibilisticModel.make(
-        scenario, {context: [] for context in model.distributions}
-    )
-    structural = validate_model(skeleton)
+    no_events = dict.fromkeys(model._codes, frozenset())
+    structural = validate_model(PossibilisticModel._from_codes(scenario, no_events))
     if not structural.holds:
         return structural
+    if model._fault is not None:
+        return model._fault
 
     for context in scenario.cover:
-        domain = frozenset(context)
-        seen: set[Assignment] = set()
-        for assignment, p in model.distributions[context]:
-            if assignment.domain != domain:
-                return _failing(
-                    f"assignment {assignment.as_dict()} is not total on "
-                    f"context {list(context)}",
-                    {
-                        "reason": "partial-assignment",
-                        "context": list(context),
-                        "assignment": assignment.as_dict(),
-                    },
-                )
-            if assignment in seen:
-                return _failing(
-                    f"context {list(context)} lists assignment "
-                    f"{assignment.as_dict()} twice",
-                    {
-                        "reason": "duplicate-assignment",
-                        "context": list(context),
-                        "assignment": assignment.as_dict(),
-                    },
-                )
-            seen.add(assignment)
+        entries = model._codes[context]
+        for code, p in entries:
             if not math.isfinite(p) or p < 0.0:
                 # NaN passes both p < 0 and the total check, so test it first
                 kind = "negative" if math.isfinite(p) else "non-finite"
@@ -142,11 +168,11 @@ def validate_probabilistic(
                     {
                         "reason": f"{kind}-probability",
                         "context": list(context),
-                        "assignment": assignment.as_dict(),
+                        "assignment": dict(_decoder(scenario.bit, context)(code).bindings),
                         "p": p,
                     },
                 )
-        total = math.fsum(p for _, p in model.distributions[context])
+        total = math.fsum(p for _, p in entries)
         if abs(total - 1.0) > tolerance:
             return _failing(
                 f"context {list(context)} sums to {total!r}, not 1",
@@ -163,32 +189,26 @@ def support_reduction(
     model: ProbabilisticModel, threshold: float = SUPPORT_EPSILON
 ) -> PossibilisticModel:
     """Forget probabilities, keeping the events with ``p > threshold``."""
-    bit = model.scenario.bit
     supports = {
-        context: frozenset(
-            _mask(bit, assignment.support()) for assignment, p in entries if p > threshold
-        )
-        for context, entries in model.distributions.items()
+        context: frozenset([code for code, p in entries if p > threshold])
+        for context, entries in model._codes.items()
     }
-    return PossibilisticModel._from_codes(model.scenario, _in_shortlex(supports))
+    return PossibilisticModel._from_codes(model.scenario, supports)
 
 
 def uniform_over_support(model: PossibilisticModel) -> ProbabilisticModel:
     """Equip a possibilistic model with the uniform distribution over each
     context's events.  Contexts with empty support are rejected."""
-    distributions: dict[Context, list[tuple[Assignment, float]]] = {}
+    codes: dict[Context, Entries] = {}
     for context in model.scenario.cover:
-        events = model.events_sorted(context)
+        events = sorted(model._codes[model._key(context)])
         if not events:
             raise ValueError(
                 f"context {list(context)} has no events to distribute over"
             )
         p = 1.0 / len(events)
-        distributions[context] = [
-            (Assignment.make({v: 1 if v in event else 0 for v in context}), p)
-            for event in events
-        ]
-    return ProbabilisticModel.make(model.scenario, distributions)
+        codes[context] = tuple([(code, p) for code in events])
+    return ProbabilisticModel._from_codes(model.scenario, codes)
 
 
 # "0"/"1" characters of a printed truth table to the bytes 0/1
@@ -207,8 +227,8 @@ def _truth_tables(
     values, ``&``/``|``/``!`` acting on whole tables, and the set rows are
     decoded to codes.  Tables over :data:`TABLE_ROWS_LIMIT` rows in all are
     refused with :class:`TooLarge` before any is built.  ``deadline`` is
-    read once every :data:`DEADLINE_STRIDE` steps over all the formulas, a
-    step being a node, a connective's operator or a block of decoded rows.
+    read before the first formula and then once every :data:`DEADLINE_STRIDE`
+    steps, a step being a node, a connective's operator or a row block.
     """
     rows_in_all = sum(1 << len(prop.variables()) for prop in props)
     if rows_in_all > TABLE_ROWS_LIMIT:
@@ -216,6 +236,8 @@ def _truth_tables(
             f"the formulas' truth tables would hold {rows_in_all:,} rows, "
             f"over the limit of {TABLE_ROWS_LIMIT:,}"
         )
+    if past_deadline(deadline):
+        raise TimeBudgetExceeded()
     steps = 0
     for prop in props:
         names = sorted(prop.variables(), key=bit.__getitem__)
@@ -265,17 +287,9 @@ def _truth_tables(
         yield _mask(bit, names), frozenset(satisfying)
 
 
-def _probability(
-    table: tuple[int, frozenset[int]],
-    entries: tuple[DistributionEntry, ...],
-    bit: Mapping[str, int],
-) -> float:
+def _probability(table: tuple[int, frozenset[int]], entries: Entries) -> float:
     cmask, satisfying = table
-    return math.fsum(
-        p
-        for assignment, p in entries
-        if sum(bit[v] for v, b in assignment.bindings if b) & cmask in satisfying
-    )
+    return math.fsum([p for code, p in entries if code & cmask in satisfying])
 
 
 def _contradiction(
@@ -304,9 +318,8 @@ def eval_probability(prop: Proposition, model: ProbabilisticModel) -> float:
     entries whose masked code satisfies it are summed with ``math.fsum``.
     """
     context = measurement_context(prop, model.scenario)
-    bit = model.scenario.bit
-    (table,) = _truth_tables([prop], bit, None)
-    return _probability(table, model.distribution(context), bit)
+    (table,) = _truth_tables([prop], model.scenario.bit, None)
+    return _probability(table, model._codes[model._key(context)])
 
 
 def jointly_contradictory(
@@ -348,7 +361,7 @@ def bell_violation(
             "the formulas are jointly satisfiable, so no bound applies"
         )
     total = math.fsum(
-        _probability(table, model.distribution(context), scenario.bit)
+        _probability(table, model._codes[model._key(context)])
         for table, context in zip(tables, contexts)
     )
     return total - (len(tables) - 1)

@@ -112,6 +112,11 @@ class Proposition:
         items = self._items
         return frozenset([name for kind, name in zip(items, items[1:]) if kind is Var])
 
+    @cached_property
+    def _hash(self) -> int:
+        # hashing a tuple walks all of it, so the prefix form is hashed once
+        return hash(self._items)
+
     def to_text(self) -> str:
         return "".join(self._walk(lambda node: node._text()))
 
@@ -121,7 +126,7 @@ class Proposition:
         return self._items == other._items
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return self._hash
 
     def __repr__(self) -> str:
         return "".join(self._walk(_repr))

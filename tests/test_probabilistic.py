@@ -33,8 +33,10 @@ from choicectx import (
     jointly_contradictory,
     measurement_context,
     parse_formula,
+    parse_model,
     pr_box,
     pr_box_distribution,
+    serialize_model,
     strong_contextuality_via_bell,
     support_propositions,
     support_reduction,
@@ -46,7 +48,7 @@ from choicectx import (
 )
 from choicectx.contextuality import Kind
 from choicectx.core import DEADLINE_STRIDE
-from choicectx.probabilistic import _truth_tables
+from choicectx.probabilistic import SUPPORT_EPSILON, _truth_tables
 
 
 def two_var_model(p00, p01, p10, p11):
@@ -419,6 +421,58 @@ TWELVE = [f"x{i}" for i in (7, 2, 11, 0, 5, 9, 1, 10, 3, 8, 6, 4)]
 TWELVE_SCENARIO = Scenario.make(TWELVE, [TWELVE])
 
 
+@st.composite
+def drawn_distributions(draw):
+    """A model over contexts of 1-6 of ``NAMES``, each holding random ``p``
+    on some of its assignments, and the entries it was made from:
+    name-keyed and in shuffled order."""
+    contexts = draw(
+        st.lists(
+            st.lists(st.sampled_from(NAMES), min_size=1, max_size=6, unique=True),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    scenario = Scenario.make(set().union(*contexts), contexts)
+    entries = {}
+    for context in scenario.cover:
+        codes = st.integers(0, (1 << len(context)) - 1)
+        rows = draw(st.lists(codes, min_size=1, max_size=12, unique=True))
+        listed = [
+            ({v: row >> j & 1 for j, v in enumerate(context)}, draw(st.floats(0.0, 1.0)))
+            for row in rows
+        ]
+        entries[context] = draw(st.permutations(listed))
+    return ProbabilisticModel.make(scenario, entries), entries
+
+
+class TestCodeStorage:
+    """A distribution is stored as codes; each view of it matches the
+    entries the model was made from."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn_distributions())
+    def test_views_match_the_entries_by_definition(self, drawn):
+        model, entries = drawn
+        text = serialize_model(model)
+        assert parse_model(text) == model
+        assert serialize_model(parse_model(text)) == text
+        expected = {
+            context: sorted(
+                [(Assignment.make(binding), p) for binding, p in listed],
+                key=lambda entry: entry[0],
+            )
+            for context, listed in entries.items()
+        }
+        for context, pairs in expected.items():
+            assert model.distribution(context) == tuple(pairs)
+        supports = {
+            context: [assignment.support() for assignment, p in pairs if p > SUPPORT_EPSILON]
+            for context, pairs in expected.items()
+        }
+        assert support_reduction(model) == PossibilisticModel.make(model.scenario, supports)
+
+
 class TestTruthTables:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(formulas_over(NAMES), min_size=1, max_size=4))
@@ -429,16 +483,19 @@ class TestTruthTables:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.integers(2, 7),
-        st.integers(1, 5),
-        st.floats(0.2, 1.0),
-        st.integers(0, 10**6),
+        st.one_of(
+            st.builds(
+                uniform_model,
+                st.integers(2, 7),
+                st.integers(1, 5),
+                st.floats(0.2, 1.0),
+                st.integers(0, 10**6),
+            ),
+            drawn_distributions().map(lambda drawn: drawn[0]),
+        ),
         st.data(),
     )
-    def test_probabilities_match_evaluate_bit_for_bit(
-        self, n, k, density, seed, data
-    ):
-        model = uniform_model(n, k, density, seed)
+    def test_probabilities_match_evaluate_bit_for_bit(self, model, data):
         context = data.draw(st.sampled_from(model.scenario.cover))
         prop = data.draw(formulas_over(list(context)))
         assert eval_probability(prop, model).hex() == (
@@ -468,17 +525,19 @@ class TestTruthTables:
 
     def test_expired_deadline_stops_the_compile(self):
         # the constant-false formula settles the family without a scan, so
-        # only the compile of the long formula before it reads the clock
+        # only the compile of the formula before it reads the clock: once
+        # before its first step, so a short formula stops as a long one does
         long = Var("a") & Var("b")
         for _ in range(DEADLINE_STRIDE):
             long = long | (Var("a") & Var("b"))
-        with pytest.raises(TimeBudgetExceeded):
-            jointly_contradictory(
-                [long, Const(False)],
-                bell_scenario(),
-                deadline=time.monotonic() - 1.0,
-            )
-        assert jointly_contradictory([long, Const(False)], bell_scenario())
+        for first in (long, Var("a")):
+            with pytest.raises(TimeBudgetExceeded):
+                jointly_contradictory(
+                    [first, Const(False)],
+                    bell_scenario(),
+                    deadline=time.monotonic() - 1.0,
+                )
+            assert jointly_contradictory([first, Const(False)], bell_scenario())
 
     def test_wide_contexts_need_no_recursion(self):
         # the widest context holds 2,057 events, so its support formula is a
