@@ -60,9 +60,9 @@ class ProbabilisticModel:
     code order (the :class:`Assignment` order), a code being the OR of the
     :attr:`Scenario.bit` bits its assignment sets to 1; ``distributions``
     and :meth:`distribution` decode them.  :meth:`make` encodes name-keyed
-    entries and notes the first, in cover then entry order, that is not
-    total on its context or repeats one; :func:`validate_probabilistic`
-    reports it."""
+    entries and notes the first, in cover then entry order, that sets an
+    outcome other than 0 or 1, is not total on its context or repeats one;
+    :func:`validate_probabilistic` reports it."""
 
     scenario: Scenario
     _codes: Mapping[Context, Entries] = field(init=False, repr=False, hash=False)
@@ -123,13 +123,18 @@ class ProbabilisticModel:
 
 
 def _entry_fault(context: Context, binding: dict, repeated: bool) -> Verdict | None:
-    """The fault of an entry that binds other variables than ``context``'s
-    or repeats an earlier entry's code, if it has one."""
+    """The fault of an entry that sets an outcome other than 0 or 1, binds
+    other variables than ``context``'s or repeats an earlier entry's code,
+    if it has one."""
+    outcomes = all(b in (0, 1) for b in binding.values())
     total = binding.keys() == set(context)
-    if total and not repeated:
+    if outcomes and total and not repeated:
         return None
-    assignment = Assignment.make(binding).as_dict()
-    if total:
+    assignment = Assignment.make(binding).as_dict() if outcomes else dict(sorted(binding.items()))
+    if not outcomes:
+        reason = "bad-outcome"
+        message = f"assignment {assignment} sets an outcome other than 0 or 1"
+    elif total:
         reason = "duplicate-assignment"
         message = f"context {list(context)} lists assignment {assignment} twice"
     else:
@@ -144,10 +149,10 @@ def validate_probabilistic(
 ) -> Verdict:
     """Check the numeric invariants on top of the structural ones.
 
-    Every cover context needs exactly one distribution; entries must be
-    total on their context, pairwise distinct, finite and nonnegative; each
-    distribution must sum to one within ``tolerance``.  The first entry
-    that is not total or repeats one was noted by :meth:`ProbabilisticModel.make`.
+    Every cover context needs exactly one distribution; entries must set
+    outcomes 0 or 1, be total on their context, pairwise distinct, finite
+    and nonnegative; each distribution must sum to one within ``tolerance``.
+    The first faulty entry was noted by :meth:`ProbabilisticModel.make`.
     """
     scenario = model.scenario
     no_events = dict.fromkeys(model._codes, frozenset())

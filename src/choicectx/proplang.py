@@ -18,8 +18,8 @@ must fit inside a single cover context, otherwise the formula has no
 measurement context.  AST nodes support ``&``, ``|`` and ``~`` for
 programmatic construction.  Each formula is flattened once, when first
 needed, into a prefix form: every node's class, then its fields in order.
-Equality, hashing and ``variables()`` read that form, and the Bell route
-compiles it to a truth table.
+Equality, hashing, ``variables()``, ``to_text`` and ``repr`` read that
+form, and the Bell route compiles it to a truth table.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import Context, Scenario
 from .errors import NotMeasurable, PropositionSyntaxError, UnknownVariable
@@ -37,24 +37,11 @@ class Proposition:
     """Base class for formula nodes.
 
     Every method walks the formula on an explicit stack, so a chain of any
-    length is handled without recursion.  ``==``, ``hash`` and
-    ``variables()`` read the prefix form :attr:`_items`.  ``evaluate`` runs
-    its own loop, which skips an operand the result no longer depends on;
-    ``to_text`` and ``repr`` share :meth:`_walk`, a node class saying how
-    one node expands (``_steps``, ``_text``, :func:`_repr`)."""
-
-    def _walk(self, expand: Callable[["Proposition"], Sequence[object]]) -> list:
-        """Depth first, left to right: the items ``expand`` gives for this
-        node, each formula among them replaced in turn by its own items."""
-        items: list[object] = []
-        todo: list[object] = [self]
-        while todo:
-            item = todo.pop()
-            if isinstance(item, Proposition):
-                todo += expand(item)[::-1]
-            else:
-                items.append(item)
-        return items
+    length is handled without recursion.  ``==``, ``hash``,
+    ``variables()``, ``to_text`` and ``repr`` read the prefix form
+    :attr:`_items`, which is already in printing order.  ``evaluate`` runs
+    its own loop over each node's ``_steps``, which skips an operand the
+    result no longer depends on."""
 
     def evaluate(self, binding: Mapping[str, int]) -> bool:
         """The formula's value under ``binding``.  Like Python's ``and`` and
@@ -118,7 +105,31 @@ class Proposition:
         return hash(self._items)
 
     def to_text(self) -> str:
-        return "".join(self._walk(lambda node: node._text()))
+        """The formula in the grammar, parenthesized only where needed."""
+        # the prefix form is in printing order; ``todo`` holds each open
+        # connective's class, then what follows each operand, the next last
+        pieces: list[str] = []
+        todo: list[list] = []
+        leaf = None
+        for item in self._items:
+            if item is Var or item is Const:
+                leaf = item
+            elif item is Not or item is And or item is Or:
+                outer = todo[-1][0] if todo else None
+                grouped = item is Or and outer is And or item is not Not and outer is Not
+                pieces.append("(" * grouped + "!" * (item is Not))
+                infix = [" & "] if item is And else [" | "] if item is Or else []
+                todo.append([item, ")" * grouped, *infix])
+            elif isinstance(item, type):
+                raise TypeError(f"cannot print a {item.__qualname__} node")
+            else:
+                pieces.append(("1" if item else "0") if leaf is Const else item)
+                while todo:  # an operand is done
+                    pieces.append(todo[-1].pop())
+                    if len(todo[-1]) > 1:
+                        break
+                    todo.pop()
+        return "".join(pieces)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -129,7 +140,22 @@ class Proposition:
         return self._hash
 
     def __repr__(self) -> str:
-        return "".join(self._walk(_repr))
+        # a dataclass ``repr``; ``todo`` holds each open node's ``)`` and the
+        # labels of its fields, the next last
+        pieces: list[str] = []
+        todo: list[list[str]] = []
+        for item in self._items:
+            if todo:
+                pieces.append(todo[-1].pop())
+            if isinstance(item, type):
+                fields = enumerate(item.__match_args__)
+                pieces.append(item.__qualname__ + "(")
+                todo.append([")", *[", " * (i > 0) + name + "=" for i, name in fields][::-1]])
+            else:
+                pieces.append(repr(item))
+            while todo and len(todo[-1]) == 1:  # a node is done
+                pieces.append(todo.pop()[0])
+        return "".join(pieces)
 
     def __and__(self, other: "Proposition") -> "Proposition":
         return And(self, other)
@@ -139,22 +165,6 @@ class Proposition:
 
     def __invert__(self) -> "Proposition":
         return Not(self)
-
-
-def _repr(node: Proposition) -> list[object]:
-    """The pieces of a dataclass ``repr``: ``Name(field=value, ...)``."""
-    parts: list[object] = [type(node).__qualname__ + "("]
-    for i, name in enumerate(node.__match_args__):
-        value = getattr(node, name)
-        parts += [
-            ", " * (i > 0) + name + "=",
-            value if isinstance(value, Proposition) else repr(value),
-        ]
-    return parts + [")"]
-
-
-def _grouped(node: Proposition, kinds: tuple[type, ...]) -> tuple[object, ...]:
-    return ("(", node, ")") if isinstance(node, kinds) else (node,)
 
 
 # marks ``evaluate`` meets once an operand has its value
@@ -168,9 +178,6 @@ class Var(Proposition):
     def _steps(self, binding: Mapping[str, int]) -> Sequence[object]:
         return (bool(binding[self.name]),)
 
-    def _text(self) -> Sequence[object]:
-        return (self.name,)
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Const(Proposition):
@@ -179,9 +186,6 @@ class Const(Proposition):
     def _steps(self, binding: Mapping[str, int]) -> Sequence[object]:
         return (self.value,)
 
-    def _text(self) -> Sequence[object]:
-        return ("1" if self.value else "0",)
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Not(Proposition):
@@ -189,9 +193,6 @@ class Not(Proposition):
 
     def _steps(self, binding: Mapping[str, int]) -> Sequence[object]:
         return (self.operand, _NOT)
-
-    def _text(self) -> Sequence[object]:
-        return ("!", *_grouped(self.operand, (And, Or)))
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -202,9 +203,6 @@ class And(Proposition):
     def _steps(self, binding: Mapping[str, int]) -> Sequence[object]:
         return (self.left, _AND, self.right)
 
-    def _text(self) -> Sequence[object]:
-        return (*_grouped(self.left, (Or,)), " & ", *_grouped(self.right, (Or,)))
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Or(Proposition):
@@ -214,12 +212,10 @@ class Or(Proposition):
     def _steps(self, binding: Mapping[str, int]) -> Sequence[object]:
         return (self.left, _OR, self.right)
 
-    def _text(self) -> Sequence[object]:
-        return (self.left, " | ", self.right)
 
-
-# whitespace matches neither group, so ``finditer`` steps over it
-_TOKEN_RE = re.compile(r"(?P<token>[A-Za-z_][A-Za-z0-9_']*|[01!&|()])|(?P<bad>\S)")
+# every token, and nothing else: whitespace and a character outside the
+# grammar both go unmatched, and ``_tokenize`` tells them apart
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[01!&|()]")
 
 # deepest run of "(" and "!" a formula may nest; each parenthesis costs the
 # parser three stack frames, so this stays well under the interpreter's
@@ -227,46 +223,44 @@ _TOKEN_RE = re.compile(r"(?P<token>[A-Za-z_][A-Za-z0-9_']*|[01!&|()])|(?P<bad>\S
 MAX_NESTING = 100
 
 
-def _tokenize(text: str, line: int | None) -> tuple[list[str], list[int]]:
-    """Token texts and their positions, ending with ``""`` at the end of
-    input.  A token's kind is its text: one of ``!&|()``, a constant
-    ``0``/``1``, or else an identifier."""
-    values: list[str] = []
-    positions: list[int] = []
-    for match in _TOKEN_RE.finditer(text):
-        if match.lastgroup == "bad":
-            raise PropositionSyntaxError(
-                f"unexpected character {match.group()!r}", match.start(), line
-            )
-        values.append(match.group())
-        positions.append(match.start())
+def _tokenize(text: str, line: int | None) -> list[str]:
+    """Token texts, ending with ``""`` at the end of input.  A token's kind
+    is its text: one of ``!&|()``, a constant ``0``/``1``, or else an
+    identifier."""
+    values = _TOKEN_RE.findall(text)
+    if sum(map(len, values)) != len("".join(text.split())):
+        # some character is neither whitespace nor in a token: with the
+        # tokens blanked out, the first one left
+        blanked = _TOKEN_RE.sub(lambda token: " " * len(token[0]), text)
+        position = len(blanked) - len(blanked.lstrip())
+        raise PropositionSyntaxError(f"unexpected character {text[position]!r}", position, line)
     values.append("")
-    positions.append(len(text))
-    return values, positions
+    return values
 
 
 class _Parser:
     def __init__(self, text: str, line: int | None):
-        self.values, self.positions = _tokenize(text, line)
+        self.values = _tokenize(text, line)
+        self.text = text
         self.line = line
         self.at = 0
         self.depth = 0
 
+    def position(self) -> int:
+        """Where the current token starts, worked out only for an error."""
+        return [*[t.start() for t in _TOKEN_RE.finditer(self.text)], len(self.text)][self.at]
+
     def fail(self, message: str) -> PropositionSyntaxError:
         value = self.values[self.at]
         what = f"{value!r}" if value else "end of input"
-        return PropositionSyntaxError(
-            f"{message}, found {what}", self.positions[self.at], self.line
-        )
+        return PropositionSyntaxError(f"{message}, found {what}", self.position(), self.line)
 
     def nest(self) -> None:
         """Step past a "(" or "!", one level deeper."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise PropositionSyntaxError(
-                f"formula nests deeper than {MAX_NESTING} levels",
-                self.positions[self.at],
-                self.line,
+                f"formula nests deeper than {MAX_NESTING} levels", self.position(), self.line
             )
         self.at += 1
 

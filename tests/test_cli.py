@@ -628,7 +628,7 @@ class TestEntryPoint:
 
 def support_text(model):
     """A formula file of the model's support formulas, one per cover context,
-    written directly rather than through the recursive ``to_text``."""
+    written directly rather than through ``to_text``."""
     lines = []
     for context in model.scenario.cover:
         terms = [

@@ -95,6 +95,19 @@ class TestValidation:
         m = ProbabilisticModel.make(s, {("a", "b"): [({"a": 1}, 1.0)]})
         verdict = validate_probabilistic(m)
         assert verdict.witness["reason"] == "partial-assignment"
+        # an outcome other than 0 or 1 is refused as the reader refuses it,
+        # even where its code would read as 0; True and False are 1 and 0
+        one = Scenario.make(["a"], [["a"]])
+        for outcome in (2, -1, 0.5):
+            m = ProbabilisticModel.make(one, {("a",): [({"a": outcome}, 1.0)]})
+            verdict = validate_probabilistic(m)
+            assert verdict.witness == {
+                "reason": "bad-outcome",
+                "context": ["a"],
+                "assignment": {"a": outcome},
+            }
+        m = ProbabilisticModel.make(s, {("a", "b"): [({"a": True, "b": False}, 1.0)]})
+        assert validate_probabilistic(m).holds
 
     def test_duplicate_assignment(self):
         s = Scenario.make(["a"], [["a"]])

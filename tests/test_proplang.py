@@ -25,6 +25,25 @@ from choicectx import (
 from choicectx.proplang import MAX_NESTING
 
 
+# what each bad formula of ``test_syntax_errors_carry_position`` is refused with
+SYNTAX_ERRORS = {
+    "a $ b": "unexpected character '$'",
+    "": "expected a variable, constant, '!' or '(', found end of input",
+    "a &": "expected a variable, constant, '!' or '(', found end of input",
+    "(a": "expected ')', found end of input",
+    "a b": "expected end of input, found 'b'",
+    "& a": "expected a variable, constant, '!' or '(', found '&'",
+    # a token ends where its characters end, so "2" and "'" stand alone
+    "12": "unexpected character '2'",
+    "'a": "unexpected character \"'\"",
+    "\u00e9": "unexpected character '\u00e9'",
+    # U+00A0 and U+001C are whitespace, skipped as a space is
+    "a\u00a0$": "unexpected character '$'",
+    "a\x1cb": "expected end of input, found 'b'",
+    "ab' | c2 $": "unexpected character '$'",
+}
+
+
 class TestParsing:
     @pytest.mark.parametrize(
         "text, expected",
@@ -62,12 +81,19 @@ class TestParsing:
             ("(a", 2),
             ("a b", 2),
             ("& a", 0),
+            ("12", 1),
+            ("'a", 0),
+            ("\u00e9", 0),
+            ("a\u00a0$", 2),
+            ("a\x1cb", 2),
+            ("ab' | c2 $", 9),
         ],
     )
     def test_syntax_errors_carry_position(self, text, position):
         with pytest.raises(PropositionSyntaxError) as err:
             parse_formula(text)
         assert err.value.position == position
+        assert str(err.value) == f"{SYNTAX_ERRORS[text]} (position {position})"
 
     def test_error_carries_line(self):
         with pytest.raises(PropositionSyntaxError) as err:
@@ -201,6 +227,34 @@ def reference_variables(value):
     return set()
 
 
+def reference_repr(value):
+    """The ``repr`` a dataclass with its default ``repr`` would give."""
+    if isinstance(value, Proposition):
+        inner = ", ".join(
+            f"{f.name}={reference_repr(getattr(value, f.name))}" for f in fields(value)
+        )
+        return f"{type(value).__qualname__}({inner})"
+    return repr(value)
+
+
+# how tightly each connective binds; an operand binding looser than its
+# place needs is parenthesized
+BINDS = {Or: 0, And: 1, Not: 2}
+
+
+def reference_text(value, place=0):
+    """``to_text`` by recursion, with only the parentheses precedence needs."""
+    kind = type(value)
+    operands = [getattr(value, f.name) for f in fields(value)]
+    if kind is Var:
+        return operands[0]
+    if kind is Const:
+        return "1" if operands[0] else "0"
+    texts = [reference_text(operand, BINDS[kind]) for operand in operands]
+    text = "!" + texts[0] if kind is Not else (" & " if kind is And else " | ").join(texts)
+    return f"({text})" if BINDS[kind] < place else text
+
+
 def rebuilt(value):
     """A copy of the formula sharing no node with it."""
     if isinstance(value, Proposition):
@@ -235,8 +289,9 @@ odd_formulas = st.recursive(
 
 
 class TestPrefixForm:
-    """``==``, ``hash`` and ``variables()`` read the cached prefix form; a
-    recursive walk of the dataclass fields is the reference."""
+    """``==``, ``hash``, ``variables()``, ``repr`` and ``to_text`` read the
+    cached prefix form; a recursive walk of the dataclass fields is the
+    reference."""
 
     @settings(max_examples=400)
     @given(odd_formulas, odd_formulas, st.booleans())
@@ -250,6 +305,8 @@ class TestPrefixForm:
             assert hash(phi) == hash(other)
         assert phi.variables() == reference_variables(phi)
         assert other.variables() == reference_variables(other)
+        assert repr(phi) == reference_repr(phi)
+        assert phi.to_text() == reference_text(phi)
 
     def test_node_types_are_kept(self):
         assert Not(Const("a")) != Not(Var("a"))
