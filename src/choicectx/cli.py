@@ -288,7 +288,8 @@ def _dispatch(config: RunConfig) -> int:
                 "the inequality needs a probabilistic model", "$"
             )
         assert config.props_path is not None
-        with open(config.props_path, "r", encoding="utf-8") as handle:
+        # a byte-order mark, as some editors save one, is not part of the text
+        with open(config.props_path, "r", encoding="utf-8-sig") as handle:
             props = parse_propositions(handle.read(), model.scenario)
         violation = bell_violation(props, model, config.bound, deadline)
         _emit(
@@ -305,16 +306,16 @@ def run(config: RunConfig) -> int:
     try:
         return _dispatch(config)
     except TimeBudgetExceeded as exc:
-        partial = exc.partial_count
+        # the Bell route counts no sections
+        partial = None if config.command == "bell" else exc.partial_count
         doc = {
             "inconclusive": True,
             "reason": "time budget exceeded",
             "partial_section_count": partial,
         }
-        line = (
-            "inconclusive: time budget exceeded "
-            f"({partial} sections found before expiry)"
-        )
+        line = "inconclusive: time budget exceeded"
+        if partial is not None:
+            line += f" ({partial} sections found before expiry)"
         _emit(config, doc, [line])
         return 3
     except _INPUT_ERRORS as exc:

@@ -32,6 +32,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     TimeBudgetExceeded,
+    TooLarge,
     UnboundVariable,
     UnknownContext,
     UnknownVariable,
@@ -46,21 +47,23 @@ Event = frozenset[str]
 # largest variable count the brute-force search and the Bell route accept by default
 EXHAUSTIVE_BOUND_DEFAULT = 24
 
-# units of work between two reads of the clock against a deadline: steps of
-# the formula compile, sections of the witness pass; also the most partial
-# codes a block of the section search holds before it is split, the search
-# reading the clock once per block step
+# every budgeted loop reads the clock before each run of at most this many
+# units of its own work: prefix-form items or table rows of the formula
+# compile, sections of the witness pass, partial codes of a search block
+# (a block over it is split, and the search reads once per block step)
 DEADLINE_STRIDE = 1024
 
 # most table rows the package builds for one input, summed over its tables:
 # gen's support tables (2^|context| each) and the Bell route's truth tables
-# (2^k each for a formula over k variables)
+# (2^k each for a formula over k variables); also the most global sections
+# the section search holds
 TABLE_ROWS_LIMIT = 1 << 20
 
 
 def past_deadline(deadline: float | None) -> bool:
-    """Whether ``deadline`` (a ``time.monotonic`` value) has passed; a loop
-    calls it once per :data:`DEADLINE_STRIDE` units of its work."""
+    """Whether ``deadline`` (a ``time.monotonic`` value) has passed; a
+    budgeted loop calls it before each run of at most
+    :data:`DEADLINE_STRIDE` units of its work, the first included."""
     return deadline is not None and time.monotonic() > deadline
 
 
@@ -106,16 +109,13 @@ def _shortlex_sorted(codes: Iterable[int]) -> list[int]:
     return sorted(sorted(codes, reverse=True), key=int.bit_count)
 
 
-# rows of a table are decoded in blocks of 2^10
-_BLOCK_BITS = 10
-
-
 def _set_rows(names: list[str], bit: Mapping[str, int], flags: bytes) -> Iterator:
-    """Codes of the rows with a nonzero byte in ``flags``, block by block;
-    row ``i`` binds ``names[j]`` to bit ``j`` of ``i``."""
+    """Codes of the rows with a nonzero byte in ``flags``, in blocks of at
+    most :data:`DEADLINE_STRIDE` rows; row ``i`` binds ``names[j]`` to bit
+    ``j`` of ``i``."""
     low, high = [0], [0]  # the codes of a row's low and high bits
     for j, name in enumerate(names):
-        codes = low if j < _BLOCK_BITS else high
+        codes = low if j < DEADLINE_STRIDE.bit_length() - 1 else high
         codes += [code | bit[name] for code in codes]
     for block, top in enumerate(high):
         chosen = flags[block * len(low) : (block + 1) * len(low)]
@@ -330,7 +330,12 @@ class _Compiled:
     contexts, ties going to the largest sum of 1/|unassigned variables| over
     the open contexts that hold it, then to scenario order.
     ``completed_at[d]`` lists the contexts whose last variable is
-    ``order[d]``."""
+    ``order[d]``; a context with no variables is in ``completed_at[0]``.
+
+    Every context holding a free variable is open, so each variable's
+    score reads only its own list of the contexts that hold it, kept in
+    cover order so the sums are the same floats as over all open contexts.
+    """
 
     def __init__(self, layout: Mapping[str, int], contexts: list[tuple[int, frozenset[int]]]):
         self.n = len(layout)
@@ -340,28 +345,28 @@ class _Compiled:
         self.contexts = contexts
         self.order: list[int] = []
         self.completed_at: list[list[tuple[int, frozenset[int]]]] = []
-        # [unassigned part of the context mask, context mask, allowed codes]
-        pending = [[cmask, cmask, allowed] for cmask, allowed in contexts]
-        free = list(layout.values())
+        # [unassigned part of the context mask, context], listed in cover
+        # order under each free variable the context holds
+        entries = [[context[0], context] for context in contexts]
+        holders = {bit: [e for e in entries if e[0] & bit] for bit in layout.values()}
+        completed = [context for rest, context in entries if not rest]
 
         def gain(bit: int) -> tuple[int, float]:
             completes, spread = 0, 0.0
-            for rest, _, _ in pending:
-                if rest & bit:
-                    completes += rest == bit
-                    spread += 1 / rest.bit_count()
+            for rest, _ in holders[bit]:
+                completes += rest == bit
+                spread += 1 / rest.bit_count()
             return completes, spread
 
-        while free:
-            bit = max(free, key=gain)  # the first maximum: scenario order
-            free.remove(bit)
+        while holders:
+            bit = max(holders, key=gain)  # the first maximum: scenario order
             self.order.append(bit)
-            for context in pending:
-                context[0] &= ~bit
-            self.completed_at.append(
-                [(cmask, allowed) for rest, cmask, allowed in pending if not rest]
-            )
-            pending = [context for context in pending if context[0]]
+            for entry in holders.pop(bit):
+                entry[0] ^= bit
+                if not entry[0]:
+                    completed.append(entry[1])
+            self.completed_at.append(completed)
+            completed = []
 
 
 def _search_masks(
@@ -369,7 +374,9 @@ def _search_masks(
 ) -> list[int]:
     """Codes that meet every constraint of ``compiled``, ascending; with
     ``first``, the search stops at the first complete code, so the result
-    is empty exactly when no code meets them all.
+    is empty exactly when no code meets them all.  Without it, finding more
+    than :data:`TABLE_ROWS_LIMIT` codes raises :class:`TooLarge`, which
+    bounds the memory the found codes take.
 
     Level-wise search in ``compiled.order``: a block of partial codes is
     extended by the next variable and filtered by every context that
@@ -394,6 +401,11 @@ def _search_masks(
             found += block
             if first and found:
                 break
+            if len(found) > TABLE_ROWS_LIMIT:
+                raise TooLarge(
+                    f"the model has over {TABLE_ROWS_LIMIT:,} global sections, "
+                    "the most the search holds"
+                )
         else:
             stack += [
                 (depth, block[i : i + DEADLINE_STRIDE])

@@ -28,16 +28,20 @@ class DomainMismatch(ChoiceCtxError):
 
 class TooLarge(ChoiceCtxError):
     """An exhaustive enumeration would exceed its bound: the configured
-    variable bound, or the generator's limit on support-table rows."""
+    variable bound, or ``core.TABLE_ROWS_LIMIT`` on table rows or on the
+    global sections a search holds."""
 
 
 class TimeBudgetExceeded(ChoiceCtxError):
     """A cooperative search ran past its wall-clock deadline.
 
-    ``partial_sections`` holds the sections found before expiry, decoded
-    from ``partial_codes`` by ``decode`` on first access; ``partial_count``
-    is their number, read without decoding.  The result is inconclusive,
-    not a verdict.
+    Every budgeted loop reads the clock before each run of at most
+    ``core.DEADLINE_STRIDE`` units of its work, so expiry is seen within one
+    run.  ``partial_sections`` holds the sections found before expiry,
+    decoded from ``partial_codes`` by ``decode`` on first access;
+    ``partial_count`` is their number, read without decoding.  The Bell
+    route counts no sections, so from it both are empty and the CLI reports
+    no count.  The result is inconclusive, not a verdict.
     """
 
     def __init__(

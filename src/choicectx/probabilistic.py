@@ -232,8 +232,8 @@ def _truth_tables(
     values, ``&``/``|``/``!`` acting on whole tables, and the set rows are
     decoded to codes.  Tables over :data:`TABLE_ROWS_LIMIT` rows in all are
     refused with :class:`TooLarge` before any is built.  ``deadline`` is
-    read before the first formula and then once every :data:`DEADLINE_STRIDE`
-    steps, a step being a node, a connective's operator or a row block.
+    read at every :data:`DEADLINE_STRIDE`-th item of each prefix form, item
+    0 included, and before each block of table rows.
     """
     rows_in_all = sum(1 << len(prop.variables()) for prop in props)
     if rows_in_all > TABLE_ROWS_LIMIT:
@@ -241,9 +241,6 @@ def _truth_tables(
             f"the formulas' truth tables would hold {rows_in_all:,} rows, "
             f"over the limit of {TABLE_ROWS_LIMIT:,}"
         )
-    if past_deadline(deadline):
-        raise TimeBudgetExceeded()
-    steps = 0
     for prop in props:
         names = sorted(prop.variables(), key=bit.__getitem__)
         rows = 1 << len(names)
@@ -259,16 +256,12 @@ def _truth_tables(
             table_of[name] = pattern
 
         values: list = []
-        for item in reversed(prop._items):
+        for i, item in enumerate(reversed(prop._items)):
+            if not i % DEADLINE_STRIDE and past_deadline(deadline):
+                raise TimeBudgetExceeded()
             if not isinstance(item, type):
                 values.append(item)  # a field: a variable's name or a constant
-                continue
-            # a connective is a node and an operator, two steps
-            work = 1 if item is Var or item is Const else 2
-            steps += work
-            if steps % DEADLINE_STRIDE < work and past_deadline(deadline):
-                raise TimeBudgetExceeded()
-            if item is Var:
+            elif item is Var:
                 values[-1] = table_of[values[-1]]
             elif item is And:
                 values.append(values.pop() & values.pop())
@@ -285,8 +278,7 @@ def _truth_tables(
         flags = format(table, f"0{rows}b")[::-1].encode().translate(_ROW_FLAGS)
         satisfying: list[int] = []
         for block in _set_rows(names, bit, flags):
-            steps += 1
-            if not steps % DEADLINE_STRIDE and past_deadline(deadline):
+            if past_deadline(deadline):
                 raise TimeBudgetExceeded()
             satisfying += block
         yield _mask(bit, names), frozenset(satisfying)

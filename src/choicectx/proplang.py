@@ -217,6 +217,9 @@ class Or(Proposition):
 # grammar both go unmatched, and ``_tokenize`` tells them apart
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[01!&|()]")
 
+# the line ends of a formula file
+_LINE_END_RE = re.compile(r"\r\n?|\n")
+
 # deepest run of "(" and "!" a formula may nest; each parenthesis costs the
 # parser three stack frames, so this stays well under the interpreter's
 # default recursion limit of 1000
@@ -338,9 +341,12 @@ def parse_proposition(text: str, scenario: Scenario) -> Proposition:
 
 def parse_propositions(text: str, scenario: Scenario) -> list[Proposition]:
     """Parse a proposition file: one formula per line, blank lines and
-    ``#`` comment lines ignored.  Syntax errors carry the line number."""
+    ``#`` comment lines ignored.  Lines end only at a line feed, a carriage
+    return, or the two in that order; other characters that
+    ``str.splitlines`` breaks at, such as U+001C or U+0085, are whitespace
+    inside a line.  Syntax errors carry the line number."""
     props = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_END_RE.split(text), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

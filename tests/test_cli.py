@@ -440,6 +440,41 @@ class TestBellCommand:
         else:
             assert out.startswith("inconclusive: time budget exceeded")
 
+    @pytest.mark.parametrize("machine", [False, True], ids=["human", "machine"])
+    def test_budget_expiry_report_claims_no_sections(
+        self, pr_dist_file, pr_props_file, machine, capsys
+    ):
+        # the Bell route counts no sections, so its report gives no count
+        config = RunConfig(
+            command="bell",
+            model_path=pr_dist_file,
+            props_path=pr_props_file,
+            budget=0.0,
+            machine=machine,
+        )
+        assert run(config) == 3
+        expected = (
+            '{\n  "inconclusive": true,\n  "reason": "time budget exceeded",\n'
+            '  "partial_section_count": null\n}\n'
+            if machine
+            else "inconclusive: time budget exceeded\n"
+        )
+        assert capsys.readouterr().out == expected
+
+    def test_empty_family_budget_zero_exits_3(self, pr_dist_file, tmp_path, capsys):
+        # no formula to compile: the section search reads the clock first
+        props = tmp_path / "empty.props"
+        props.write_text("# nothing here\n")
+        assert main(["bell", pr_dist_file, "--props", str(props), "--budget", "0"]) == 3
+        assert capsys.readouterr().out == "inconclusive: time budget exceeded\n"
+
+    def test_byte_order_mark_is_ignored(self, pr_dist_file, pr_props_file, tmp_path, capsys):
+        props = tmp_path / "bom.props"
+        props.write_bytes(b"\xef\xbb\xbf" + open(pr_props_file, "rb").read())
+        rc = main(["bell", "--machine", pr_dist_file, "--props", str(props)])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out) == {"formulas": 4, "violation": 1.0}
+
     def test_formula_error_is_input_error(self, pr_dist_file, tmp_path, capsys):
         props = tmp_path / "bad.props"
         props.write_text("a &\n")
@@ -624,6 +659,52 @@ class TestEntryPoint:
         assert check.returncode == 0
         doc = json.loads(check.stdout)
         assert "classification" in doc
+
+
+def singleton_model(k, events):
+    """``k`` variables, each alone in its own context with ``events`` (a
+    function of the variable's name) as its support."""
+    names = [f"x{i:04d}" for i in range(k)]
+    scenario = Scenario.make(names, [[v] for v in names])
+    return PossibilisticModel.make(scenario, {(v,): events(v) for v in names})
+
+
+class TestSearchLimits:
+    def test_too_many_sections_exit_2_in_bounded_memory(self, tmp_path):
+        # 26 free singleton contexts have 2^26 sections; holding them all
+        # once ended in a MemoryError traceback under this limit
+        doc = tmp_path / "free26.json"
+        doc.write_text(serialize_model(singleton_model(26, lambda v: [[], [v]])))
+        limit = 1 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "choicectx", "classify", str(doc)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "over 1,048,576 global sections" in proc.stderr
+
+    def test_many_singleton_contexts_compile_fast(self, tmp_path):
+        # 1,000 contexts of one event each: one section; scoring every open
+        # context for every free variable took about 27 s to order them
+        doc = tmp_path / "single1000.json"
+        doc.write_text(serialize_model(singleton_model(1000, lambda v: [[v]])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "choicectx", "classify", str(doc)],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "kind: NonContextual\nsections: 1\n"
 
 
 def support_text(model):

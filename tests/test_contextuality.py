@@ -206,6 +206,18 @@ class TestSectionSearch:
         assert result.section_count == 4096
         assert result.kind is Kind.NONCONTEXTUAL
 
+    def test_found_sections_are_bounded(self, monkeypatch):
+        # 4,096 sections, over a limit of 1,000: refused, not held
+        monkeypatch.setattr(core, "TABLE_ROWS_LIMIT", 1000)
+        m = gen_random_model(12, 1, 1.0, seed=0)
+        for search in (classify, global_sections_backtracking):
+            with pytest.raises(TooLarge, match="over 1,000 global sections"):
+                search(m)
+        # stopping at the first section holds no more than one block
+        assert core._search_masks(m.compiled, None, first=True)
+        monkeypatch.setattr(core, "TABLE_ROWS_LIMIT", 4096)
+        assert classify(m).section_count == 4096
+
     def test_no_deadline_completes(self):
         m = gen_random_model(12, 1, 1.0, seed=0)
         assert len(global_sections_backtracking(m)) == 4096

@@ -1,6 +1,8 @@
 import math
 import time
 from dataclasses import dataclass
+from functools import reduce
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, reject, settings
@@ -46,8 +48,9 @@ from choicectx import (
     warp_noncontextual,
     warp_signalling,
 )
+from choicectx import core
 from choicectx.contextuality import Kind
-from choicectx.core import DEADLINE_STRIDE
+from choicectx.core import DEADLINE_STRIDE, _Compiled
 from choicectx.probabilistic import SUPPORT_EPSILON, _truth_tables
 
 
@@ -552,6 +555,17 @@ class TestTruthTables:
                 )
             assert jointly_contradictory([first, Const(False)], bell_scenario())
 
+    def test_compile_reads_the_clock_every_stride(self, monkeypatch):
+        # a left chain of 3,000 disjuncts: one run of prefix-form items
+        # between two reads stays at DEADLINE_STRIDE
+        reads = []
+        clock = SimpleNamespace(monotonic=lambda: reads.append(1) or 0.0)
+        monkeypatch.setattr(core, "time", clock)
+        prop = reduce(Or, [Var("a")] * 3000)
+        bit = bell_scenario().bit
+        assert list(_truth_tables([prop], bit, deadline=1.0)) == [evaluated_table(prop, bit)]
+        assert len(reads) >= len(prop._items) // DEADLINE_STRIDE >= 5
+
     def test_wide_contexts_need_no_recursion(self):
         # the widest context holds 2,057 events, so its support formula is a
         # chain of 2,057 disjuncts, deeper than the interpreter's stack
@@ -621,3 +635,57 @@ class TestContradictionSearch:
         # negating one of its literals rules the section out
         flipped = Not(literals[5])
         assert jointly_contradictory([prop, flipped], s)
+
+
+def reference_order(layout, contexts):
+    """The greedy order and each variable's completed contexts by the
+    definition: at every step each free variable is scored over all the
+    open contexts, in cover order."""
+    order, completed_at = [], []
+    pending = [[cmask, (cmask, allowed)] for cmask, allowed in contexts]
+    free = list(layout.values())
+
+    def gain(bit):
+        completes, spread = 0, 0.0
+        for rest, _ in pending:
+            if rest & bit:
+                completes += rest == bit
+                spread += 1 / rest.bit_count()
+        return completes, spread
+
+    while free:
+        bit = max(free, key=gain)
+        free.remove(bit)
+        order.append(bit)
+        for context in pending:
+            context[0] &= ~bit
+        completed_at.append([context for rest, context in pending if not rest])
+        pending = [context for context in pending if context[0]]
+    if completed_at:
+        # a context with no variables is listed first
+        first = completed_at[0]
+        completed_at[0] = [c for c in first if not c[0]] + [c for c in first if c[0]]
+    return order, completed_at
+
+
+class TestGreedyOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 14), st.integers(1, 8), st.floats(0.0, 1.0), st.integers(0, 10**6),
+        st.booleans(),
+    )
+    def test_generated_covers(self, n, k, density, seed, closed):
+        model = gen_random_model(n, k, density, seed, intersection_closed=closed)
+        compiled = model.compiled
+        expected = reference_order(compiled.bit, compiled.contexts)
+        assert (compiled.order, compiled.completed_at) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(formula_families(), st.lists(st.booleans().map(Const), max_size=2), st.randoms())
+    def test_formula_families_with_constants(self, family, constants, rng):
+        scenario, props = family
+        props = props + constants
+        rng.shuffle(props)
+        tables = list(_truth_tables(props, scenario.bit, None))
+        compiled = _Compiled(scenario.bit, tables)
+        assert (compiled.order, compiled.completed_at) == reference_order(scenario.bit, tables)

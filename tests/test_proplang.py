@@ -355,6 +355,25 @@ class TestPropositionFiles:
         with pytest.raises(NotMeasurable):
             parse_propositions("a & b\nb & b'\n", bell_scenario())
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a\x1cb\n", "expected end of input, found 'b' (line 1, position 2)"),
+            ("a\x85&\nb &\n", "found end of input (line 1, position 3)"),
+            ("a\u2028b\n", "expected end of input, found 'b' (line 1, position 2)"),
+        ],
+    )
+    def test_only_newlines_end_lines(self, text, message):
+        # str.splitlines would also break at these characters, splitting
+        # one line of the file in two
+        with pytest.raises(PropositionSyntaxError) as err:
+            parse_propositions(text, bell_scenario())
+        assert str(err.value).endswith(message)
+
+    @pytest.mark.parametrize("text", ["a\rb\n", "a\r\nb\r\n", "a\nb"])
+    def test_newline_conventions(self, text):
+        assert parse_propositions(text, bell_scenario()) == [Var("a"), Var("b")]
+
 
 class TestNesting:
     @pytest.mark.parametrize(
