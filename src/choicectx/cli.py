@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from .axioms import CHECKS, AuditReport, audit, verdicts
 from .catalog import gen_random_model
@@ -149,8 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the tree as it was, so one tree serves every call
+    return build_parser()
+
+
 def parse_args(argv: list[str]) -> RunConfig:
-    return RunConfig(**vars(build_parser().parse_args(argv)))
+    return RunConfig(**vars(_parser().parse_args(argv)))
 
 
 def _fmt_value(value: object) -> str:

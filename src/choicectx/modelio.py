@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from functools import cache
+from itertools import compress
 from typing import Any, Callable, Iterable
 
 from .core import (
@@ -96,10 +97,10 @@ def parse_model(text: str) -> Model:
     left to ``validate_probabilistic``.
 
     Every check runs on every document, but no path is built for a check
-    that passes: the events of a context are encoded and tested in bulk,
-    and a failing table is rechecked event by event in document order to
-    name the first bad one; distribution entries are checked one by one,
-    with the path below an entry built only when its check fails.  Each
+    that passes: the events or distribution entries of a context are
+    encoded and tested in bulk, and a table that fails (or, for a
+    distribution, holds an int ``p`` or a float outcome) is rechecked entry
+    by entry in document order to name the first bad one.  Each
     event and each entry's assignment is read straight into its code in the
     scenario's :attr:`Scenario.bit` layout, the form both models store.
     """
@@ -214,8 +215,38 @@ def _checked_events(raw_events: list, bit: dict[str, int], path: str) -> frozens
 def _distribution(
     raw_entries: list, bit: dict[str, int], path: str
 ) -> tuple[tuple[int, float], ...]:
-    """The distribution of one context as ``(code, p)`` pairs, ascending; each
-    entry is checked in document order, and the paths below it are built
+    """The distribution of one context as ``(code, p)`` pairs, ascending,
+    tested in bulk: every entry is an object holding exactly ``assignment``
+    and ``p``, every assignment binds exactly the context's variables
+    (``bit`` holds their bits) to an int 0 or 1, every ``p`` is a finite
+    float, and no two entries share a code.  Any other table, valid or not,
+    goes through :func:`_checked_distribution`, which names the first bad
+    entry."""
+    try:
+        assignments = [raw["assignment"] for raw in raw_entries]
+        ps = [raw["p"] for raw in raw_entries]
+        codes = [sum(compress(map(bit.__getitem__, a), a.values())) for a in assignments]
+    except (KeyError, TypeError, AttributeError):  # a key missing, or no object
+        return _checked_distribution(raw_entries, bit, path)
+    # every variable bound is in the context, so as many as it holds are all of it
+    outcomes = [outcome for a in assignments for outcome in a.values()]
+    if (
+        set(map(len, raw_entries)) <= {2}
+        and set(map(len, assignments)) <= {len(bit)}
+        and set(map(type, outcomes)) <= {int}
+        and set(outcomes) <= {0, 1}
+        and set(map(type, ps)) <= {float}
+        and all(map(math.isfinite, ps))
+        and len(set(codes)) == len(codes)
+    ):
+        return tuple(sorted(zip(codes, ps)))
+    return _checked_distribution(raw_entries, bit, path)
+
+
+def _checked_distribution(
+    raw_entries: list, bit: dict[str, int], path: str
+) -> tuple[tuple[int, float], ...]:
+    """Each entry checked in document order, with the paths below it built
     only for the check that fails."""
     entries: dict[int, float] = {}
     for j, raw in enumerate(raw_entries):

@@ -16,10 +16,13 @@ be of any length.  ``parse_proposition`` additionally checks the formula
 against a scenario: every variable must be declared and the variable set
 must fit inside a single cover context, otherwise the formula has no
 measurement context.  AST nodes support ``&``, ``|`` and ``~`` for
-programmatic construction.  Each formula is flattened once, when first
-needed, into a prefix form: every node's class, then its fields in order.
-Equality, hashing, ``variables()``, ``to_text`` and ``repr`` read that
-form, and the Bell route compiles it to a truth table.
+programmatic construction.  Within a formula the parser builds one node
+per literal (a variable or a negated variable) and places it wherever the
+literal occurs; nodes are immutable and every method reads values, never
+identity, so the sharing cannot be seen.  Each formula is flattened once,
+when first needed, into a prefix form: every node's class, then its fields
+in order.  Equality, hashing, ``variables()``, ``to_text`` and ``repr``
+read that form, and the Bell route compiles it to a truth table.
 """
 
 from __future__ import annotations
@@ -241,6 +244,10 @@ def _tokenize(text: str, line: int | None) -> list[str]:
     return values
 
 
+# the token texts that are not identifiers
+_SYMBOLS = frozenset(["", "!", "&", "|", "(", ")", "0", "1"])
+
+
 class _Parser:
     def __init__(self, text: str, line: int | None):
         self.values = _tokenize(text, line)
@@ -248,6 +255,10 @@ class _Parser:
         self.line = line
         self.at = 0
         self.depth = 0
+        # one node per literal: nodes are immutable and compared by value,
+        # so a formula may hold the same leaf at many places
+        self.names: dict[str, Var] = {}
+        self.negated: dict[str, Not] = {}
 
     def position(self) -> int:
         """Where the current token starts, worked out only for an error."""
@@ -281,8 +292,27 @@ class _Parser:
             node = And(node, self.literal())
         return node
 
+    def var(self, name: str) -> Var:
+        node = self.names.get(name)
+        if node is None:
+            node = self.names[name] = Var(name)
+        return node
+
     def literal(self) -> Proposition:
         values = self.values
+        value = values[self.at]
+        if value not in _SYMBOLS:  # a variable
+            self.at += 1
+            return self.var(value)
+        # a negated variable; one that would pass the nesting limit goes
+        # the long way below, which refuses it at its "!"
+        name = values[self.at + 1] if value == "!" else ""
+        if name not in _SYMBOLS and self.depth < MAX_NESTING:
+            self.at += 2
+            node = self.negated.get(name)
+            if node is None:
+                node = self.negated[name] = Not(self.var(name))
+            return node
         outer = self.depth
         while values[self.at] == "!":  # a chain of "!" is read in a loop
             self.nest()
@@ -295,8 +325,8 @@ class _Parser:
                 raise self.fail("expected ')'")
         elif value == "0" or value == "1":
             node = Const(value == "1")
-        elif value not in ("", "&", "|", ")"):
-            node = Var(value)
+        elif value not in _SYMBOLS:
+            node = self.var(value)
         else:
             raise self.fail("expected a variable, constant, '!' or '('")
         self.at += 1

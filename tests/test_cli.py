@@ -31,7 +31,7 @@ from choicectx import (
     validate_model,
 )
 from choicectx import catalog
-from choicectx.cli import RunConfig, main, parse_args, run
+from choicectx.cli import RunConfig, build_parser, main, parse_args, run
 from choicectx.contextuality import Kind
 from choicectx.proplang import MAX_NESTING
 
@@ -96,6 +96,33 @@ class TestParseArgs:
         with pytest.raises(SystemExit) as err:
             parse_args([])
         assert err.value.code == 2
+
+    def test_calls_share_no_state(self):
+        parse_args(["bell", "m.json", "--props", "f", "--bound", "3", "--budget", "2"])
+        config = parse_args(["classify", "m.json"])
+        assert config.props_path is None
+        assert config.bound == 24
+        assert config.budget is None
+
+    @staticmethod
+    def outcome(call, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = call(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return out.getvalue(), err.getvalue(), code
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bell", "--help"], ["bell"]])
+    def test_help_and_errors_match_a_fresh_parser(self, argv):
+        # one parser serves every call, and build_parser() still builds anew
+        assert build_parser() is not build_parser()
+        fresh = self.outcome(lambda argv: build_parser().parse_args(argv), argv)
+        assert fresh[2] == (0 if "--help" in argv else 2)
+        assert fresh[0] or fresh[1]
+        for _ in range(3):
+            assert self.outcome(main, argv) == fresh
 
 
 class TestClassifyCommand:

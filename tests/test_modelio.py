@@ -19,6 +19,7 @@ from choicectx import (
     uniform_over_support,
 )
 from choicectx.core import shortlex
+from choicectx.modelio import _checked_distribution
 
 
 def doc_of(model):
@@ -385,6 +386,55 @@ class TestFirstError:
         doc = prob_doc()
         doc["probabilistic"][0]["distribution"][1]["assignment"] = {"a": 1.0, "b": 1}
         assert parse_model(json.dumps(doc)) == parse_model(json.dumps(prob_doc()))
+
+
+# the second entry of a two-entry distribution over ["a", "b"], once valid
+# and then with one flaw each
+SECOND_ENTRIES = {
+    "valid": '{"assignment": {"a": 1, "b": 1}, "p": 0.5}',
+    "outcome-true": '{"assignment": {"a": 1, "b": true}, "p": 0.5}',
+    "outcome-2": '{"assignment": {"a": 1, "b": 2}, "p": 0.5}',
+    "outcome-float": '{"assignment": {"a": 1, "b": 1.0}, "p": 0.5}',
+    "outcome-string": '{"assignment": {"a": 1, "b": "1"}, "p": 0.5}',
+    "p-int": '{"assignment": {"a": 1, "b": 1}, "p": 1}',
+    "p-true": '{"assignment": {"a": 1, "b": 1}, "p": true}',
+    "p-nan": '{"assignment": {"a": 1, "b": 1}, "p": NaN}',
+    "p-overflow": '{"assignment": {"a": 1, "b": 1}, "p": 1e999}',
+    "p-big-int": '{"assignment": {"a": 1, "b": 1}, "p": 1%s}' % ("0" * 400),
+    "extra-key": '{"assignment": {"a": 1, "b": 1}, "p": 0.5, "q": 0}',
+    "missing-key": '{"assignment": {"a": 1, "b": 1}}',
+    "not-an-object": '[{"a": 1, "b": 1}, 0.5]',
+    "assignment-list": '{"assignment": ["a", "b"], "p": 0.5}',
+    "partial": '{"assignment": {"a": 1}, "p": 0.5}',
+    "extra-variable": '{"assignment": {"a": 1, "b": 1, "c": 0}, "p": 0.5}',
+    "duplicate": '{"assignment": {"b": 0, "a": 0}, "p": 0.5}',
+}
+
+
+class TestBulkDistribution:
+    """The reader tests a context's distribution in bulk; whatever the
+    entries, it gives what the entry-by-entry reader gives."""
+
+    @staticmethod
+    def outcome(read):
+        try:
+            pairs = read()
+        except ModelSemanticError as exc:
+            return type(exc), str(exc), exc.path
+        return [(code, p.hex()) for code, p in pairs]
+
+    @pytest.mark.parametrize("entry", SECOND_ENTRIES.values(), ids=SECOND_ENTRIES.keys())
+    def test_matches_the_checked_reader(self, entry):
+        text = (
+            '{"variables": ["a", "b"], "contexts": [["a", "b"]], "probabilistic": '
+            '[{"context": ["a", "b"], "distribution": '
+            '[{"assignment": {"a": 0, "b": 0}, "p": 0.5}, %s]}]}' % entry
+        )
+        raw_entries = json.loads(text)["probabilistic"][0]["distribution"]
+        bit = Scenario.make(["a", "b"], [["a", "b"]]).bit
+        read = self.outcome(lambda: parse_model(text)._codes[("a", "b")])
+        checked = self.outcome(lambda: _checked_distribution(raw_entries, bit, DIST))
+        assert read == checked
 
 
 def reference_text(model):

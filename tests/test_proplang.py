@@ -1,4 +1,6 @@
 from dataclasses import fields
+from functools import reduce
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,9 @@ class TestParsing:
             ("0", Const(False)),
             ("!a", Not(Var("a"))),
             ("!!a", Not(Not(Var("a")))),
+            ("!(a)", Not(Var("a"))),
+            ("!0", Not(Const(False))),
+            ("a & !b & !b", And(And(Var("a"), Not(Var("b"))), Not(Var("b")))),
             ("a & b", And(Var("a"), Var("b"))),
             ("a | b", Or(Var("a"), Var("b"))),
             # precedence: ! binds tighter than &, & tighter than |
@@ -209,6 +214,34 @@ class TestLongFormulas:
         assert phi != Or(Not(Var("a")), Or(Const(True), Var("b")))
         assert Var("a") != "a"
         assert {Var("a"), Var("a"), Var("b")} == {Var("a"), Var("b")}
+
+
+class TestSharedLeaves:
+    """The parser builds one node per literal of a formula and places it
+    wherever the literal occurs; nodes are immutable and compared by value,
+    so the formula behaves as one built with a fresh leaf at each place."""
+
+    TERMS = [["a", "!b", "c"], ["!a", "!b", "c"], ["a", "b", "!c"], ["!a", "!b", "!c"]]
+
+    @staticmethod
+    def fresh(literal):
+        return Not(Var(literal[1:])) if literal.startswith("!") else Var(literal)
+
+    def test_repeated_literals_behave_as_fresh_leaves(self):
+        text = " | ".join(" & ".join(term) for term in self.TERMS)
+        parsed = parse_formula(text)
+        built = reduce(Or, [reduce(And, map(self.fresh, term)) for term in self.TERMS])
+        first, second = parsed.left.left.left, parsed.left.left.right
+        assert first.left.right is second.left.right  # the one "!b"
+        assert first.right is second.right  # the one "c"
+        assert first.left.left is second.left.left.operand  # the one "a"
+        assert parsed == built and hash(parsed) == hash(built)
+        assert repr(parsed) == repr(built)
+        assert parsed.to_text() == built.to_text() == text
+        assert parsed.variables() == built.variables() == {"a", "b", "c"}
+        for bits in product((0, 1), repeat=3):
+            binding = dict(zip("abc", bits))
+            assert parsed.evaluate(binding) is built.evaluate(binding)
 
 
 def reference_form(value):
@@ -382,8 +415,10 @@ class TestNesting:
             "(" * 3000 + "a" + ")" * 3000,
             "!" * 3000 + "a",
             "!(" * 1500 + "a" + ")" * 1500,
+            "!" * (MAX_NESTING + 1) + "a",
+            "(" * MAX_NESTING + "!a" + ")" * MAX_NESTING,
         ],
-        ids=["parentheses", "negations", "mixed"],
+        ids=["parentheses", "negations", "mixed", "negated-variable", "negation-inside"],
     )
     def test_deep_nesting_is_a_syntax_error(self, text):
         with pytest.raises(PropositionSyntaxError) as err:
@@ -391,7 +426,9 @@ class TestNesting:
         # the token that passes the limit is the (MAX_NESTING + 1)-th opener
         assert err.value.position == MAX_NESTING
         assert err.value.line == 4
-        assert "nests deeper" in str(err.value)
+        assert str(err.value) == (
+            f"formula nests deeper than {MAX_NESTING} levels (line 4, position {MAX_NESTING})"
+        )
 
     def test_nesting_at_the_limit_parses(self):
         half = MAX_NESTING // 2
@@ -402,6 +439,9 @@ class TestNesting:
             node = node.operand
         assert node == Var("a")
         assert parse_formula("(" * MAX_NESTING + "a" + ")" * MAX_NESTING) == Var("a")
+        assert parse_formula("!" * MAX_NESTING + "a") == reduce(
+            lambda node, _: Not(node), range(MAX_NESTING), Var("a")
+        )
 
     def test_siblings_do_not_add_up(self):
         text = " & ".join(["(" * MAX_NESTING + "a" + ")" * MAX_NESTING] * 3)
