@@ -56,9 +56,6 @@ class TestParsing:
             ("0", Const(False)),
             ("!a", Not(Var("a"))),
             ("!!a", Not(Not(Var("a")))),
-            ("!(a)", Not(Var("a"))),
-            ("!0", Not(Const(False))),
-            ("a & !b & !b", And(And(Var("a"), Not(Var("b"))), Not(Var("b")))),
             ("a & b", And(Var("a"), Var("b"))),
             ("a | b", Or(Var("a"), Var("b"))),
             # precedence: ! binds tighter than &, & tighter than |
@@ -69,6 +66,11 @@ class TestParsing:
             # left associativity
             ("a & b & c", And(And(Var("a"), Var("b")), Var("c"))),
             ("a | b | c", Or(Or(Var("a"), Var("b")), Var("c"))),
+            # negation of a parenthesised leaf, of a constant, and a literal
+            # repeated within one formula
+            ("!(a)", Not(Var("a"))),
+            ("!0", Not(Const(False))),
+            ("a & !b & !b", And(And(Var("a"), Not(Var("b"))), Not(Var("b")))),
         ],
     )
     def test_grammar(self, text, expected):
