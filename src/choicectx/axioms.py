@@ -15,7 +15,7 @@ the witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .core import Context, PossibilisticModel, Scenario, Verdict, _failing, _passing
@@ -169,12 +169,30 @@ class TheoremCheck:
     detail: str
 
     def to_doc(self) -> dict:
-        return {
-            "id": self.id,
-            "applicable": self.applicable,
-            "consistent": self.consistent,
-            "detail": self.detail,
-        }
+        return asdict(self)
+
+
+def _implication(
+    check_id: str,
+    hypotheses: list[tuple[bool, str]],
+    conclusion: bool,
+    detail: str,
+    note: str = "",
+) -> TheoremCheck:
+    """The check of "hypotheses imply conclusion" on one model.
+
+    ``hypotheses`` are ``(holds, reason)`` pairs in report order.  The check
+    applies exactly when every hypothesis holds; otherwise its detail names
+    the reason of the first one that fails.  ``note`` ends the detail either
+    way.
+    """
+    failed = [reason for holds, reason in hypotheses if not holds]
+    return TheoremCheck(
+        id=check_id,
+        applicable=not failed,
+        consistent=bool(failed) or conclusion,
+        detail=(f"not applicable: {failed[0]}" if failed else detail) + note,
+    )
 
 
 @dataclass(frozen=True)
@@ -204,92 +222,56 @@ class AuditReport:
         }
 
 
-def _has_disjoint_pair(scenario: Scenario) -> bool:
-    return any(not ma & mb for ma, mb in combinations(scenario._masks, 2))
-
-
 def audit(model: PossibilisticModel, deadline: float | None = None) -> AuditReport:
     """Run every axiom check, classify, and test each implication on the
-    result."""
+    result.
+
+    An implication check applies exactly when its hypotheses hold; when
+    one fails, the check's detail names the first that fails.
+    """
     found = verdicts(model)
     warp, signalling, closed, overlap, _ = found.values()
     classification = classify(model, deadline)
-
     kind = classification.kind
-    checks = []
+    disjoint = any(not ma & mb for ma, mb in combinations(model.scenario._masks, 2))
+    separated = warp.holds and not signalling.holds
 
-    applicable = closed.holds and not warp.holds
-    if not closed.holds:
-        detail = "not applicable: the cover is not intersection-closed"
-    elif warp.holds:
-        detail = "not applicable: the weak axiom holds"
-    else:
-        detail = (
-            "weak axiom fails on an intersection-closed cover; "
-            f"classified {kind}"
-        )
-    checks.append(
-        TheoremCheck(
-            id="warp-failure-implies-contextual",
-            applicable=applicable,
-            consistent=not applicable or kind is not Kind.NONCONTEXTUAL,
-            detail=detail,
-        )
-    )
-
-    applicable = signalling.holds
-    detail = (
-        f"no-signalling holds; weak axiom {warp.status}"
-        if applicable
-        else "not applicable: the model signals"
-    )
-    checks.append(
-        TheoremCheck(
-            id="no-signalling-implies-warp",
-            applicable=applicable,
-            consistent=not applicable or warp.holds,
-            detail=detail,
-        )
-    )
-
-    applicable = warp.holds and overlap.holds
-    if not warp.holds:
-        detail = "not applicable: the weak axiom fails"
-    elif not overlap.holds:
-        detail = "not applicable: the overlap property fails"
-    else:
-        detail = (
-            "weak axiom and overlap property hold; "
-            f"no-signalling {signalling.status}"
-        )
-    if _has_disjoint_pair(model.scenario):
-        detail += " (cover has disjoint context pairs, skipped by the overlap quantifier)"
-    checks.append(
-        TheoremCheck(
-            id="warp-and-overlap-imply-no-signalling",
-            applicable=applicable,
-            consistent=not applicable or signalling.holds,
-            detail=detail,
-        )
-    )
-
-    applicable = warp.holds and not signalling.holds
-    detail = (
-        "model realizes the weak-axiom-without-no-signalling region"
-        if applicable
-        else "this model does not separate the weak axiom from no-signalling"
-    )
-    checks.append(
+    checks = (
+        _implication(
+            "warp-failure-implies-contextual",
+            [
+                (closed.holds, "the cover is not intersection-closed"),
+                (not warp.holds, "the weak axiom holds"),
+            ],
+            kind is not Kind.NONCONTEXTUAL,
+            f"weak axiom fails on an intersection-closed cover; classified {kind}",
+        ),
+        _implication(
+            "no-signalling-implies-warp",
+            [(signalling.holds, "the model signals")],
+            warp.holds,
+            f"no-signalling holds; weak axiom {warp.status}",
+        ),
+        _implication(
+            "warp-and-overlap-imply-no-signalling",
+            [
+                (warp.holds, "the weak axiom fails"),
+                (overlap.holds, "the overlap property fails"),
+            ],
+            signalling.holds,
+            f"weak axiom and overlap property hold; no-signalling {signalling.status}",
+            " (cover has disjoint context pairs, skipped by the overlap quantifier)"
+            if disjoint
+            else "",
+        ),
+        # a separation, not an implication: it can only be realized or not
         TheoremCheck(
             id="warp-strictly-weaker-than-no-signalling",
-            applicable=applicable,
+            applicable=separated,
             consistent=True,
-            detail=detail,
-        )
+            detail="model realizes the weak-axiom-without-no-signalling region"
+            if separated
+            else "this model does not separate the weak axiom from no-signalling",
+        ),
     )
-
-    return AuditReport(
-        **found,
-        classification=classification,
-        theorem_checks=tuple(checks),
-    )
+    return AuditReport(**found, classification=classification, theorem_checks=checks)

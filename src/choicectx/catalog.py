@@ -156,7 +156,8 @@ def gen_random_model(
     probability ``density``.  Covers whose tables would hold more than
     :data:`TABLE_ROWS_LIMIT` rows in all raise :class:`TooLarge` before
     any table is drawn, and a closed cover as soon as its closure passes
-    that limit.
+    that limit; so many variables that any cover would pass it raise
+    before any context is drawn.
     """
     if n_variables < 1:
         raise ValueError("at least one variable is required")
@@ -164,6 +165,13 @@ def gen_random_model(
         raise ValueError("at least one context is required")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
+    if 2 * n_variables > TABLE_ROWS_LIMIT:
+        # each variable lies in some context and 2^s >= 2s, so the tables
+        # hold at least 2n rows whatever the draw
+        raise TooLarge(
+            f"{n_variables:,} variables have at least {2 * n_variables:,} outcomes "
+            f"to draw, over the limit of {TABLE_ROWS_LIMIT:,}"
+        )
     import numpy as np  # only the generator needs numpy; keep it off import
 
     rng = np.random.default_rng(seed)
@@ -171,7 +179,13 @@ def gen_random_model(
     names = [f"x{i:0{width}d}" for i in range(n_variables)]
 
     contexts: dict[frozenset[str], None] = {}  # an ordered set
-    for _ in range(n_contexts):
+    every_subset = (1 << n_variables) - 1
+    for done in range(n_contexts):
+        if len(contexts) == every_subset:
+            # every later draw repeats a context: skip the 64 futile draws
+            # of n doubles, one 64-bit step each, that each iteration makes
+            rng.bit_generator.advance((n_contexts - done) * 64 * n_variables)
+            break
         for _attempt in range(64):
             candidate = frozenset(compress(names, rng.random(n_variables) < 0.5))
             if candidate and candidate not in contexts:

@@ -151,6 +151,6 @@ def classify(
                 break
         unrealized = allowed - realized
         if unrealized:
-            event = compiled.decode(min(unrealized, key=_shortlex_key)).support()
+            event = frozenset(model.scenario._names(min(unrealized, key=_shortlex_key)))
             return Classification(Kind.CONTEXTUAL, (context, event), len(sections))
     return Classification(Kind.NONCONTEXTUAL, None, len(sections))

@@ -130,7 +130,7 @@ def _entry_fault(context: Context, binding: dict, repeated: bool) -> Verdict | N
     total = binding.keys() == set(context)
     if outcomes and total and not repeated:
         return None
-    assignment = Assignment.make(binding).as_dict() if outcomes else dict(sorted(binding.items()))
+    assignment = {v: int(b) if outcomes else b for v, b in sorted(binding.items())}
     if not outcomes:
         reason = "bad-outcome"
         message = f"assignment {assignment} sets an outcome other than 0 or 1"
@@ -173,7 +173,7 @@ def validate_probabilistic(
                     {
                         "reason": f"{kind}-probability",
                         "context": list(context),
-                        "assignment": dict(_decoder(scenario.bit, context)(code).bindings),
+                        "assignment": {v: 1 if code & scenario.bit[v] else 0 for v in context},
                         "p": p,
                     },
                 )

@@ -206,6 +206,98 @@ class TestAudit:
         )
 
 
+NOTE = " (cover has disjoint context pairs, skipped by the overlap quantifier)"
+
+# one small model per branch of each check's detail: each context of the
+# cover, as a string of single-letter variables, with its events
+BRANCHES = {
+    # not closed ({b} is no context) and the weak axiom holds: the first
+    # failing hypothesis is named
+    "closure-fails": (
+        "warp-failure-implies-contextual",
+        {"ab": ["a"], "bc": ["b"]},
+        False,
+        "not applicable: the cover is not intersection-closed",
+    ),
+    "warp-holds": (
+        "warp-failure-implies-contextual",
+        {"ab": ["a"], "abc": ["c"]},
+        False,
+        "not applicable: the weak axiom holds",
+    ),
+    "warp-fails-on-closed-cover": (
+        "warp-failure-implies-contextual",
+        {"ab": ["a"], "abc": ["b"]},
+        True,
+        "weak axiom fails on an intersection-closed cover; classified StronglyContextual",
+    ),
+    "signals": (
+        "no-signalling-implies-warp",
+        {"ab": ["a"], "abc": ["c"]},
+        False,
+        "not applicable: the model signals",
+    ),
+    "no-signalling": (
+        "no-signalling-implies-warp",
+        {"ab": ["a"], "ac": ["a"]},
+        True,
+        "no-signalling holds; weak axiom Holds",
+    ),
+    # the weak axiom and the overlap property ({b} from ab) both fail
+    "warp-fails": (
+        "warp-and-overlap-imply-no-signalling",
+        {"ab": ["a"], "abc": ["b"], "bc": ["c"]},
+        False,
+        "not applicable: the weak axiom fails",
+    ),
+    "overlap-fails": (
+        "warp-and-overlap-imply-no-signalling",
+        {"ab": ["a"], "bc": ["b"]},
+        False,
+        "not applicable: the overlap property fails",
+    ),
+    "warp-and-overlap": (
+        "warp-and-overlap-imply-no-signalling",
+        {"ab": ["a"], "ac": ["a"]},
+        True,
+        "weak axiom and overlap property hold; no-signalling Holds",
+    ),
+    "warp-and-overlap-with-disjoint-pair": (
+        "warp-and-overlap-imply-no-signalling",
+        {"a": ["a"], "b": ["b"]},
+        True,
+        "weak axiom and overlap property hold; no-signalling Holds" + NOTE,
+    ),
+    "warp-fails-with-disjoint-pair": (
+        "warp-and-overlap-imply-no-signalling",
+        {"ab": ["a"], "abc": ["b"], "bc": ["c"], "d": ["d"]},
+        False,
+        "not applicable: the weak axiom fails" + NOTE,
+    ),
+    "separated": (
+        "warp-strictly-weaker-than-no-signalling",
+        {"ab": ["a"], "bc": ["b"]},
+        True,
+        "model realizes the weak-axiom-without-no-signalling region",
+    ),
+    "not-separated": (
+        "warp-strictly-weaker-than-no-signalling",
+        {"ab": ["a"], "ac": ["a"]},
+        False,
+        "this model does not separate the weak axiom from no-signalling",
+    ),
+}
+
+
+class TestTheoremDetails:
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_detail(self, branch):
+        check_id, supports, applicable, detail = BRANCHES[branch]
+        scenario = Scenario.make(sorted(set("".join(supports))), list(supports))
+        check = _check_by_id(audit(PossibilisticModel.make(scenario, supports)), check_id)
+        assert (check.applicable, check.consistent, check.detail) == (applicable, True, detail)
+
+
 class TestUndeclaredVariables:
     """A cover naming a variable the scenario does not declare is refused
     with a package error that names it, never a bare ``KeyError``."""

@@ -33,6 +33,7 @@ from choicectx import (
 from choicectx import catalog
 from choicectx.cli import RunConfig, build_parser, main, parse_args, run
 from choicectx.contextuality import Kind
+from choicectx.core import TABLE_ROWS_LIMIT
 from choicectx.proplang import MAX_NESTING
 
 NAN_DOCUMENT = (
@@ -643,6 +644,60 @@ class TestGenCommand:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert "over the limit of 1,048,576" in proc.stderr
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    @pytest.mark.parametrize(
+        "n, k, digest",
+        [
+            (2, 10, "3b934a25ee85318ed9037d9760c5f4325226c700044079ad9205fb6da90993be"),
+            (3, 50, "4f7c8557131e67a8a4ff445231771ba515414a66bb37e549aceb865b4599f2ec"),
+            (4, 200, "e0fdfe910e3a23ba7ed8599cb458b55cf103c910f2a29954730aff3ee7999342"),
+            (3, 20000, "63f251aed0fd5a5ab6e81157360faa45c2717e2a6a58196996f9afbcd328c0eb"),
+        ],
+    )
+    def test_saturated_cover_bytes_are_frozen(self, capsys, n, k, closed, digest):
+        # every nonempty subset is drawn well before the k-th context, so
+        # the draws skipped after that must leave the tables' draws as
+        # they were; digests recorded when every futile draw was made
+        args = ["--vars", str(n), "--contexts", str(k), "--density", "0.5", "--seed", "1"]
+        assert main(["gen", *args, *(["--closed"] if closed else [])]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @staticmethod
+    def _gen_capped(*args, timeout):
+        limit = 1 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        return subprocess.run(
+            [sys.executable, "-m", "choicectx", "gen", *args,
+             "--density", "0.5", "--seed", "1"],
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+            preexec_fn=cap_memory,
+        )
+
+    def test_too_many_variables_exit_2_before_naming_them(self):
+        # building 10^8 names once ended in a MemoryError traceback
+        proc = self._gen_capped("--vars", "100000000", "--contexts", "1", timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "100,000,000 variables have at least 200,000,000 outcomes" in proc.stderr
+
+    def test_variable_count_refusal_matches_the_row_limit(self):
+        # one variable more than half the limit needs two rows more than it
+        with pytest.raises(TooLarge, match="524,289 variables have at least 1,048,578"):
+            gen_random_model((TABLE_ROWS_LIMIT >> 1) + 1, 1, 0.5, seed=1)
+
+    def test_many_contexts_over_few_variables_end_quickly(self):
+        # after the 7 nonempty subsets, each context once made 64 futile draws
+        proc = self._gen_capped("--vars", "3", "--contexts", "1000000", timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert len(parse_model(proc.stdout).scenario.cover) == 7
 
 
 class TestEntryPoint:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from choicectx import (
     NotContradictory,
     PossibilisticModel,
+    audit,
     bell_violation,
     check_no_signalling,
     check_weak_axiom,
@@ -53,6 +54,19 @@ def oracle_supports(model):
         context: [set(event) for event in model.events(context)]
         for context in model.scenario.cover
     }
+
+
+def one_event_each(model, pick):
+    """``model`` with one event kept in each context (the shortlex-first
+    when ``pick`` is 0), so that choice structures, and with them the weak
+    axiom, are drawn often."""
+    return PossibilisticModel.make(
+        model.scenario,
+        {
+            c: model.events_sorted(c)[pick % max(1, len(model.events(c))) :][:1]
+            for c in model.scenario.cover
+        },
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -94,16 +108,7 @@ def test_bell_violation_matches_oracle(n, k, density, seed):
 def test_axiom_verdicts_match_oracle(n, k, density, seed, closed, one_event, pick):
     model = gen_random_model(n, k, density, seed, intersection_closed=closed)
     if one_event:
-        # keep one event of each context (the shortlex-first when pick is
-        # 0), so that choice structures, and with them the weak axiom and
-        # its witnesses, are drawn often
-        model = PossibilisticModel.make(
-            model.scenario,
-            {
-                c: model.events_sorted(c)[pick % max(1, len(model.events(c))) :][:1]
-                for c in model.scenario.cover
-            },
-        )
+        model = one_event_each(model, pick)
     supports = oracle_supports(model)
     ours = {
         "weak_axiom": check_weak_axiom(model),
@@ -128,3 +133,34 @@ def test_axiom_verdicts_match_oracle(n, k, density, seed, closed, one_event, pic
         "choice_structure": oracle.choice_structure_witness(supports),
     }
 
+
+@settings(max_examples=300, deadline=None)
+@given(closed=st.booleans(), one_event=st.booleans(), pick=st.integers(0, 63), **SIZES)
+def test_theorem_checks_match_oracle(n, k, density, seed, closed, one_event, pick):
+    model = gen_random_model(n, k, density, seed, intersection_closed=closed)
+    if one_event:
+        model = one_event_each(model, pick)
+    supports = oracle_supports(model)
+    warp = oracle.warp_holds(supports)
+    no_signalling = oracle.no_signalling_holds(supports)
+    overlap = oracle.overlap_holds(supports)
+    contextual = oracle.classify(supports)[0] != "NonContextual"
+    # each implication applies exactly when its hypotheses hold, and is
+    # then consistent exactly when its conclusion holds too
+    expected = [
+        (oracle.closed_holds(supports) and not warp, contextual),
+        (no_signalling, warp),
+        (warp and overlap, no_signalling),
+    ]
+    expected = [(hyp, not hyp or conclusion) for hyp, conclusion in expected]
+    expected.append((warp and not no_signalling, True))
+    checks = audit(model).theorem_checks
+    assert [(c.applicable, c.consistent) for c in checks] == expected
+    for check in checks[:3]:
+        assert check.detail.startswith("not applicable: ") is not check.applicable
+    # the overlap quantifier's note names exactly the covers with a
+    # disjoint pair
+    disjoint = any(
+        not set(a) & set(b) for i, a in enumerate(supports) for b in list(supports)[:i]
+    )
+    assert checks[2].detail.endswith("skipped by the overlap quantifier)") is disjoint

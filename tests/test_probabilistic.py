@@ -120,6 +120,20 @@ class TestValidation:
         verdict = validate_probabilistic(m)
         assert verdict.witness["reason"] == "duplicate-assignment"
 
+    def test_witness_assignments_are_int_outcomes_in_name_order(self):
+        s = Scenario.make(["a", "b"], [["a", "b"]])
+        m = ProbabilisticModel.make(
+            s, {("a", "b"): [({"b": True, "a": 0}, 0.5), ({"b": 1.0, "a": False}, 0.5)]}
+        )
+        negative = two_var_model(0.5, 0.5, -0.5, 0.5)
+        for verdict, assignment in (
+            (validate_probabilistic(m), {"a": 0, "b": 1}),
+            (validate_probabilistic(negative), {"a": 1, "b": 0}),
+        ):
+            witness = verdict.witness["assignment"]
+            assert list(witness.items()) == list(assignment.items())
+            assert {type(b) for b in witness.values()} == {int}
+
     def test_missing_context(self):
         s = Scenario.make(["a", "b"], [["a"], ["b"]])
         m = ProbabilisticModel.make(s, {("a",): [({"a": 1}, 1.0)]})
