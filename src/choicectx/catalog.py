@@ -223,9 +223,12 @@ def gen_random_model(
 
 def _check_table_rows(rows: int, contexts: dict[frozenset[str], None]) -> None:
     """Raise :class:`TooLarge` if ``rows``, the table rows of ``contexts``,
-    pass :data:`TABLE_ROWS_LIMIT`."""
+    pass :data:`TABLE_ROWS_LIMIT`.  A count of 2^64 or more is given as the
+    largest power of two below it: its decimal digits could pass the
+    interpreter's limit on converting an integer to text."""
     if rows > TABLE_ROWS_LIMIT:
+        count = f"over 2^{(rows - 1).bit_length() - 1}" if rows >> 64 else f"{rows:,}"
         raise TooLarge(
-            f"{len(contexts)} contexts of up to {max(map(len, contexts))} variables "
-            f"have {rows:,} outcomes to draw, over the limit of {TABLE_ROWS_LIMIT:,}"
+            f"{len(contexts):,} contexts of up to {max(map(len, contexts)):,} variables "
+            f"have {count} outcomes to draw, over the limit of {TABLE_ROWS_LIMIT:,}"
         )

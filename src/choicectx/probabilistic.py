@@ -231,9 +231,10 @@ def _truth_tables(
     ascending submasks.  The prefix form is read backwards on a stack of
     values, ``&``/``|``/``!`` acting on whole tables, and the set rows are
     decoded to codes.  Tables over :data:`TABLE_ROWS_LIMIT` rows in all are
-    refused with :class:`TooLarge` before any is built.  ``deadline`` is
-    read at every :data:`DEADLINE_STRIDE`-th item of each prefix form, item
-    0 included, and before each block of table rows.
+    refused with :class:`TooLarge` before any is built.  The reversed
+    prefix form is read in slices of :data:`DEADLINE_STRIDE` items, and
+    ``deadline`` is read before each slice, the first included, and before
+    each block of table rows.
     """
     rows_in_all = sum(1 << len(prop.variables()) for prop in props)
     if rows_in_all > TABLE_ROWS_LIMIT:
@@ -256,23 +257,26 @@ def _truth_tables(
             table_of[name] = pattern
 
         values: list = []
-        for i, item in enumerate(reversed(prop._items)):
-            if not i % DEADLINE_STRIDE and past_deadline(deadline):
+        append, pop = values.append, values.pop
+        items = prop._items[::-1]
+        for start in range(0, len(items), DEADLINE_STRIDE):
+            if past_deadline(deadline):
                 raise TimeBudgetExceeded()
-            if not isinstance(item, type):
-                values.append(item)  # a field: a variable's name or a constant
-            elif item is Var:
-                values[-1] = table_of[values[-1]]
-            elif item is And:
-                values.append(values.pop() & values.pop())
-            elif item is Not:
-                values[-1] ^= full
-            elif item is Or:
-                values.append(values.pop() | values.pop())
-            elif item is Const:
-                values[-1] = full if values[-1] else 0
-            else:
-                raise TypeError(f"cannot compile a {item.__qualname__} node")
+            for item in items[start : start + DEADLINE_STRIDE]:
+                if item is Var:
+                    values[-1] = table_of[values[-1]]
+                elif item is And:
+                    append(pop() & pop())
+                elif item is Not:
+                    values[-1] ^= full
+                elif item is Or:
+                    append(pop() | pop())
+                elif item is Const:
+                    values[-1] = full if values[-1] else 0
+                elif isinstance(item, type):
+                    raise TypeError(f"cannot compile a {item.__qualname__} node")
+                else:
+                    append(item)  # a field: a variable's name or a constant
 
         (table,) = values
         flags = format(table, f"0{rows}b")[::-1].encode().translate(_ROW_FLAGS)

@@ -19,10 +19,12 @@ measurement context.  AST nodes support ``&``, ``|`` and ``~`` for
 programmatic construction.  Within a formula the parser builds one node
 per literal (a variable or a negated variable) and places it wherever the
 literal occurs; nodes are immutable and every method reads values, never
-identity, so the sharing cannot be seen.  Each formula is flattened once,
-when first needed, into a prefix form: every node's class, then its fields
-in order.  Equality, hashing, ``variables()``, ``to_text`` and ``repr``
-read that form, and the Bell route compiles it to a truth table.
+identity, so the sharing cannot be seen.  Each formula has a prefix form:
+every node's class, then its fields in order.  A parsed formula gets its
+prefix form and variable set from the parser, which writes the form as it
+reads the text; a formula built in code is flattened once, when first
+needed.  Equality, hashing, ``variables()``, ``to_text`` and ``repr`` read
+that form, and the Bell route compiles it to a truth table.
 """
 
 from __future__ import annotations
@@ -42,7 +44,9 @@ class Proposition:
     Every method walks the formula on an explicit stack, so a chain of any
     length is handled without recursion.  ``==``, ``hash``,
     ``variables()``, ``to_text`` and ``repr`` read the prefix form
-    :attr:`_items`, which is already in printing order.  ``evaluate`` runs
+    :attr:`_items`, which is already in printing order.  A parsed formula
+    gets its prefix form and variable set from the parser; a formula built
+    in code flattens once, on first use.  ``evaluate`` runs
     its own loop over each node's ``_steps``, which skips an operand the
     result no longer depends on."""
 
@@ -259,6 +263,10 @@ class _Parser:
         # so a formula may hold the same leaf at many places
         self.names: dict[str, Var] = {}
         self.negated: dict[str, Not] = {}
+        # the formula's prefix form, written as it is read: each literal's
+        # items are appended, and a chain's connectives go in front of its
+        # operands once the chain ends
+        self.items: list[object] = []
 
     def position(self) -> int:
         """Where the current token starts, worked out only for an error."""
@@ -279,17 +287,27 @@ class _Parser:
         self.at += 1
 
     def formula(self) -> Proposition:
+        start = len(self.items)
         node = self.conjunction()
+        operands = 1
         while self.values[self.at] == "|":
             self.at += 1
             node = Or(node, self.conjunction())
+            operands += 1
+        if operands > 1:  # moves only this chain's items
+            self.items[start:start] = [Or] * (operands - 1)
         return node
 
     def conjunction(self) -> Proposition:
+        start = len(self.items)
         node = self.literal()
+        operands = 1
         while self.values[self.at] == "&":
             self.at += 1
             node = And(node, self.literal())
+            operands += 1
+        if operands > 1:
+            self.items[start:start] = [And] * (operands - 1)
         return node
 
     def var(self, name: str) -> Var:
@@ -303,12 +321,14 @@ class _Parser:
         value = values[self.at]
         if value not in _SYMBOLS:  # a variable
             self.at += 1
+            self.items += (Var, value)
             return self.var(value)
         # a negated variable; one that would pass the nesting limit goes
         # the long way below, which refuses it at its "!"
         name = values[self.at + 1] if value == "!" else ""
         if name not in _SYMBOLS and self.depth < MAX_NESTING:
             self.at += 2
+            self.items += (Not, Var, name)
             node = self.negated.get(name)
             if node is None:
                 node = self.negated[name] = Not(self.var(name))
@@ -317,6 +337,7 @@ class _Parser:
         while values[self.at] == "!":  # a chain of "!" is read in a loop
             self.nest()
         negations = self.depth - outer
+        self.items += [Not] * negations
         value = values[self.at]
         if value == "(":
             self.nest()
@@ -325,8 +346,10 @@ class _Parser:
                 raise self.fail("expected ')'")
         elif value == "0" or value == "1":
             node = Const(value == "1")
+            self.items += (Const, node.value)
         elif value not in _SYMBOLS:
             node = self.var(value)
+            self.items += (Var, value)
         else:
             raise self.fail("expected a variable, constant, '!' or '('")
         self.at += 1
@@ -343,6 +366,10 @@ def parse_formula(text: str, line: int | None = None) -> Proposition:
     node = parser.formula()
     if parser.values[parser.at]:
         raise parser.fail("expected end of input")
+    # the slots the cached properties would fill; the root is a node of
+    # this parse alone, so no other formula reads them
+    node.__dict__["_items"] = tuple(parser.items)
+    node.__dict__["_variables"] = frozenset(parser.names)
     return node
 
 

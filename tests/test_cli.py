@@ -623,7 +623,7 @@ class TestGenCommand:
         gen_random_model(22, 120, 0.0, seed=1)
         with pytest.raises(TooLarge, match="over the limit of 1,048,576") as info:
             gen_random_model(22, 120, 0.0, seed=1, intersection_closed=True)
-        assert int(str(info.value).split()[0]) > 121
+        assert int(str(info.value).split()[0].replace(",", "")) > 121
 
     def test_oversized_closed_gen_exits_2_in_bounded_time(self):
         # the closure once ran for a minute before this cover was refused
@@ -687,6 +687,29 @@ class TestGenCommand:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert "100,000,000 variables have at least 200,000,000 outcomes" in proc.stderr
+
+    def test_counts_too_long_to_print_are_powers_of_two(self):
+        # 2^15017 + 2^14983 outcomes: their decimal form once passed the
+        # interpreter's 4,300-digit limit and ended in a ValueError
+        with pytest.raises(TooLarge) as info:
+            gen_random_model(30000, 1, 0.5, seed=1)
+        assert str(info.value) == (
+            "2 contexts of up to 15,017 variables have over 2^15017 outcomes "
+            "to draw, over the limit of 1,048,576"
+        )
+        proc = self._gen_capped("--vars", "30000", "--contexts", "1", timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "have over 2^15017 outcomes to draw" in proc.stderr
+
+    def test_context_counts_are_separated(self):
+        with pytest.raises(TooLarge) as info:
+            gen_random_model(20, 200000, 0.5, seed=1)
+        assert str(info.value) == (
+            "200,000 contexts of up to 20 variables have 664,880,274 outcomes "
+            "to draw, over the limit of 1,048,576"
+        )
 
     def test_variable_count_refusal_matches_the_row_limit(self):
         # one variable more than half the limit needs two rows more than it

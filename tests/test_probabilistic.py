@@ -36,6 +36,7 @@ from choicectx import (
     measurement_context,
     parse_formula,
     parse_model,
+    parse_propositions,
     pr_box,
     pr_box_distribution,
     serialize_model,
@@ -507,9 +508,12 @@ class TestTruthTables:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(formulas_over(NAMES), min_size=1, max_size=4))
     def test_compiled_tables_match_evaluate(self, props):
+        # the parser writes a parsed formula's prefix form itself, so each
+        # formula is also compiled as read back from its text
         bit = WIDE.bit
-        compiled = list(_truth_tables(props, bit, None))
-        assert compiled == [evaluated_table(prop, bit) for prop in props]
+        for family in (props, [parse_formula(prop.to_text()) for prop in props]):
+            compiled = list(_truth_tables(family, bit, None))
+            assert compiled == [evaluated_table(prop, bit) for prop in family]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -569,16 +573,32 @@ class TestTruthTables:
                 )
             assert jointly_contradictory([first, Const(False)], bell_scenario())
 
-    def test_compile_reads_the_clock_every_stride(self, monkeypatch):
-        # a left chain of 3,000 disjuncts: one run of prefix-form items
-        # between two reads stays at DEADLINE_STRIDE
+    @staticmethod
+    def clock_reads(prop, monkeypatch):
+        """How often compiling ``prop`` reads the clock."""
         reads = []
         clock = SimpleNamespace(monotonic=lambda: reads.append(1) or 0.0)
         monkeypatch.setattr(core, "time", clock)
-        prop = reduce(Or, [Var("a")] * 3000)
         bit = bell_scenario().bit
         assert list(_truth_tables([prop], bit, deadline=1.0)) == [evaluated_table(prop, bit)]
-        assert len(reads) >= len(prop._items) // DEADLINE_STRIDE >= 5
+        return len(reads)
+
+    def test_compile_reads_the_clock_every_stride(self, monkeypatch):
+        # a left chain of 3,000 disjuncts has 8,999 prefix-form items: one
+        # read before each of its 9 slices of DEADLINE_STRIDE, and one
+        # before its one block of table rows
+        prop = reduce(Or, [Var("a")] * 3000)
+        assert len(prop._items) == 8999
+        assert -(-len(prop._items) // DEADLINE_STRIDE) == 9
+        assert self.clock_reads(prop, monkeypatch) == 10
+
+    def test_compile_of_a_parsed_line_reads_the_clock_every_stride(self, monkeypatch):
+        # the same chain read from a formula file, its prefix form written
+        # by the parser
+        (prop,) = parse_propositions(" | ".join(["a"] * 3000) + "\n", bell_scenario())
+        assert prop == reduce(Or, [Var("a")] * 3000)
+        assert len(prop.__dict__["_items"]) == 8999
+        assert self.clock_reads(prop, monkeypatch) == 10
 
     def test_wide_contexts_need_no_recursion(self):
         # the widest context holds 2,057 events, so its support formula is a

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import fields
 from functools import reduce
 from itertools import product
@@ -349,6 +350,77 @@ class TestPrefixForm:
         assert Var("1") != Const(1) and Var("1") != Const("1")
         assert Const(1) == Const(True) and hash(Const(1)) == hash(Const(True))
         assert And(Var("a"), Const("b")).variables() == {"a"}
+
+
+def flat(form):
+    """A nested reference form written out as one prefix tuple."""
+    items, todo = [], [form]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tuple):
+            todo += reversed(item)
+        else:
+            items.append(item)
+    return tuple(items)
+
+
+# texts in the grammar: literals repeated so the parser shares their
+# leaves, "!!" chains, constants and parenthesized groups, joined into
+# chains that precedence may regroup
+grammar_texts = st.recursive(
+    st.sampled_from(["a", "b", "a'", "c_1", "0", "1", "!a", "!b"]),
+    lambda sub: st.one_of(
+        st.tuples(st.integers(1, 3), sub).map(lambda pair: "!" * pair[0] + pair[1]),
+        sub.map(lambda text: f"({text})"),
+        st.lists(sub, min_size=2, max_size=5).map(" & ".join),
+        st.lists(sub, min_size=2, max_size=5).map(" | ".join),
+    ),
+    max_leaves=24,
+)
+
+# a literal or short chain under exactly MAX_NESTING levels of "(" and "!"
+deep_texts = st.tuples(
+    st.lists(st.sampled_from(["(", "!"]), min_size=MAX_NESTING, max_size=MAX_NESTING),
+    st.sampled_from(["a", "0", "a & b | a"]),
+).map(lambda pair: "".join(pair[0]) + pair[1] + ")" * pair[0].count("("))
+
+# roots that are one of the parser's shared leaves
+leaf_texts = st.sampled_from(["a", "!a", "(a)", "((!a))", " a' "])
+
+
+class TestParsedPrefixForm:
+    """The parser writes each formula's prefix form and variable set as it
+    reads the text; they must be what the recursive reference walk gives,
+    and the formula must behave as a copy that flattens lazily."""
+
+    @staticmethod
+    def check(parsed):
+        assert parsed.__dict__["_items"] == flat(reference_form(parsed))
+        assert parsed.variables() == reference_variables(parsed)
+        copy = rebuilt(parsed)
+        assert "_items" not in copy.__dict__
+        assert parsed == copy and hash(parsed) == hash(copy)
+        assert parsed.variables() == copy.variables()
+        assert repr(parsed) == repr(copy)
+        assert parsed.to_text() == copy.to_text()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(grammar_texts, deep_texts, leaf_texts))
+    def test_matches_the_reference_walk(self, text):
+        self.check(parse_formula(text))
+
+    def test_2057_disjunct_support_formula(self):
+        # the reference walks recurse once per disjunct
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(20_000)
+        try:
+            phi = support_propositions(gen_random_model(18, 8, 0.5, seed=3))[-1]
+            parsed = parse_formula(phi.to_text())
+            assert parsed.to_text().count(" | ") == 2056
+            self.check(parsed)
+            assert parsed.__dict__["_items"] == phi._items
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestScenarioChecks:
