@@ -29,16 +29,7 @@ from .core import (
     Verdict,
     _empty_support_warnings,
 )
-from .errors import (
-    ModelSemanticError,
-    ModelSyntaxError,
-    NotContradictory,
-    NotMeasurable,
-    PropositionSyntaxError,
-    TimeBudgetExceeded,
-    TooLarge,
-    UnknownVariable,
-)
+from .errors import ChoiceCtxError, ModelSemanticError, TimeBudgetExceeded
 from .modelio import Model, parse_model, serialize_model
 from .probabilistic import (
     ProbabilisticModel,
@@ -47,18 +38,6 @@ from .probabilistic import (
     validate_probabilistic,
 )
 from .proplang import parse_propositions
-
-_INPUT_ERRORS = (
-    ModelSyntaxError,
-    ModelSemanticError,
-    PropositionSyntaxError,
-    UnknownVariable,
-    NotMeasurable,
-    NotContradictory,
-    TooLarge,
-    OSError,
-    ValueError,
-)
 
 
 @dataclass
@@ -87,14 +66,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 1 on contextuality, signalling, axiom or inequality violations",
     )
-    common.add_argument(
+    # a parent of its own, so bell's usage lists it where it always has,
+    # between --strict and --budget
+    bound = argparse.ArgumentParser(add_help=False)
+    bound.add_argument(
         "--bound",
         type=int,
         default=EXHAUSTIVE_BOUND_DEFAULT,
         metavar="N",
-        help="bell: refuse scenarios over N variables (default %(default)s)",
+        help="refuse scenarios over N variables (default %(default)s)",
     )
-    common.add_argument(
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
         "--budget",
         type=float,
         default=None,
@@ -114,11 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
         ("axioms", "run the choice-axiom checks"),
         ("audit", "full report with implication checks"),
     ):
-        p = sub.add_parser(command, parents=[common], help=text)
+        p = sub.add_parser(command, parents=[common, budget], help=text)
         p.add_argument("model_path", metavar="model", help="model file (JSON)")
 
     p = sub.add_parser(
-        "bell", parents=[common], help="evaluate the logical inequality"
+        "bell", parents=[common, bound, budget], help="evaluate the logical inequality"
     )
     p.add_argument(
         "model_path", metavar="model", help="probabilistic model file (JSON)"
@@ -131,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="formula file, one per line",
     )
 
-    p = sub.add_parser("gen", parents=[common], help="emit a random model")
+    p = sub.add_parser("gen", help="emit a random model")
     p.add_argument("--vars", dest="n_variables", type=int, required=True, metavar="N")
     p.add_argument("--contexts", dest="n_contexts", type=int, required=True, metavar="K")
     p.add_argument(
@@ -325,7 +308,7 @@ def run(config: RunConfig) -> int:
             line += f" ({partial} sections found before expiry)"
         _emit(config, doc, [line])
         return 3
-    except _INPUT_ERRORS as exc:
+    except (ChoiceCtxError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -144,19 +144,20 @@ def _entry_fault(context: Context, binding: dict, repeated: bool) -> Verdict | N
     return _failing(message, witness)
 
 
-def validate_probabilistic(
-    model: ProbabilisticModel, tolerance: float = SUPPORT_EPSILON
-) -> Verdict:
+def validate_probabilistic(model: ProbabilisticModel) -> Verdict:
     """Check the numeric invariants on top of the structural ones.
 
     Every cover context needs exactly one distribution; entries must set
     outcomes 0 or 1, be total on their context, pairwise distinct, finite
-    and nonnegative; each distribution must sum to one within ``tolerance``.
-    The first faulty entry was noted by :meth:`ProbabilisticModel.make`.
+    and nonnegative; each distribution must sum to one within
+    :data:`SUPPORT_EPSILON`.  The first faulty entry was noted by
+    :meth:`ProbabilisticModel.make`.
     """
     scenario = model.scenario
-    no_events = dict.fromkeys(model._codes, frozenset())
-    structural = validate_model(PossibilisticModel._from_codes(scenario, no_events))
+    # the empty event lies inside every context, so only the structural
+    # checks can fail, and no context warns of an empty support
+    empty_event = dict.fromkeys(model._codes, frozenset([0]))
+    structural = validate_model(PossibilisticModel._from_codes(scenario, empty_event))
     if not structural.holds:
         return structural
     if model._fault is not None:
@@ -178,7 +179,7 @@ def validate_probabilistic(
                     },
                 )
         total = math.fsum(p for _, p in entries)
-        if abs(total - 1.0) > tolerance:
+        if abs(total - 1.0) > SUPPORT_EPSILON:
             return _failing(
                 f"context {list(context)} sums to {total!r}, not 1",
                 {

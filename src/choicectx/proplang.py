@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .core import Context, Scenario
 from .errors import NotMeasurable, PropositionSyntaxError, UnknownVariable
@@ -46,20 +46,31 @@ class Proposition:
     ``variables()``, ``to_text`` and ``repr`` read the prefix form
     :attr:`_items`, which is already in printing order.  A parsed formula
     gets its prefix form and variable set from the parser; a formula built
-    in code flattens once, on first use.  ``evaluate`` runs
-    its own loop over each node's ``_steps``, which skips an operand the
-    result no longer depends on."""
+    in code flattens once, on first use.  ``evaluate`` walks the nodes
+    themselves, so it can skip an operand the result no longer depends
+    on."""
 
     def evaluate(self, binding: Mapping[str, int]) -> bool:
         """The formula's value under ``binding``.  Like Python's ``and`` and
         ``or``, a connective whose left operand decides it never reads its
         right operand, so ``binding`` need not bind that operand's
         variables."""
+        # a connective's marker sits over its right operand, so once the
+        # left operand decides the result the marker drops the right unread
         todo: list[object] = [self]
         while todo:
             item = todo.pop()
-            if isinstance(item, Proposition):
-                todo += item._steps(binding)[::-1]
+            kind = type(item)
+            if kind is Var:
+                value = bool(binding[item.name])
+            elif kind is Const:
+                value = item.value
+            elif kind is Not:
+                todo += (_NOT, item.operand)
+            elif kind is And:
+                todo += (item.right, _AND, item.left)
+            elif kind is Or:
+                todo += (item.right, _OR, item.left)
             elif item is _NOT:
                 value = not value
             elif item is _AND:
@@ -69,7 +80,7 @@ class Proposition:
                 if value:
                     todo.pop()
             else:
-                value = item
+                raise TypeError(f"cannot evaluate a {kind.__qualname__} node")
         return value
 
     def variables(self) -> frozenset[str]:
@@ -182,24 +193,15 @@ _NOT, _AND, _OR = object(), object(), object()
 class Var(Proposition):
     name: str
 
-    def _steps(self, binding: Mapping[str, int]) -> Sequence[object]:
-        return (bool(binding[self.name]),)
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Const(Proposition):
     value: bool
 
-    def _steps(self, binding: Mapping[str, int]) -> Sequence[object]:
-        return (self.value,)
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Not(Proposition):
     operand: Proposition
-
-    def _steps(self, binding: Mapping[str, int]) -> Sequence[object]:
-        return (self.operand, _NOT)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -207,17 +209,11 @@ class And(Proposition):
     left: Proposition
     right: Proposition
 
-    def _steps(self, binding: Mapping[str, int]) -> Sequence[object]:
-        return (self.left, _AND, self.right)
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Or(Proposition):
     left: Proposition
     right: Proposition
-
-    def _steps(self, binding: Mapping[str, int]) -> Sequence[object]:
-        return (self.left, _OR, self.right)
 
 
 # every token, and nothing else: whitespace and a character outside the

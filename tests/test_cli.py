@@ -30,7 +30,7 @@ from choicectx import (
     uniform_over_support,
     validate_model,
 )
-from choicectx import catalog
+from choicectx import catalog, cli, contextuality, errors
 from choicectx.cli import RunConfig, build_parser, main, parse_args, run
 from choicectx.contextuality import Kind
 from choicectx.core import TABLE_ROWS_LIMIT
@@ -1039,3 +1039,137 @@ class TestModelDocumentFuzz:
             rc = main(args + flags)
         assert rc in {0, 1, 2, 3}
         assert "Traceback" not in err.getvalue()
+
+
+class TestFlagsPerSubcommand:
+    """Each subcommand takes only the flags it reads; any other is argparse's
+    usage error."""
+
+    GEN = ["gen", "--vars", "3", "--contexts", "2", "--density", "0.5", "--seed", "1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            GEN + ["--machine"],
+            GEN + ["--strict"],
+            GEN + ["--budget", "1"],
+            GEN + ["--bound", "3"],
+            ["classify", "m.json", "--bound", "3"],
+            ["axioms", "m.json", "--bound", "3"],
+            ["audit", "m.json", "--bound", "3"],
+        ],
+        ids=[
+            "gen-machine", "gen-strict", "gen-budget", "gen-bound",
+            "classify-bound", "axioms-bound", "audit-bound",
+        ],
+    )
+    def test_flags_a_subcommand_does_not_take_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_flags_each_subcommand_takes(self):
+        for command in ("classify", "axioms", "audit"):
+            config = parse_args([command, "m.json", "--machine", "--strict", "--budget", "2"])
+            assert (config.machine, config.strict, config.budget) == (True, True, 2.0)
+        config = parse_args(self.GEN)
+        assert (config.machine, config.strict, config.budget) == (False, False, None)
+        assert config.bound == 24
+
+    def test_bell_bound_refuses_the_pr_box(self, pr_dist_file, pr_props_file, capsys):
+        rc = main(["bell", "--bound", "3", pr_dist_file, "--props", pr_props_file])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: 4 variables exceed the exhaustive bound of 3\n"
+
+
+def package_errors():
+    """One instance of the package's base error and of each subclass."""
+    return [
+        errors.ChoiceCtxError("base"),
+        errors.UnboundVariable("unbound"),
+        errors.UnknownContext("unknown context"),
+        errors.VariableNotInContext("not in context"),
+        errors.DomainMismatch("domain"),
+        errors.TooLarge("too large"),
+        errors.TimeBudgetExceeded(),
+        errors.ModelSyntaxError("syntax", 1, 2),
+        errors.ModelSemanticError("semantic", "$.contexts"),
+        errors.PropositionSyntaxError("formula", 3, 4),
+        errors.UnknownVariable("unknown variable"),
+        errors.NotMeasurable("not measurable"),
+        errors.NotContradictory("satisfiable"),
+    ]
+
+
+class TestPackageErrorsExitCleanly:
+    def test_every_subclass_is_listed(self):
+        listed = {type(exc) for exc in package_errors()}
+        assert listed == {errors.ChoiceCtxError, *errors.ChoiceCtxError.__subclasses__()}
+
+    @pytest.mark.parametrize("exc", package_errors(), ids=lambda exc: type(exc).__name__)
+    def test_error_from_classify(self, exc, hardy_file, monkeypatch, capsys):
+        def fail(model, deadline):
+            raise exc
+
+        monkeypatch.setattr(cli, "classify", fail)
+        rc = run(RunConfig(command="classify", model_path=hardy_file))
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        if isinstance(exc, errors.TimeBudgetExceeded):
+            assert rc == 3
+            assert out == "inconclusive: time budget exceeded (0 sections found before expiry)\n"
+        else:
+            assert rc == 2
+            assert (out, err) == ("", f"error: {exc}\n")
+
+
+class TestRarePaths:
+    def test_expiry_in_the_witness_pass_counts_every_section(
+        self, hardy_file, monkeypatch, capsys
+    ):
+        # the search reads the clock through core's binding and finishes;
+        # the witness pass reads its own, which has always expired
+        sections = classify(hardy_table()).section_count
+        assert sections > 0
+        monkeypatch.setattr(contextuality, "past_deadline", lambda deadline: True)
+        assert main(["classify", "--budget", "60", hardy_file]) == 3
+        line = f"inconclusive: time budget exceeded ({sections} sections found before expiry)\n"
+        assert capsys.readouterr().out == line
+
+    def test_empty_support_warns_and_is_strongly_contextual(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "variables": ["a", "b"],
+                    "contexts": [["a"], ["b"]],
+                    "possibilistic": [
+                        {"context": ["a"], "events": [[], ["a"]]},
+                        {"context": ["b"], "events": []},
+                    ],
+                }
+            )
+        )
+        assert main(["classify", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == (
+            "warning: context {b} has an empty support set; no global section can exist\n"
+        )
+        assert out == "kind: StronglyContextual\nsections: 0\n"
+
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--vars", "at least one variable is required"),
+            ("--contexts", "at least one context is required"),
+        ],
+    )
+    def test_gen_refuses_zero_counts(self, flag, message, capsys):
+        argv = ["gen", "--vars", "3", "--contexts", "2", "--density", "0.5", "--seed", "1"]
+        argv[argv.index(flag) + 1] = "0"
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")

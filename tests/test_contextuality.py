@@ -29,7 +29,7 @@ from choicectx import (
     warp_noncontextual,
     warp_signalling,
 )
-from choicectx import core
+from choicectx import contextuality, core
 
 # ground truth frozen from tools/oracle.py (independent brute force)
 EXPECTED = {
@@ -250,3 +250,17 @@ class TestRenameInvariance:
         ours, theirs = classify(m), classify(renamed)
         assert ours.kind is theirs.kind
         assert ours.section_count == theirs.section_count
+
+
+class TestWitnessPassExpiry:
+    def test_expiry_carries_every_section(self, monkeypatch):
+        # the search reads the clock through core's binding and finishes;
+        # the witness pass reads its own, which has always expired
+        m = hardy_table()
+        sections = classify(m).section_count
+        assert sections > 0
+        monkeypatch.setattr(contextuality, "past_deadline", lambda deadline: True)
+        with pytest.raises(TimeBudgetExceeded) as err:
+            classify(m, deadline=time.monotonic() + 60)
+        assert err.value.partial_count == sections
+        assert list(err.value.partial_sections) == global_sections_backtracking(m)

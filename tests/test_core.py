@@ -329,3 +329,16 @@ class TestShortlexCodes:
     @given(st.sets(st.integers(0, (1 << 12) - 1), max_size=200))
     def test_sort_agrees_with_key(self, codes):
         assert _shortlex_sorted(codes) == sorted(codes, key=_shortlex_key)
+
+
+class TestVerdictTruth:
+    def test_bool_is_holds(self):
+        good = validate_model(PossibilisticModel.make(
+            Scenario.make(["a"], [["a"]]), {("a",): [[], ["a"]]}
+        ))
+        # b lies in no context
+        bad = validate_model(PossibilisticModel.make(
+            Scenario.make(["a", "b"], [["a"]]), {("a",): [[]]}
+        ))
+        assert bool(good) is good.holds is True
+        assert bool(bad) is bad.holds is False

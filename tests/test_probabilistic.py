@@ -723,3 +723,34 @@ class TestGreedyOrder:
         tables = list(_truth_tables(props, scenario.bit, None))
         compiled = _Compiled(scenario.bit, tables)
         assert (compiled.order, compiled.completed_at) == reference_order(scenario.bit, tables)
+
+
+class TestRowBlockExpiry:
+    def test_expiry_before_the_rows_of_a_table(self, monkeypatch):
+        # a chain of 3,000 disjuncts is read in 9 slices; a clock that
+        # expires on its tenth read passes them all and stops at the rows
+        reads = []
+        clock = SimpleNamespace(monotonic=lambda: reads.append(1) or float(len(reads) > 9))
+        monkeypatch.setattr(core, "time", clock)
+        prop = reduce(Or, [Var("a")] * 3000)
+        with pytest.raises(TimeBudgetExceeded):
+            list(_truth_tables([prop], bell_scenario().bit, deadline=0.5))
+        assert len(reads) == 10
+
+
+class TestModelViews:
+    def test_repr_and_distributions(self):
+        s = Scenario.make(["a", "b"], [["a"], ["b"]])
+        m = ProbabilisticModel.make(
+            s, {("b",): [({"b": 1}, 1.0)], ("a",): [({"a": 1}, 0.75), ({"a": 0}, 0.25)]}
+        )
+        a0, a1, b1 = Assignment.make({"a": 0}), Assignment.make({"a": 1}), Assignment.make({"b": 1})
+        assert m.distributions == {("a",): ((a0, 0.25), (a1, 0.75)), ("b",): ((b1, 1.0),)}
+        assert list(m.distributions) == [("a",), ("b",)]
+        assert repr(m) == (
+            "ProbabilisticModel(scenario=Scenario(variables=('a', 'b'), "
+            "cover=(('a',), ('b',))), distributions={('a',): "
+            "((Assignment(bindings=(('a', 0),)), 0.25), "
+            "(Assignment(bindings=(('a', 1),)), 0.75)), "
+            "('b',): ((Assignment(bindings=(('b', 1),)), 1.0),)})"
+        )

@@ -1,5 +1,5 @@
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import product
 
@@ -531,3 +531,22 @@ class TestNesting:
             parse_formula("!" * MAX_NESTING + "a\n$")
         assert err.value.position == MAX_NESTING + 2
         assert "unexpected character '$'" in str(err.value)
+
+
+class TestUnknownNodeClass:
+    def test_evaluate_and_to_text_refuse_it(self):
+        @dataclass(frozen=True, eq=False, repr=False)
+        class Xor(Proposition):
+            left: Proposition
+            right: Proposition
+
+        phi = Xor(Var("a"), Not(Var("b")))
+        assert phi.variables() == {"a", "b"}
+        with pytest.raises(TypeError, match="cannot evaluate a .*Xor node"):
+            phi.evaluate({"a": 1, "b": 0})
+        with pytest.raises(TypeError, match="cannot evaluate a .*Xor node"):
+            (Var("a") & phi).evaluate({"a": 1, "b": 0})
+        with pytest.raises(TypeError, match="cannot print a .*Xor node"):
+            phi.to_text()
+        # an operand the result does not depend on is never read
+        assert (Var("a") | phi).evaluate({"a": 1}) is True
