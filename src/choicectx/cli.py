@@ -76,6 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="refuse scenarios over N variables (default %(default)s)",
     )
+    # where --bound is not taken, it is still parsed, unlisted, so that its
+    # value is not read as the model path; parse_args refuses it
+    refused = argparse.ArgumentParser(add_help=False)
+    refused.add_argument(
+        "--bound", dest="refused_bound", action="append", default=[], help=argparse.SUPPRESS
+    )
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument(
         "--budget",
@@ -97,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("axioms", "run the choice-axiom checks"),
         ("audit", "full report with implication checks"),
     ):
-        p = sub.add_parser(command, parents=[common, budget], help=text)
+        p = sub.add_parser(command, parents=[common, refused, budget], help=text)
         p.add_argument("model_path", metavar="model", help="model file (JSON)")
 
     p = sub.add_parser(
@@ -140,7 +146,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    return RunConfig(**vars(_parser().parse_args(argv)))
+    parser = _parser()
+    args, extras = parser.parse_known_args(argv)
+    refused = [s for value in vars(args).pop("refused_bound", ()) for s in ("--bound", value)]
+    if refused or extras:
+        parser.error(f"unrecognized arguments: {' '.join(refused + extras)}")
+    return RunConfig(**vars(args))
 
 
 def _fmt_value(value: object) -> str:

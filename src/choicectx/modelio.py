@@ -300,9 +300,10 @@ def serialize_model(model: Model) -> str:
     :func:`json.dumps` runs json's pure-Python encoder.  Each name is
     quoted once per call and every number is written as json writes it
     (:func:`_scalar`); events come in shortlex order, each one's text
-    built from its code and the context's quoted names
-    (:func:`_event_texts`), and so is each distribution entry's assignment,
-    in ascending code order (:func:`_distribution_entries`).
+    written from two half-context text tables, built over the half-codes
+    that occur (:func:`_event_texts`); each distribution entry's assignment
+    is built from its code and the context's quoted names, in ascending
+    code order (:func:`_distribution_entries`).
     """
     scenario = model.scenario
     quote = cache(_scalar)  # each name once per document
@@ -374,17 +375,34 @@ def _event_texts(
 ) -> list[str]:
     """The events of ``context`` as array texts at their depth in the
     document, in shortlex order: each one lists the context's quoted names
-    whose bits its code holds, in name order, one per line."""
+    whose bits its code holds, in name order, one per line.
+
+    Each is written from two half-context text tables, built over the
+    half-codes that occur among the events, never all 2^(k/2): a head's
+    entry holds the opening bracket and the tail table to close with, the
+    tail's names behind a separator or, after an empty head, its own text.
+    """
     bit = model.scenario.bit
-    members = [(bit[v], quote(v)) for v in context]
-    separator = f",\n{_MEMBER_INDENT}"
+    codes = model._codes[model._key(context)]
+    opening, separator = f"[\n{_MEMBER_INDENT}", f",\n{_MEMBER_INDENT}"
     close = f"\n{_EVENT_INDENT}]"
-    return [
-        f"[\n{_MEMBER_INDENT}{separator.join([q for b, q in members if code & b])}{close}"
-        if code
-        else "[]"
-        for code in _shortlex_sorted(model._codes[model._key(context)])
-    ]
+
+    def half(names: tuple[str, ...]) -> tuple[int, dict[int, str]]:
+        mask = sum(bit[v] for v in names)
+        members = [(bit[v], quote(v)) for v in names]
+        found = {code & mask for code in codes}
+        return mask, {c: separator.join([q for b, q in members if c & b]) for c in found}
+
+    head_mask, heads = half(context[: len(context) // 2])
+    tail_mask, tails = half(context[len(context) // 2 :])
+    after = {t: f"{separator}{text}{close}" if text else close for t, text in tails.items()}
+    alone = {t: f"{opening}{text}{close}" if text else "[]" for t, text in tails.items()}
+    head = {h: (opening + text, after) if text else ("", alone) for h, text in heads.items()}
+    texts = []
+    for code in _shortlex_sorted(codes):
+        prefix, tail = head[code & head_mask]
+        texts.append(prefix + tail[code & tail_mask])
+    return texts
 
 
 def _distribution_entries(

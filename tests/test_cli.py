@@ -584,6 +584,11 @@ class TestGenCommand:
                 "--vars 12 --contexts 6 --density 0.6 --seed 1003",
                 "d8484e9e85330e95eb0d5dfc82809b4651f2e00ac8cde5d63561d1c040ff8d2b",
             ),
+            (
+                # the size of the benchmark's docs-io gen documents (475 KB)
+                "--vars 18 --contexts 11 --density 0.6 --seed 1",
+                "e2eefe6ce62df184bc325bb1a3e3c725d1b418ca2aa2b1146e9f6dddea333b5d",
+            ),
         ],
     )
     def test_output_bytes_are_frozen(self, capsys, args, digest):
@@ -1083,6 +1088,36 @@ class TestFlagsPerSubcommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: 4 variables exceed the exhaustive bound of 3\n"
+
+    @pytest.mark.parametrize("command", ["classify", "axioms", "audit"])
+    def test_refused_bound_before_the_model_names_its_value(self, command, capsys):
+        # on either side of the model, --bound's value is not read as the
+        # model path, and the model file is not named
+        for argv in ([command, "--bound", "3", "m.json"], [command, "m.json", "--bound", "3"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            out, text = capsys.readouterr()
+            assert out == ""
+            assert text == (
+                "usage: choicectx [-h] {classify,axioms,audit,bell,gen} ...\n"
+                "choicectx: error: unrecognized arguments: --bound 3\n"
+            )
+
+    @pytest.mark.parametrize("command", ["classify", "axioms", "audit"])
+    def test_refused_bound_stays_out_of_help_and_usage(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        help_text = capsys.readouterr().out
+        assert help_text.startswith(
+            f"usage: choicectx {command} [-h] [--machine] [--strict] [--budget SECONDS] model\n"
+        )
+        assert "--bound" not in help_text
+        with pytest.raises(SystemExit) as err:
+            main([command])
+        assert err.value.code == 2
+        assert "--bound" not in capsys.readouterr().err
 
 
 def package_errors():

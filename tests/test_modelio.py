@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,13 @@ from choicectx import (
     serialize_model,
     uniform_over_support,
 )
-from choicectx.core import shortlex
+from choicectx.core import canonical_context, shortlex
 from choicectx.modelio import _checked_distribution
+
+
+def power_set(names):
+    sizes = range(len(names) + 1)
+    return [set(c) for c in chain.from_iterable(combinations(names, r) for r in sizes)]
 
 
 def doc_of(model):
@@ -564,3 +571,72 @@ class TestByteIdentity:
         assert text == reference_text(model)
         for number in ("NaN", "Infinity", "-Infinity", "0.3333333333333333", "1e-300", "-0.0"):
             assert f'"p": {number}\n' in text
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(13, 18),
+        k=st.integers(1, 4),
+        density=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_docs_io_scale_contexts(self, n, k, density, seed):
+        # contexts of 12-16 of 13-18 names, as the benchmark's gen documents
+        # have: each event is written from a head and a tail half of 6-8 names
+        rng = random.Random(seed)
+        names = [f"v{i:02d}" for i in range(n)]
+        contexts = [rng.sample(names, rng.randint(12, min(16, n))) for _ in range(k)]
+        supports = {}
+        for context in map(canonical_context, contexts):
+            drawn = [rng.getrandbits(len(context)) for _ in range(rng.randint(0, 300))]
+            supports[context] = [
+                {v for j, v in enumerate(context) if code >> j & 1}
+                for code in drawn
+                if rng.random() < density
+            ]
+        model = PossibilisticModel.make(Scenario.make(names, contexts), supports)
+        assert serialize_model(model) == reference_text(model)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_contexts_of_one_to_three_names(self, size):
+        # every event of a 1-, 2- and 3-name context: the head half holds
+        # 0, 1 and 1 names, so empty heads, empty tails and [] all occur
+        names = ["a", "b", "c"][:size]
+        scenario = Scenario.make(names, [names])
+        model = PossibilisticModel.make(scenario, {tuple(names): power_set(names)})
+        assert serialize_model(model) == reference_text(model)
+
+    def test_events_with_an_empty_half(self):
+        # a 7-name context splits into 3 head and 4 tail names
+        names = list("abcdefg")
+        scenario = Scenario.make(names, [names, ["a"]])
+        events = [set(), {"a"}, {"a", "c"}, set("abc"), {"d"}, {"e", "g"}, set("defg")]
+        model = PossibilisticModel.make(scenario, {tuple(names): events, ("a",): [set()]})
+        assert serialize_model(model) == reference_text(model)
+
+    def test_only_the_empty_event(self):
+        names = list("abcdef")
+        scenario = Scenario.make(names, [names])
+        model = PossibilisticModel.make(scenario, {tuple(names): [set()]})
+        text = serialize_model(model)
+        assert text == reference_text(model)
+        assert '"events": [\n        []\n      ]' in text
+
+    def test_fully_dense_context(self):
+        names = [f"v{i}" for i in range(10)]
+        scenario = Scenario.make(names, [names, names[3:]])
+        model = PossibilisticModel.make(
+            scenario, {tuple(names): power_set(names), tuple(names[3:]): power_set(names[3:])}
+        )
+        assert serialize_model(model) == reference_text(model)
+
+    def test_work_is_bounded_by_the_events(self):
+        # 200 names in one context: a writer that tabulated every half-code
+        # (2^100 of them) would never finish
+        names = [f"w{i:03d}" for i in range(200)]
+        scenario = Scenario.make(names, [names, names[:1]])
+        model = PossibilisticModel.make(
+            scenario,
+            {tuple(names): [set(names[:100]), set(names[100:]), set(names[1::3])],
+             ("w000",): [set()]},
+        )
+        assert serialize_model(model) == reference_text(model)
