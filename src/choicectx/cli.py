@@ -20,9 +20,6 @@ import time
 from dataclasses import dataclass
 from functools import cache
 
-from .axioms import CHECKS, AuditReport, audit, verdicts
-from .catalog import gen_random_model
-from .contextuality import Classification, classify
 from .core import (
     EXHAUSTIVE_BOUND_DEFAULT,
     PossibilisticModel,
@@ -37,7 +34,11 @@ from .probabilistic import (
     support_reduction,
     validate_probabilistic,
 )
-from .proplang import parse_propositions
+
+# modelio loads probabilistic in any case; each subcommand imports the rest
+# of what it runs in its own branch of _dispatch, so that bell never loads
+# contextuality or axioms, and classify never loads the formula parser
+# (annotations name their Classification and AuditReport unimported)
 
 
 @dataclass
@@ -185,6 +186,8 @@ def _classification_lines(classification: Classification) -> list[str]:
 
 
 def _report_lines(report: AuditReport) -> list[str]:
+    from .axioms import CHECKS
+
     lines = []
     for name in CHECKS:
         lines.extend(_verdict_lines(name, getattr(report, name)))
@@ -244,6 +247,8 @@ def _dispatch(config: RunConfig) -> int:
     deadline = _deadline(config)
 
     if config.command == "gen":
+        from .catalog import gen_random_model
+
         model = gen_random_model(
             config.n_variables,
             config.n_contexts,
@@ -255,12 +260,16 @@ def _dispatch(config: RunConfig) -> int:
         return 0
 
     if config.command == "classify":
+        from .contextuality import classify
+
         model = _as_possibilistic(_load_model(config))
         classification = classify(model, deadline)
         _emit(config, classification.to_doc(), _classification_lines(classification))
         return 1 if config.strict and classification.is_contextual else 0
 
     if config.command == "axioms":
+        from .axioms import verdicts
+
         model = _as_possibilistic(_load_model(config))
         found = verdicts(model)
         lines = []
@@ -272,6 +281,8 @@ def _dispatch(config: RunConfig) -> int:
         return 1 if config.strict and bad else 0
 
     if config.command == "audit":
+        from .axioms import audit
+
         model = _as_possibilistic(_load_model(config))
         report = audit(model, deadline)
         _emit(config, report.to_doc(), _report_lines(report))
@@ -283,6 +294,8 @@ def _dispatch(config: RunConfig) -> int:
         return 1 if config.strict and bad else 0
 
     if config.command == "bell":
+        from .proplang import parse_propositions
+
         model = _load_model(config)
         if not isinstance(model, ProbabilisticModel):
             raise ModelSemanticError(

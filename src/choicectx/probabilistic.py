@@ -43,7 +43,10 @@ from .core import (
     validate_model,
 )
 from .errors import NotContradictory, TimeBudgetExceeded, TooLarge, UnknownContext
-from .proplang import And, Const, Not, Or, Proposition, Var, measurement_context
+
+# the functions that take formulas import proplang where they use it, so
+# reading a document does not load the parser; annotations name its
+# Proposition unimported
 
 # probabilities this close to zero are treated as zero
 SUPPORT_EPSILON = 1e-9
@@ -237,6 +240,8 @@ def _truth_tables(
     ``deadline`` is read before each slice, the first included, and before
     each block of table rows.
     """
+    from .proplang import And, Const, Not, Or, Var
+
     rows_in_all = sum(1 << len(prop.variables()) for prop in props)
     if rows_in_all > TABLE_ROWS_LIMIT:
         raise TooLarge(
@@ -300,6 +305,8 @@ def _contradiction(
     """Measurement context and truth table of each formula, and whether no
     code meets every table: at once if one has no satisfying row, else by
     the section search stopped at its first complete code."""
+    from .proplang import measurement_context
+
     n = len(scenario.variables)
     if n > bound:
         raise TooLarge(f"{n} variables exceed the exhaustive bound of {bound}")
@@ -319,6 +326,8 @@ def eval_probability(prop: Proposition, model: ProbabilisticModel) -> float:
     It is compiled to its truth table, and the ``p`` of the context's
     entries whose masked code satisfies it are summed with ``math.fsum``.
     """
+    from .proplang import measurement_context
+
     context = measurement_context(prop, model.scenario)
     (table,) = _truth_tables([prop], model.scenario.bit, None)
     return _probability(table, model._codes[model._key(context)])
@@ -373,6 +382,8 @@ def support_propositions(model: PossibilisticModel) -> list[Proposition]:
     """One formula per cover context asserting the outcome lies in that
     context's support, as a disjunction of full conjunctions (one per
     event).  Empty supports yield the constant false."""
+    from .proplang import And, Const, Not, Or, Var
+
     props: list[Proposition] = []
     for context in model.scenario.cover:
         terms = [

@@ -751,6 +751,81 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False"]
 
+    def test_import_loads_no_submodule(self):
+        code = (
+            "import sys, choicectx; "
+            "print(sorted(m for m in sys.modules if m.startswith('choicectx.')), "
+            "'numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]", "False"]
+
+    @pytest.mark.parametrize(
+        "command, own, absent",
+        [
+            ("bell", "proplang", ["axioms", "contextuality", "catalog"]),
+            ("classify", "contextuality", ["proplang", "axioms", "catalog"]),
+            ("gen", "catalog", ["proplang", "axioms", "contextuality"]),
+        ],
+    )
+    def test_subcommand_loads_only_its_modules(
+        self, command, own, absent, pr_dist_file, pr_props_file
+    ):
+        args = {
+            "bell": ["bell", pr_dist_file, "--props", pr_props_file],
+            "classify": ["classify", pr_dist_file],
+            "gen": ["gen", "--vars", "4", "--contexts", "2", "--density", "0.5", "--seed", "1"],
+        }[command]
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "choicectx", *args],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # "import time: <self> | <cumulative> | <indented module name>"
+        loaded = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert {"choicectx.cli", f"choicectx.{own}"} <= loaded
+        assert loaded.isdisjoint(f"choicectx.{name}" for name in absent)
+
+    def test_namespace(self):
+        # in a fresh interpreter, so that no other test has imported a name
+        code = """if True:
+            import importlib, json, sys, choicectx
+            listed = sorted(set(dir(choicectx)) & set(choicectx.__all__))
+            # a submodule is an attribute as the eager imports once made it
+            assert choicectx.proplang is sys.modules["choicectx.proplang"]
+            star = {}
+            exec("from choicectx import *", star)
+            del star["__builtins__"]
+            homes = {}
+            for name in choicectx.__all__:
+                home = importlib.import_module("choicectx." + choicectx._HOME[name])
+                value = getattr(choicectx, name)
+                assert value is getattr(home, name) is star[name], name
+                if getattr(value, "__module__", "").startswith("choicectx."):
+                    assert value.__module__ == home.__name__, name
+            try:
+                choicectx.no_such_name
+            except AttributeError as exc:
+                unknown = str(exc)
+            print(json.dumps([choicectx.__all__, listed, sorted(star), unknown]))
+        """
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        names, listed, star, unknown = json.loads(proc.stdout)
+        assert len(names) == len(set(names)) == 71
+        assert listed == star == sorted(names)
+        assert unknown == "module 'choicectx' has no attribute 'no_such_name'"
+
     def test_gen_pipes_to_classify(self, tmp_path):
         gen = subprocess.run(
             [sys.executable, "-m", "choicectx", "gen", "--vars", "4",
@@ -1149,7 +1224,7 @@ class TestPackageErrorsExitCleanly:
         def fail(model, deadline):
             raise exc
 
-        monkeypatch.setattr(cli, "classify", fail)
+        monkeypatch.setattr(contextuality, "classify", fail)
         rc = run(RunConfig(command="classify", model_path=hardy_file))
         out, err = capsys.readouterr()
         assert "Traceback" not in out + err
