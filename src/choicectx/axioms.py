@@ -19,12 +19,13 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .core import Context, PossibilisticModel, Scenario, Verdict, _failing, _passing
-from .contextuality import Classification, Kind, classify
 
+# only audit() runs the section search, so contextuality is imported there,
+# and the region names are keyed by the value of each Kind
 _REGION_KIND = {
-    Kind.NONCONTEXTUAL: "non-contextual",
-    Kind.CONTEXTUAL: "contextual",
-    Kind.STRONGLY_CONTEXTUAL: "strongly contextual",
+    "NonContextual": "non-contextual",
+    "Contextual": "contextual",
+    "StronglyContextual": "strongly contextual",
 }
 
 
@@ -212,7 +213,7 @@ class AuditReport:
         """Human-readable cell of the axiom/contextuality landscape."""
         warp = "weak axiom holds" if self.weak_axiom.holds else "weak axiom fails"
         signal = "no-signalling" if self.no_signalling.holds else "signalling"
-        return f"{warp}; {signal}; {_REGION_KIND[self.classification.kind]}"
+        return f"{warp}; {signal}; {_REGION_KIND[self.classification.kind.value]}"
 
     def to_doc(self) -> dict:
         return {
@@ -229,6 +230,8 @@ def audit(model: PossibilisticModel, deadline: float | None = None) -> AuditRepo
     An implication check applies exactly when its hypotheses hold; when
     one fails, the check's detail names the first that fails.
     """
+    from .contextuality import Kind, classify
+
     found = verdicts(model)
     warp, signalling, closed, overlap, _ = found.values()
     classification = classify(model, deadline)

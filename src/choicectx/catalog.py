@@ -165,6 +165,8 @@ def gen_random_model(
         raise ValueError("at least one context is required")
     if not 0.0 <= density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     if 2 * n_variables > TABLE_ROWS_LIMIT:
         # each variable lies in some context and 2^s >= 2s, so the tables
         # hold at least 2n rows whatever the draw

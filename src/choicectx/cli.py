@@ -9,6 +9,10 @@ Exit codes: 0 on success; 1 under ``--strict`` when the model is contextual,
 signals, violates the weak axiom, or violates the inequality; 2 on input
 errors; 3 when the time budget expires (the partial report is marked
 inconclusive).
+
+Both input files, the model document and the ``bell`` formula file, are
+read as UTF-8 through one reader, and either may start with a byte-order
+mark, which is not part of the text.
 """
 
 from __future__ import annotations
@@ -20,14 +24,9 @@ import time
 from dataclasses import dataclass
 from functools import cache
 
-from .core import (
-    EXHAUSTIVE_BOUND_DEFAULT,
-    PossibilisticModel,
-    Verdict,
-    _empty_support_warnings,
-)
+from .core import EXHAUSTIVE_BOUND_DEFAULT, Verdict, _empty_support_warnings, format_event
 from .errors import ChoiceCtxError, ModelSemanticError, TimeBudgetExceeded
-from .modelio import Model, parse_model, serialize_model
+from .modelio import parse_model, serialize_model
 from .probabilistic import (
     ProbabilisticModel,
     bell_violation,
@@ -156,9 +155,7 @@ def parse_args(argv: list[str]) -> RunConfig:
 
 
 def _fmt_value(value: object) -> str:
-    if isinstance(value, list):
-        return "{" + ",".join(str(item) for item in value) + "}"
-    return str(value)
+    return format_event(value) if isinstance(value, list) else str(value)
 
 
 def _verdict_lines(name: str, verdict: Verdict) -> list[str]:
@@ -178,10 +175,7 @@ def _classification_lines(classification: Classification) -> list[str]:
     ]
     if classification.witness_event is not None:
         context, event = classification.witness_event
-        lines.append(
-            "witness: context={%s}, event={%s}"
-            % (",".join(context), ",".join(sorted(event)))
-        )
+        lines.append(f"witness: context={format_event(context)}, event={format_event(event)}")
     return lines
 
 
@@ -198,33 +192,19 @@ def _report_lines(report: AuditReport) -> list[str]:
     lines.append(f"region: {report.region()}")
     lines.append("theorems:")
     for check in report.theorem_checks:
-        flags = []
-        flags.append("applicable" if check.applicable else "not applicable")
-        flags.append("consistent" if check.consistent else "INCONSISTENT")
-        lines.append(f"  {check.id}: {', '.join(flags)}")
+        lines.append(
+            f"  {check.id}: {'applicable' if check.applicable else 'not applicable'}, "
+            f"{'consistent' if check.consistent else 'INCONSISTENT'}"
+        )
         lines.append(f"    {check.detail}")
     return lines
 
 
-def _load_model(config: RunConfig) -> Model:
-    assert config.model_path is not None
-    with open(config.model_path, "r", encoding="utf-8") as handle:
-        model = parse_model(handle.read())
-    # parse_model enforces the structure; only probabilities remain to check
-    if isinstance(model, ProbabilisticModel):
-        verdict = validate_probabilistic(model)
-        if not verdict.holds:
-            raise ModelSemanticError(verdict.narrative, "$")
-    else:
-        for warning in _empty_support_warnings(model):
-            print(f"warning: {warning}", file=sys.stderr)
-    return model
-
-
-def _as_possibilistic(model: Model) -> PossibilisticModel:
-    if isinstance(model, ProbabilisticModel):
-        return support_reduction(model)
-    return model
+def _read(path: str | None) -> str:
+    assert path is not None
+    # a byte-order mark, as some editors save one, is not part of the text
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        return handle.read()
 
 
 def _emit(config: RunConfig, doc: dict, lines: list[str]) -> None:
@@ -259,61 +239,61 @@ def _dispatch(config: RunConfig) -> int:
         sys.stdout.write(serialize_model(model))
         return 0
 
+    model = parse_model(_read(config.model_path))
+    # parse_model enforces the structure; only probabilities remain to check
+    if isinstance(model, ProbabilisticModel):
+        verdict = validate_probabilistic(model)
+        if not verdict.holds:
+            raise ModelSemanticError(verdict.narrative, "$")
+        if config.command != "bell":
+            model = support_reduction(model)
+    else:
+        for warning in _empty_support_warnings(model):
+            print(f"warning: {warning}", file=sys.stderr)
+
+    # each branch gives its document, its text lines and its strict-mode finding
     if config.command == "classify":
         from .contextuality import classify
 
-        model = _as_possibilistic(_load_model(config))
         classification = classify(model, deadline)
-        _emit(config, classification.to_doc(), _classification_lines(classification))
-        return 1 if config.strict and classification.is_contextual else 0
+        doc, lines = classification.to_doc(), _classification_lines(classification)
+        bad = classification.is_contextual
 
-    if config.command == "axioms":
+    elif config.command == "axioms":
         from .axioms import verdicts
 
-        model = _as_possibilistic(_load_model(config))
         found = verdicts(model)
-        lines = []
-        for name, verdict in found.items():
-            lines.extend(_verdict_lines(name, verdict))
         doc = {name: verdict.to_doc() for name, verdict in found.items()}
-        _emit(config, doc, lines)
+        lines = [line for item in found.items() for line in _verdict_lines(*item)]
         bad = not found["weak_axiom"].holds or not found["no_signalling"].holds
-        return 1 if config.strict and bad else 0
 
-    if config.command == "audit":
+    elif config.command == "audit":
         from .axioms import audit
 
-        model = _as_possibilistic(_load_model(config))
         report = audit(model, deadline)
-        _emit(config, report.to_doc(), _report_lines(report))
+        doc, lines = report.to_doc(), _report_lines(report)
         bad = (
             report.classification.is_contextual
             or not report.weak_axiom.holds
             or not report.no_signalling.holds
         )
-        return 1 if config.strict and bad else 0
 
-    if config.command == "bell":
+    elif config.command == "bell":
         from .proplang import parse_propositions
 
-        model = _load_model(config)
         if not isinstance(model, ProbabilisticModel):
-            raise ModelSemanticError(
-                "the inequality needs a probabilistic model", "$"
-            )
-        assert config.props_path is not None
-        # a byte-order mark, as some editors save one, is not part of the text
-        with open(config.props_path, "r", encoding="utf-8-sig") as handle:
-            props = parse_propositions(handle.read(), model.scenario)
+            raise ModelSemanticError("the inequality needs a probabilistic model", "$")
+        props = parse_propositions(_read(config.props_path), model.scenario)
         violation = bell_violation(props, model, config.bound, deadline)
-        _emit(
-            config,
-            {"formulas": len(props), "violation": violation},
-            [f"formulas: {len(props)}", f"violation: {violation!r}"],
-        )
-        return 1 if config.strict and violation > 0 else 0
+        doc = {"formulas": len(props), "violation": violation}
+        lines = [f"formulas: {len(props)}", f"violation: {violation!r}"]
+        bad = violation > 0
 
-    raise AssertionError(f"unhandled command {config.command!r}")
+    else:
+        raise AssertionError(f"unhandled command {config.command!r}")
+
+    _emit(config, doc, lines)
+    return 1 if config.strict and bad else 0
 
 
 def run(config: RunConfig) -> int:

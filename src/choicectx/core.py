@@ -39,7 +39,9 @@ from .errors import (
     VariableNotInContext,
 )
 
-VARIABLE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
+# the syntax of a variable name, shared with the formula tokenizer
+IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_']*"
+VARIABLE_RE = re.compile(IDENTIFIER + r"\Z")
 
 Context = tuple[str, ...]
 Event = frozenset[str]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .core import Context, Scenario
+from .core import IDENTIFIER, Context, Scenario
 from .errors import NotMeasurable, PropositionSyntaxError, UnknownVariable
 
 
@@ -218,7 +218,7 @@ class Or(Proposition):
 
 # every token, and nothing else: whitespace and a character outside the
 # grammar both go unmatched, and ``_tokenize`` tells them apart
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|[01!&|()]")
+_TOKEN_RE = re.compile(IDENTIFIER + "|[01!&|()]")
 
 # the line ends of a formula file
 _LINE_END_RE = re.compile(r"\r\n?|\n")

@@ -234,6 +234,42 @@ class TestNonFiniteProbability:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["classify", "bell"])
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            ((-0.5, 1.5), "negative probability -0.5 in context ['a']"),
+            ((0.5, 0.6), "context ['a'] sums to 1.1, not 1"),
+        ],
+        ids=["negative", "off-total"],
+    )
+    def test_invalid_distribution_is_input_error(
+        self, command, p, message, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "variables": ["a"],
+                    "contexts": [["a"]],
+                    "probabilistic": [
+                        {
+                            "context": ["a"],
+                            "distribution": [
+                                {"assignment": {"a": 0}, "p": p[0]},
+                                {"assignment": {"a": 1}, "p": p[1]},
+                            ],
+                        }
+                    ],
+                }
+            )
+        )
+        props = tmp_path / "a.props"
+        props.write_text("a\n")
+        argv = [command, str(path)] + (["--props", str(props)] if command == "bell" else [])
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: $: {message}\n")
+
     @pytest.mark.parametrize("command", ["classify", "axioms"])
     @pytest.mark.parametrize(
         "text, message",
@@ -503,6 +539,19 @@ class TestBellCommand:
         assert rc == 0
         assert json.loads(capsys.readouterr().out) == {"formulas": 4, "violation": 1.0}
 
+    def test_model_byte_order_mark_is_ignored(
+        self, pr_dist_file, pr_props_file, tmp_path, capsys
+    ):
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + open(pr_dist_file, "rb").read())
+        for argv in (["classify"], ["bell", "--props", pr_props_file]):
+            outputs = []
+            for path in (pr_dist_file, str(bom)):
+                assert main([*argv, path]) == 0
+                outputs.append(capsys.readouterr())
+            assert outputs[0] == outputs[1]
+            assert outputs[0].out and not outputs[0].err
+
     def test_formula_error_is_input_error(self, pr_dist_file, tmp_path, capsys):
         props = tmp_path / "bad.props"
         props.write_text("a &\n")
@@ -769,6 +818,7 @@ class TestEntryPoint:
             ("bell", "proplang", ["axioms", "contextuality", "catalog"]),
             ("classify", "contextuality", ["proplang", "axioms", "catalog"]),
             ("gen", "catalog", ["proplang", "axioms", "contextuality"]),
+            ("axioms", "axioms", ["contextuality", "proplang", "catalog"]),
         ],
     )
     def test_subcommand_loads_only_its_modules(
@@ -777,6 +827,7 @@ class TestEntryPoint:
         args = {
             "bell": ["bell", pr_dist_file, "--props", pr_props_file],
             "classify": ["classify", pr_dist_file],
+            "axioms": ["axioms", pr_dist_file],
             "gen": ["gen", "--vars", "4", "--contexts", "2", "--density", "0.5", "--seed", "1"],
         }[command]
         proc = subprocess.run(
@@ -1283,3 +1334,10 @@ class TestRarePaths:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {message}\n")
+
+    def test_gen_refuses_a_negative_seed(self, capsys):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer$"):
+            gen_random_model(3, 2, 0.5, -1)
+        argv = ["gen", "--vars", "3", "--contexts", "2", "--density", "0.5", "--seed", "-1"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: seed must be a nonnegative integer\n")

@@ -25,6 +25,7 @@ from choicectx import (
     parse_propositions,
     support_propositions,
 )
+from choicectx.core import VARIABLE_RE
 from choicectx.proplang import MAX_NESTING
 
 
@@ -79,6 +80,12 @@ class TestParsing:
 
     def test_whitespace_is_free(self):
         assert parse_formula("  a&b ") == parse_formula("a & b")
+
+    @given(st.from_regex(VARIABLE_RE, fullmatch=True))
+    def test_every_variable_name_parses_as_a_variable(self, name):
+        # a model's names and the formula tokenizer's identifiers are one syntax
+        assert VARIABLE_RE.match(name)
+        assert parse_formula(name) == Var(name)
 
     @pytest.mark.parametrize(
         "text, position",
