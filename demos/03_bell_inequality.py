@@ -17,6 +17,7 @@ from choicectx import (
     pr_box_distribution,
     support_propositions,
 )
+from choicectx.probabilistic import certifies_contextuality
 
 box = pr_box()
 formulas = support_propositions(box)
@@ -47,10 +48,10 @@ def noisy_box(level):
     return ProbabilisticModel.make(ideal.scenario, distributions)
 
 
-print("Violation as the box fades into uniform noise (positive means the")
-print("data certifiably fits no single global distribution):")
+print("Violation as the box fades into uniform noise (an excess over")
+print("N * 1e-9 means the data certifiably fits no single global distribution):")
 for percent in range(100, 39, -10):
     level = percent / 100.0
     v = bell_violation(formulas, noisy_box(level))
-    marker = "  <-- still contextual" if v > 0 else ""
+    marker = "  <-- still contextual" if certifies_contextuality(v, len(formulas)) else ""
     print(f"  box weight {level:4.2f}: violation {v:+.3f}{marker}")

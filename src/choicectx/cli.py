@@ -30,8 +30,8 @@ from .modelio import parse_model, serialize_model
 from .probabilistic import (
     ProbabilisticModel,
     bell_violation,
+    certifies_contextuality,
     support_reduction,
-    validate_probabilistic,
 )
 
 # modelio loads probabilistic in any case; each subcommand imports the rest
@@ -240,16 +240,11 @@ def _dispatch(config: RunConfig) -> int:
         return 0
 
     model = parse_model(_read(config.model_path))
-    # parse_model enforces the structure; only probabilities remain to check
-    if isinstance(model, ProbabilisticModel):
-        verdict = validate_probabilistic(model)
-        if not verdict.holds:
-            raise ModelSemanticError(verdict.narrative, "$")
-        if config.command != "bell":
-            model = support_reduction(model)
-    else:
+    if not isinstance(model, ProbabilisticModel):
         for warning in _empty_support_warnings(model):
             print(f"warning: {warning}", file=sys.stderr)
+    elif config.command != "bell":
+        model = support_reduction(model)
 
     # each branch gives its document, its text lines and its strict-mode finding
     if config.command == "classify":
@@ -287,7 +282,7 @@ def _dispatch(config: RunConfig) -> int:
         violation = bell_violation(props, model, config.bound, deadline)
         doc = {"formulas": len(props), "violation": violation}
         lines = [f"formulas: {len(props)}", f"violation: {violation!r}"]
-        bad = violation > 0
+        bad = certifies_contextuality(violation, len(props))
 
     else:
         raise AssertionError(f"unhandled command {config.command!r}")

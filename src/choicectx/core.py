@@ -61,6 +61,10 @@ DEADLINE_STRIDE = 1024
 # the section search holds
 TABLE_ROWS_LIMIT = 1 << 20
 
+# most variables a scenario lays out: the layout gives each variable an int
+# as wide as its bit position, about n^2/16 bytes in all (17 MB at 2^14)
+VARIABLES_LIMIT = 1 << 14
+
 
 def past_deadline(deadline: float | None) -> bool:
     """Whether ``deadline`` (a ``time.monotonic`` value) has passed; a
@@ -146,8 +150,11 @@ class Scenario:
     def bit(self) -> dict[str, int]:
         """Bit of each variable in packed codes: the ``j``-th variable in
         sorted order occupies bit ``n - 1 - j``, so ascending codes enumerate
-        total assignments in lexicographic order."""
+        total assignments in lexicographic order.  A scenario of over
+        :data:`VARIABLES_LIMIT` variables raises :class:`TooLarge`."""
         n = len(self.variables)
+        if n > VARIABLES_LIMIT:
+            raise TooLarge(f"{n:,} variables are over the limit of {VARIABLES_LIMIT:,}")
         return {v: 1 << (n - 1 - j) for j, v in enumerate(sorted(self.variables))}
 
     @cached_property

@@ -27,9 +27,10 @@ class DomainMismatch(ChoiceCtxError):
 
 
 class TooLarge(ChoiceCtxError):
-    """An exhaustive enumeration would exceed its bound: the configured
-    variable bound, or ``core.TABLE_ROWS_LIMIT`` on table rows or on the
-    global sections a search holds."""
+    """An input would exceed a bound: the configured variable bound,
+    ``core.TABLE_ROWS_LIMIT`` on table rows or on the global sections a
+    search holds, or ``core.VARIABLES_LIMIT`` on the variables a scenario
+    lays out."""
 
 
 class TimeBudgetExceeded(ChoiceCtxError):

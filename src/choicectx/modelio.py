@@ -43,7 +43,7 @@ from .core import (
     canonical_context,
 )
 from .errors import ModelSemanticError, ModelSyntaxError
-from .probabilistic import ProbabilisticModel
+from .probabilistic import SUPPORT_EPSILON, ProbabilisticModel, _total
 
 Model = PossibilisticModel | ProbabilisticModel
 
@@ -91,10 +91,10 @@ def parse_model(text: str) -> Model:
 
     Raises :class:`ModelSyntaxError` for malformed JSON (with line/column)
     or JSON nested too deeply to decode, and :class:`ModelSemanticError` for
-    format violations, a probability that is no finite float included (with
-    a path into the document).  The returned model always satisfies the
-    structural invariants; negative probabilities and distribution sums are
-    left to ``validate_probabilistic``.
+    format violations (with a path into the document), a probability that is
+    negative or no finite float and a total off 1 by over SUPPORT_EPSILON
+    included.  So the returned model always passes ``validate_model`` or
+    ``validate_probabilistic``, the checks left for models built in code.
 
     Every check runs on every document, but no path is built for a check
     that passes: the events or distribution entries of a context are
@@ -219,9 +219,9 @@ def _distribution(
     tested in bulk: every entry is an object holding exactly ``assignment``
     and ``p``, every assignment binds exactly the context's variables
     (``bit`` holds their bits) to an int 0 or 1, every ``p`` is a finite
-    float, and no two entries share a code.  Any other table, valid or not,
-    goes through :func:`_checked_distribution`, which names the first bad
-    entry."""
+    float of at least 0, no two entries share a code and the ``p`` sum to 1
+    within SUPPORT_EPSILON.  Any other table, valid or not, goes through
+    :func:`_checked_distribution`, which names the first fault."""
     try:
         assignments = [raw["assignment"] for raw in raw_entries]
         ps = [raw["p"] for raw in raw_entries]
@@ -236,8 +236,9 @@ def _distribution(
         and set(map(type, outcomes)) <= {int}
         and set(outcomes) <= {0, 1}
         and set(map(type, ps)) <= {float}
-        and all(map(math.isfinite, ps))
+        and all(map((0.0).__le__, ps))  # neither NaN nor negative
         and len(set(codes)) == len(codes)
+        and abs(_total(ps) - 1.0) <= SUPPORT_EPSILON  # so none infinite
     ):
         return tuple(sorted(zip(codes, ps)))
     return _checked_distribution(raw_entries, bit, path)
@@ -246,8 +247,8 @@ def _distribution(
 def _checked_distribution(
     raw_entries: list, bit: dict[str, int], path: str
 ) -> tuple[tuple[int, float], ...]:
-    """Each entry checked in document order, with the paths below it built
-    only for the check that fails."""
+    """Each entry checked in document order, then their total, with the
+    paths below it built only for the check that fails."""
     entries: dict[int, float] = {}
     for j, raw in enumerate(raw_entries):
         dpath = f"{path}[{j}]"
@@ -280,7 +281,11 @@ def _checked_distribution(
             p = math.inf
         if not math.isfinite(p):
             raise ModelSemanticError("non-finite probability", f"{dpath}.p")
+        if p < 0.0:
+            raise ModelSemanticError(f"negative probability {p!r}", f"{dpath}.p")
         entries[code] = p
+    total = _total(entries.values())
+    _require(abs(total - 1.0) <= SUPPORT_EPSILON, f"probabilities sum to {total!r}, not 1", path)
     return tuple(sorted(entries.items()))
 
 

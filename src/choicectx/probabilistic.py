@@ -8,10 +8,11 @@ possibilistic machinery applies to probabilistic data.
 For jointly contradictory formulas ``phi_1 .. phi_N`` (no total assignment
 satisfies all of them), any collection of context distributions arising
 from a global probability measure obeys ``sum_i P(phi_i) <= N - 1``.
-``bell_violation`` reports the excess over that bound; a positive value
-certifies contextuality and the maximum excess of ``1`` is reached exactly
-by strongly contextual models when each formula asserts membership in its
-context's support.
+``bell_violation`` reports the excess over that bound; an excess over
+``N * SUPPORT_EPSILON`` certifies contextuality
+(``certifies_contextuality``), and the maximum excess of ``1`` is reached
+exactly by strongly contextual models when each formula asserts membership
+in its context's support.
 """
 
 from __future__ import annotations
@@ -147,8 +148,19 @@ def _entry_fault(context: Context, binding: dict, repeated: bool) -> Verdict | N
     return _failing(message, witness)
 
 
+def _total(ps: Iterable[float]) -> float:
+    """``math.fsum`` of finite nonnegative ``ps``, or ``inf`` where their
+    sum passes the float range (where ``math.fsum`` raises)."""
+    try:
+        return math.fsum(ps)
+    except OverflowError:
+        return math.inf
+
+
 def validate_probabilistic(model: ProbabilisticModel) -> Verdict:
-    """Check the numeric invariants on top of the structural ones.
+    """Check the numeric invariants on top of the structural ones, for a
+    model built in code: ``parse_model`` refuses every document whose model
+    would fail here.
 
     Every cover context needs exactly one distribution; entries must set
     outcomes 0 or 1, be total on their context, pairwise distinct, finite
@@ -181,7 +193,7 @@ def validate_probabilistic(model: ProbabilisticModel) -> Verdict:
                         "p": p,
                     },
                 )
-        total = math.fsum(p for _, p in entries)
+        total = _total(p for _, p in entries)
         if abs(total - 1.0) > SUPPORT_EPSILON:
             return _failing(
                 f"context {list(context)} sums to {total!r}, not 1",
@@ -361,9 +373,10 @@ def bell_violation(
 
     Requires the formulas to be jointly contradictory, decided as by
     :func:`jointly_contradictory` (otherwise the bound carries no
-    information and :class:`NotContradictory` is raised).  Any positive
-    return value certifies the model is contextual.  Each formula is
-    compiled once, for both the contradiction search and its probability.
+    information and :class:`NotContradictory` is raised).  Only an excess
+    over ``N * SUPPORT_EPSILON`` certifies that the model is contextual
+    (:func:`certifies_contextuality`).  Each formula is compiled once, for
+    both the contradiction search and its probability.
     """
     scenario = model.scenario
     contexts, tables, contradictory = _contradiction(list(props), scenario, bound, deadline)
@@ -376,6 +389,16 @@ def bell_violation(
         for table, context in zip(tables, contexts)
     )
     return total - (len(tables) - 1)
+
+
+def certifies_contextuality(violation: float, formulas: int) -> bool:
+    """Whether ``violation``, the excess :func:`bell_violation` returns for
+    ``formulas`` formulas, certifies contextuality: it must pass
+    ``formulas * SUPPORT_EPSILON``.  Each distribution's total may be off 1
+    by :data:`SUPPORT_EPSILON`, so the sum of the probabilities is known
+    only to that margin, and a smaller excess cannot be told apart from
+    rounding in the input."""
+    return violation > formulas * SUPPORT_EPSILON
 
 
 def support_propositions(model: PossibilisticModel) -> list[Proposition]:

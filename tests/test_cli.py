@@ -2,20 +2,24 @@ import copy
 import hashlib
 import io
 import json
+import math
 import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choicectx import (
     PossibilisticModel,
     ProbabilisticModel,
+    SUPPORT_EPSILON,
     Scenario,
     TooLarge,
+    bell_scenario,
     classify,
     gen_random_model,
     hardy_distribution,
@@ -238,8 +242,8 @@ class TestNonFiniteProbability:
     @pytest.mark.parametrize(
         "p, message",
         [
-            ((-0.5, 1.5), "negative probability -0.5 in context ['a']"),
-            ((0.5, 0.6), "context ['a'] sums to 1.1, not 1"),
+            ((-0.5, 1.5), "probabilistic[0].distribution[0].p: negative probability -0.5"),
+            ((0.5, 0.6), "probabilistic[0].distribution: probabilities sum to 1.1, not 1"),
         ],
         ids=["negative", "off-total"],
     )
@@ -268,7 +272,7 @@ class TestNonFiniteProbability:
         props.write_text("a\n")
         argv = [command, str(path)] + (["--props", str(props)] if command == "bell" else [])
         assert main(argv) == 2
-        assert capsys.readouterr() == ("", f"error: $: {message}\n")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["classify", "axioms"])
     @pytest.mark.parametrize(
@@ -562,6 +566,80 @@ class TestBellCommand:
         )
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+# the CHSH formulas over the Bell scenario: no global assignment satisfies
+# all four, so a non-contextual model gives them at most 3 in all
+CHSH = ["a & b | !a & !b", "a & b' | !a & !b'", "a' & b | !a' & !b", "a' & !b' | !a' & b'"]
+
+
+def chsh_count(g):
+    """How many of the CHSH formulas the global assignment ``g`` satisfies."""
+    return (g["a"] == g["b"]) + (g["a"] == g["b'"]) + (g["a'"] == g["b"]) + (g["a'"] != g["b'"])
+
+
+# the 8 global assignments that satisfy 3 of the 4
+LOCAL_CHSH = [
+    g
+    for g in (dict(zip(["a", "a'", "b", "b'"], bits)) for bits in product((0, 1), repeat=4))
+    if chsh_count(g) == 3
+]
+
+
+def local_chsh_mixture(weights):
+    """The context marginals, summed in float, of the mixture of
+    ``LOCAL_CHSH`` with ``weights``: a non-contextual model whose exact
+    CHSH excess is 0."""
+    scale = math.fsum(weights)
+    scenario = bell_scenario()
+    distributions = {}
+    for context in scenario.cover:
+        p = dict.fromkeys(product((0, 1), repeat=2), 0.0)
+        for g, w in zip(LOCAL_CHSH, weights):
+            p[tuple(g[v] for v in context)] += w / scale
+        distributions[context] = [(dict(zip(context, row)), q) for row, q in p.items()]
+    return ProbabilisticModel.make(scenario, distributions)
+
+
+@pytest.fixture(scope="module")
+def chsh_props(tmp_path_factory):
+    path = tmp_path_factory.mktemp("chsh") / "chsh.props"
+    path.write_text("\n".join(CHSH) + "\n")
+    return path
+
+
+class TestBellMargin:
+    """``--strict`` counts an excess as a violation only past
+    N * SUPPORT_EPSILON, the error each context's accepted total admits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8).filter(any))
+    # a mixture whose marginals, read back, once gave an excess of 4.4e-16
+    @example(
+        [0.9346421662649822, 0.5521910708222612, 0.9098574658614854, 0.47715640081037314,
+         0.42682078707669624, 0.5886823143731551, 0.3173104658366761, 0.14939761605954083]
+    )
+    def test_local_chsh_mixtures_pass_strict(self, chsh_props, weights):
+        path = chsh_props.with_name("local.json")
+        path.write_text(serialize_model(local_chsh_mixture(weights)))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            rc = main(["bell", "--strict", "--machine", str(path), "--props", str(chsh_props)])
+        assert rc == 0, out.getvalue()
+        assert abs(json.loads(out.getvalue())["violation"]) <= 4 * SUPPORT_EPSILON
+
+    def test_hardy_model_fails_strict(self, tmp_path, capsys):
+        # Hardy's paradox: the first formula's event extends to no section
+        path = tmp_path / "hardy.json"
+        path.write_text(serialize_model(hardy_distribution()))
+        props = tmp_path / "hardy.props"
+        props.write_text("!a & !b\na | b'\na' | b\n!a' | !b'\n")
+        assert main(["bell", "--strict", str(path), "--props", str(props)]) == 1
+        assert capsys.readouterr() == ("formulas: 4\nviolation: 0.25\n", "")
+
+    def test_pr_box_fails_strict(self, pr_dist_file, chsh_props, capsys):
+        assert main(["bell", "--strict", pr_dist_file, "--props", str(chsh_props)]) == 1
+        assert capsys.readouterr() == ("formulas: 4\nviolation: 1.0\n", "")
 
 
 class TestGenCommand:
@@ -927,6 +1005,35 @@ class TestSearchLimits:
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert "over 1,048,576 global sections" in proc.stderr
+
+    def test_too_many_variables_exit_2_in_bounded_memory(self, tmp_path):
+        # 2^16 singleton contexts: the bit layout alone would take about
+        # 268 MB; it once ended in a MemoryError traceback under this limit
+        names = [f"x{i:05d}" for i in range(1 << 16)]
+        doc = tmp_path / "free65536.json"
+        doc.write_text(
+            json.dumps(
+                {
+                    "variables": names,
+                    "contexts": [[v] for v in names],
+                    "possibilistic": [{"context": [v], "events": [[v]]} for v in names],
+                }
+            )
+        )
+        limit = 300 << 20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "choicectx", "classify", str(doc)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_memory,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert proc.stderr == "error: 65,536 variables are over the limit of 16,384\n"
 
     def test_many_singleton_contexts_compile_fast(self, tmp_path):
         # 1,000 contexts of one event each: one section; scoring every open

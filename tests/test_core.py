@@ -10,6 +10,7 @@ from choicectx import (
     ChoiceCtxError,
     PossibilisticModel,
     Scenario,
+    TooLarge,
     UnboundVariable,
     UnknownContext,
     VariableNotInContext,
@@ -20,7 +21,7 @@ from choicectx import (
     serialize_model,
     validate_model,
 )
-from choicectx.core import _shortlex_key, _shortlex_sorted, shortlex
+from choicectx.core import VARIABLES_LIMIT, _shortlex_key, _shortlex_sorted, shortlex
 
 names = st.text(alphabet="abcxyz_'", min_size=1, max_size=4).filter(
     lambda s: not s[0].isdigit() and s[0] != "'"
@@ -56,6 +57,16 @@ class TestScenario:
         s = Scenario.make(["a", "b"], [["a", "b"]])
         assert s.has_context(["b", "a"])
         assert not s.has_context(["a"])
+
+    def test_layout_is_refused_over_the_variable_limit(self):
+        names = [f"x{i:05d}" for i in range(VARIABLES_LIMIT + 1)]
+        wide = Scenario.make(names, [[v] for v in names])
+        with pytest.raises(TooLarge) as err:
+            wide.bit
+        assert str(err.value) == "16,385 variables are over the limit of 16,384"
+        # at the limit the layout is built, its last bit on the first variable
+        at_limit = Scenario.make(names[1:], [names[1:]])
+        assert at_limit.bit["x00001"] == 1 << (VARIABLES_LIMIT - 1)
 
     @given(st.lists(names, min_size=1, max_size=6, unique=True))
     def test_make_invariant_under_input_order(self, variables):

@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import random
 from itertools import chain, combinations
 
@@ -11,6 +13,7 @@ from choicectx import (
     ModelSyntaxError,
     PossibilisticModel,
     ProbabilisticModel,
+    SUPPORT_EPSILON,
     Scenario,
     catalog,
     double_headed_coin,
@@ -19,6 +22,8 @@ from choicectx import (
     pr_box_distribution,
     serialize_model,
     uniform_over_support,
+    validate_model,
+    validate_probabilistic,
 )
 from choicectx.core import canonical_context, shortlex
 from choicectx.modelio import _checked_distribution
@@ -280,12 +285,50 @@ class TestProbabilisticDocs:
         doc["probabilistic"] = []
         self.check(doc, "probabilistic")
 
-    def test_bad_total_is_parseable(self):
-        # numeric validity is validate_probabilistic's job, not the parser's
+    def test_bad_total_is_refused(self):
+        # the reader owns every rule a document must meet, totals included
         doc = prob_doc()
         doc["probabilistic"][0]["distribution"][0]["p"] = 0.9
-        m = parse_model(json.dumps(doc))
-        assert isinstance(m, ProbabilisticModel)
+        with pytest.raises(ModelSemanticError) as err:
+            parse_model(json.dumps(doc))
+        assert err.value.path == "probabilistic[0].distribution"
+        assert str(err.value) == (
+            "probabilistic[0].distribution: probabilities sum to 1.4, not 1"
+        )
+
+    def test_negative_probability_is_refused(self):
+        doc = prob_doc()
+        doc["probabilistic"][0]["distribution"][1]["p"] = -0.5
+        doc["probabilistic"][0]["distribution"].append(
+            {"assignment": {"a": 1, "b": 0}, "p": 1.0}
+        )
+        with pytest.raises(ModelSemanticError) as err:
+            parse_model(json.dumps(doc))
+        assert str(err.value) == (
+            "probabilistic[0].distribution[1].p: negative probability -0.5"
+        )
+
+    @pytest.mark.parametrize("off", [-0.9e-9, 0.9e-9, -1.1e-9, 1.1e-9])
+    def test_total_tolerance_is_the_validators(self, off):
+        doc = prob_doc()
+        doc["probabilistic"][0]["distribution"][0]["p"] = 0.5 + off
+        if abs(off) < SUPPORT_EPSILON:
+            assert validate_probabilistic(parse_model(json.dumps(doc))).holds
+        else:
+            with pytest.raises(ModelSemanticError) as err:
+                parse_model(json.dumps(doc))
+            assert err.value.path == "probabilistic[0].distribution"
+
+    def test_overflowing_total_is_refused(self):
+        # math.fsum raises on a sum past the float range; the reader names it
+        doc = prob_doc()
+        for entry in doc["probabilistic"][0]["distribution"]:
+            entry["p"] = 1e308
+        with pytest.raises(ModelSemanticError) as err:
+            parse_model(json.dumps(doc))
+        assert str(err.value) == (
+            "probabilistic[0].distribution: probabilities sum to inf, not 1"
+        )
 
     def test_entries_sorted_by_assignment(self):
         doc = prob_doc()
@@ -415,6 +458,8 @@ SECOND_ENTRIES = {
     "partial": '{"assignment": {"a": 1}, "p": 0.5}',
     "extra-variable": '{"assignment": {"a": 1, "b": 1, "c": 0}, "p": 0.5}',
     "duplicate": '{"assignment": {"b": 0, "a": 0}, "p": 0.5}',
+    "p-negative": '{"assignment": {"a": 1, "b": 1}, "p": -0.5}',
+    "off-total": '{"assignment": {"a": 1, "b": 1}, "p": 0.25}',
 }
 
 
@@ -442,6 +487,80 @@ class TestBulkDistribution:
         read = self.outcome(lambda: parse_model(text)._codes[("a", "b")])
         checked = self.outcome(lambda: _checked_distribution(raw_entries, bit, DIST))
         assert read == checked
+
+
+@st.composite
+def valid_documents(draw):
+    """A generated model's document, possibilistic or uniform over each
+    context's support (where no support is empty), as parsed JSON."""
+    model = gen_random_model(
+        draw(st.integers(1, 6)),
+        draw(st.integers(1, 5)),
+        draw(st.sampled_from([0.2, 0.5, 0.9])),
+        draw(st.integers(0, 10_000)),
+    )
+    if draw(st.booleans()) and all(model.events(c) for c in model.scenario.cover):
+        model = uniform_over_support(model)
+    return doc_of(model)
+
+
+def one_fault(data, doc):
+    """Give ``doc`` one fault: a negative or NaN ``p``, an off total, a
+    duplicate or missing item, or an unknown variable."""
+    kind, key = ("probabilistic", "distribution")
+    if kind not in doc:
+        kind, key = ("possibilistic", "events")
+    tables = [entry[key] for entry in doc[kind]]
+    entries = [entry for table in tables for entry in table] if kind == "probabilistic" else []
+    # every array of names, and every array of items
+    names = [doc["variables"], *doc["contexts"], *(entry["context"] for entry in doc[kind])]
+    if kind == "possibilistic":
+        names += [event for table in tables for event in table]
+    items = [doc["contexts"], doc[kind], *tables, *names]
+    faults = ["duplicate", "missing", "unknown"]
+    faults += ["negative", "nan", "off-total"] if entries else []
+    fault = data.draw(st.sampled_from(faults))
+    if fault in ("negative", "nan", "off-total"):
+        entry = data.draw(st.sampled_from(entries))
+        if fault == "negative":
+            entry["p"] = -data.draw(st.floats(5e-324, 1.0))
+        elif fault == "nan":
+            entry["p"] = math.nan
+        else:  # on either side of the tolerance, and far off
+            entry["p"] += data.draw(st.sampled_from([-0.25, -2e-9, -5e-10, 5e-10, 2e-9, 0.25]))
+    elif fault == "unknown":
+        target = data.draw(st.sampled_from(names + [e["assignment"] for e in entries]))
+        if isinstance(target, dict):
+            target["ghost"] = 0
+        else:
+            target.insert(data.draw(st.integers(0, len(target))), "ghost")
+    else:
+        target = data.draw(st.sampled_from([array for array in items if array]))
+        at = data.draw(st.integers(0, len(target) - 1))
+        if fault == "duplicate":
+            target.insert(at, copy.deepcopy(target[at]))
+        else:
+            del target[at]
+    return json.dumps(doc)
+
+
+class TestOneValidationPath:
+    """A document the reader accepts is a valid model: no validator finds
+    a fault in it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(valid_documents(), st.data())
+    def test_accepted_documents_pass_validation(self, doc, data):
+        text = one_fault(data, doc)
+        try:
+            model = parse_model(text)
+        except ModelSemanticError:
+            return
+        if isinstance(model, ProbabilisticModel):
+            verdict = validate_probabilistic(model)
+        else:
+            verdict = validate_model(model)
+        assert verdict.holds, verdict.narrative
 
 
 def reference_text(model):

@@ -12,6 +12,7 @@ from choicectx import (
     And,
     Assignment,
     Const,
+    ModelSemanticError,
     Not,
     NotContradictory,
     NotMeasurable,
@@ -486,8 +487,26 @@ class TestCodeStorage:
     def test_views_match_the_entries_by_definition(self, drawn):
         model, entries = drawn
         text = serialize_model(model)
-        assert parse_model(text) == model
-        assert serialize_model(parse_model(text)) == text
+        # entries and the document both list the contexts in cover order
+        totals = [math.fsum(p for _, p in listed) for listed in entries.values()]
+        off = [i for i, total in enumerate(totals) if abs(total - 1.0) > SUPPORT_EPSILON]
+        if off:
+            with pytest.raises(ModelSemanticError) as err:
+                parse_model(text)
+            assert err.value.path == f"probabilistic[{off[0]}].distribution"
+        else:
+            assert parse_model(text) == model
+            assert serialize_model(parse_model(text)) == text
+        if all(totals):
+            # the same entries scaled to a total of 1 make a document
+            scaled = {
+                context: [(binding, p / total) for binding, p in listed]
+                for (context, listed), total in zip(entries.items(), totals)
+            }
+            normalized = ProbabilisticModel.make(model.scenario, scaled)
+            normalized_text = serialize_model(normalized)
+            assert parse_model(normalized_text) == normalized
+            assert serialize_model(parse_model(normalized_text)) == normalized_text
         expected = {
             context: sorted(
                 [(Assignment.make(binding), p) for binding, p in listed],
