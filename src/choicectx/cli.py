@@ -274,15 +274,17 @@ def _dispatch(config: RunConfig) -> int:
         )
 
     elif config.command == "bell":
-        from .proplang import parse_propositions
+        from .proplang import _read_formulas
 
         if not isinstance(model, ProbabilisticModel):
             raise ModelSemanticError("the inequality needs a probabilistic model", "$")
-        props = parse_propositions(_read(config.props_path), model.scenario)
-        violation = bell_violation(props, model, config.bound, deadline)
-        doc = {"formulas": len(props), "violation": violation}
-        lines = [f"formulas: {len(props)}", f"violation: {violation!r}"]
-        bad = certifies_contextuality(violation, len(props))
+        # the Bell route reads only each formula's prefix form and variables,
+        # so no formula node is built
+        forms = _read_formulas(_read(config.props_path), model.scenario)
+        violation = bell_violation(forms, model, config.bound, deadline)
+        doc = {"formulas": len(forms), "violation": violation}
+        lines = [f"formulas: {len(forms)}", f"violation: {violation!r}"]
+        bad = certifies_contextuality(violation, len(forms))
 
     else:
         raise AssertionError(f"unhandled command {config.command!r}")

@@ -66,6 +66,13 @@ TABLE_ROWS_LIMIT = 1 << 20
 VARIABLES_LIMIT = 1 << 14
 
 
+def _check_variable_count(n: int) -> None:
+    """Refuse a scenario of ``n`` variables with :class:`TooLarge` when
+    ``n`` passes :data:`VARIABLES_LIMIT`."""
+    if n > VARIABLES_LIMIT:
+        raise TooLarge(f"{n:,} variables are over the limit of {VARIABLES_LIMIT:,}")
+
+
 def past_deadline(deadline: float | None) -> bool:
     """Whether ``deadline`` (a ``time.monotonic`` value) has passed; a
     budgeted loop calls it before each run of at most
@@ -153,8 +160,7 @@ class Scenario:
         total assignments in lexicographic order.  A scenario of over
         :data:`VARIABLES_LIMIT` variables raises :class:`TooLarge`."""
         n = len(self.variables)
-        if n > VARIABLES_LIMIT:
-            raise TooLarge(f"{n:,} variables are over the limit of {VARIABLES_LIMIT:,}")
+        _check_variable_count(n)
         return {v: 1 << (n - 1 - j) for j, v in enumerate(sorted(self.variables))}
 
     @cached_property

@@ -39,6 +39,7 @@ from .core import (
     VARIABLE_RE,
     PossibilisticModel,
     Scenario,
+    _check_variable_count,
     _shortlex_sorted,
     canonical_context,
 )
@@ -95,6 +96,9 @@ def parse_model(text: str) -> Model:
     negative or no finite float and a total off 1 by over SUPPORT_EPSILON
     included.  So the returned model always passes ``validate_model`` or
     ``validate_probabilistic``, the checks left for models built in code.
+    A document declaring more than :data:`core.VARIABLES_LIMIT` variables is
+    refused with :class:`TooLarge` as soon as its variables are read, before
+    any other fault it may hold.
 
     Every check runs on every document, but no path is built for a check
     that passes: the events or distribution entries of a context are
@@ -124,6 +128,9 @@ def parse_model(text: str) -> Model:
     )
 
     names = _variable_names(doc["variables"], "variables")
+    # refused before any context is read; the names are distinct, so they
+    # are the scenario's variables
+    _check_variable_count(len(names))
     known = set(names)
 
     _require(isinstance(doc["contexts"], list), "expected an array", "contexts")

@@ -241,7 +241,10 @@ def _truth_tables(
 ) -> Iterator[tuple[int, frozenset[int]]]:
     """Compile each formula to its variable mask and satisfying masked codes.
 
-    A formula over ``k`` variables becomes its whole truth table as one
+    Of a formula this reads only its prefix form ``_items`` and its
+    ``variables()``: a :class:`Proposition` gives both, and so does a
+    formula as ``bell`` reads it from its file, with no tree built.  A
+    formula over ``k`` variables becomes its whole truth table as one
     ``2^k``-bit integer: row ``i`` binds the formula's ``j``-th variable (in
     ascending scenario bit) to bit ``j`` of ``i``, so ascending rows are
     ascending submasks.  The prefix form is read backwards on a stack of
@@ -376,7 +379,9 @@ def bell_violation(
     information and :class:`NotContradictory` is raised).  Only an excess
     over ``N * SUPPORT_EPSILON`` certifies that the model is contextual
     (:func:`certifies_contextuality`).  Each formula is compiled once, for
-    both the contradiction search and its probability.
+    both the contradiction search and its probability, from its prefix form
+    and variables alone (:func:`_truth_tables`): the CLI's ``bell`` passes
+    the prefix forms its formula file gives, and never builds a tree.
     """
     scenario = model.scenario
     contexts, tables, contradictory = _contradiction(list(props), scenario, bound, deadline)

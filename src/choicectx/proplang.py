@@ -16,15 +16,18 @@ be of any length.  ``parse_proposition`` additionally checks the formula
 against a scenario: every variable must be declared and the variable set
 must fit inside a single cover context, otherwise the formula has no
 measurement context.  AST nodes support ``&``, ``|`` and ``~`` for
-programmatic construction.  Within a formula the parser builds one node
-per literal (a variable or a negated variable) and places it wherever the
-literal occurs; nodes are immutable and every method reads values, never
-identity, so the sharing cannot be seen.  Each formula has a prefix form:
-every node's class, then its fields in order.  A parsed formula gets its
-prefix form and variable set from the parser, which writes the form as it
-reads the text; a formula built in code is flattened once, when first
-needed.  Equality, hashing, ``variables()``, ``to_text`` and ``repr`` read
-that form, and the Bell route compiles it to a truth table.
+programmatic construction.  Each formula has a prefix form: every node's
+class, then its fields in order.  The parser writes only the prefix form
+and the variable set, as it reads the text, and builds no node.  The
+public parse functions build the tree from the prefix form; within a
+formula the builder makes one node per literal (a variable or a negated
+variable) and places it wherever the literal occurs; nodes are immutable
+and every method reads values, never identity, so the sharing cannot be
+seen.  A formula built in code is flattened once, when first needed.
+Equality, hashing, ``variables()``, ``to_text`` and ``repr`` read that
+form, and the Bell route compiles it to a truth table; ``bell`` reads its
+formula file with :func:`_read_formulas`, which gives the Bell route the
+prefix forms alone, so it never builds a tree.
 """
 
 from __future__ import annotations
@@ -44,9 +47,10 @@ class Proposition:
     Every method walks the formula on an explicit stack, so a chain of any
     length is handled without recursion.  ``==``, ``hash``,
     ``variables()``, ``to_text`` and ``repr`` read the prefix form
-    :attr:`_items`, which is already in printing order.  A parsed formula
-    gets its prefix form and variable set from the parser; a formula built
-    in code flattens once, on first use.  ``evaluate`` walks the nodes
+    :attr:`_items`, which is already in printing order.  A parsed formula's
+    tree is built from the prefix form the parser wrote, and its root keeps
+    that form and the variable set; a formula built in code flattens once,
+    on first use.  ``evaluate`` walks the nodes
     themselves, so it can skip an operand the result no longer depends
     on."""
 
@@ -234,7 +238,7 @@ def _tokenize(text: str, line: int | None) -> list[str]:
     is its text: one of ``!&|()``, a constant ``0``/``1``, or else an
     identifier."""
     values = _TOKEN_RE.findall(text)
-    if sum(map(len, values)) != len("".join(text.split())):
+    if len("".join(values)) != len("".join(text.split())):
         # some character is neither whitespace nor in a token: with the
         # tokens blanked out, the first one left
         blanked = _TOKEN_RE.sub(lambda token: " " * len(token[0]), text)
@@ -248,20 +252,34 @@ def _tokenize(text: str, line: int | None) -> list[str]:
 _SYMBOLS = frozenset(["", "!", "&", "|", "(", ")", "0", "1"])
 
 
+class _Form:
+    """A formula as the Bell route reads it: its prefix form ``_items`` and
+    its variable set, read from the text with no node built.  Like a
+    :class:`Proposition`, it gives its variables through ``variables()``."""
+
+    __slots__ = ("_items", "_variables")
+
+    def __init__(self, items: tuple[object, ...], variables: frozenset[str]):
+        self._items = items
+        self._variables = variables
+
+    def variables(self) -> frozenset[str]:
+        return self._variables
+
+
 class _Parser:
+    """Reads one formula's tokens into its prefix form and builds no node:
+    the public parse functions build the tree from that form
+    (:func:`_tree`), and ``bell`` compiles the form as it is.  Each
+    literal's items are appended, and a chain's connectives go in front of
+    its operands once the chain ends."""
+
     def __init__(self, text: str, line: int | None):
         self.values = _tokenize(text, line)
         self.text = text
         self.line = line
         self.at = 0
         self.depth = 0
-        # one node per literal: nodes are immutable and compared by value,
-        # so a formula may hold the same leaf at many places
-        self.names: dict[str, Var] = {}
-        self.negated: dict[str, Not] = {}
-        # the formula's prefix form, written as it is read: each literal's
-        # items are appended, and a chain's connectives go in front of its
-        # operands once the chain ends
         self.items: list[object] = []
 
     def position(self) -> int:
@@ -282,91 +300,118 @@ class _Parser:
             )
         self.at += 1
 
-    def formula(self) -> Proposition:
+    def formula(self) -> None:
         start = len(self.items)
-        node = self.conjunction()
+        self.conjunction()
         operands = 1
         while self.values[self.at] == "|":
             self.at += 1
-            node = Or(node, self.conjunction())
+            self.conjunction()
             operands += 1
         if operands > 1:  # moves only this chain's items
             self.items[start:start] = [Or] * (operands - 1)
-        return node
 
-    def conjunction(self) -> Proposition:
+    def conjunction(self) -> None:
         start = len(self.items)
-        node = self.literal()
+        self.literal()
         operands = 1
         while self.values[self.at] == "&":
             self.at += 1
-            node = And(node, self.literal())
+            self.literal()
             operands += 1
         if operands > 1:
             self.items[start:start] = [And] * (operands - 1)
-        return node
 
-    def var(self, name: str) -> Var:
-        node = self.names.get(name)
-        if node is None:
-            node = self.names[name] = Var(name)
-        return node
-
-    def literal(self) -> Proposition:
+    def literal(self) -> None:
         values = self.values
         value = values[self.at]
         if value not in _SYMBOLS:  # a variable
             self.at += 1
             self.items += (Var, value)
-            return self.var(value)
+            return
         # a negated variable; one that would pass the nesting limit goes
         # the long way below, which refuses it at its "!"
         name = values[self.at + 1] if value == "!" else ""
         if name not in _SYMBOLS and self.depth < MAX_NESTING:
             self.at += 2
             self.items += (Not, Var, name)
-            node = self.negated.get(name)
-            if node is None:
-                node = self.negated[name] = Not(self.var(name))
-            return node
+            return
         outer = self.depth
         while values[self.at] == "!":  # a chain of "!" is read in a loop
             self.nest()
-        negations = self.depth - outer
-        self.items += [Not] * negations
+        self.items += [Not] * (self.depth - outer)
         value = values[self.at]
         if value == "(":
             self.nest()
-            node = self.formula()
+            self.formula()
             if values[self.at] != ")":
                 raise self.fail("expected ')'")
         elif value == "0" or value == "1":
-            node = Const(value == "1")
-            self.items += (Const, node.value)
+            self.items += (Const, value == "1")
         elif value not in _SYMBOLS:
-            node = self.var(value)
             self.items += (Var, value)
         else:
             raise self.fail("expected a variable, constant, '!' or '('")
         self.at += 1
         self.depth = outer
-        for _ in range(negations):
-            node = Not(node)
-        return node
+
+
+def _read_formula(text: str, line: int | None) -> _Form:
+    """One formula's prefix form and variable set, with every syntax check
+    of :func:`parse_formula` and no node built."""
+    parser = _Parser(text, line)
+    parser.formula()
+    if parser.values[parser.at]:
+        raise parser.fail("expected end of input")
+    # the whole input was read, so every identifier token is a variable
+    return _Form(tuple(parser.items), frozenset(parser.values).difference(_SYMBOLS))
+
+
+def _tree(form: _Form) -> Proposition:
+    """The tree of a formula read by :func:`_read_formula`, built from its
+    prefix form read backwards on a stack, as the truth-table compile reads
+    it.  One node stands for each literal (a variable or a negated
+    variable) wherever it occurs: nodes are immutable and compared by value,
+    so a formula may hold the same leaf at many places.  The root gets the
+    form's prefix form and variable set, the slots the cached properties
+    would fill; it is a node of this formula alone, so no other formula
+    reads them."""
+    names: dict[str, Var] = {}
+    negated: dict[str, Not] = {}
+    values: list = []
+    append, pop = values.append, values.pop
+    items = reversed(form._items)
+    for item in items:
+        if item is And:
+            append(And(pop(), pop()))
+        elif item is Not:
+            operand = values[-1]
+            if type(operand) is Var:
+                node = negated.get(operand.name)
+                if node is None:
+                    node = negated[operand.name] = Not(operand)
+                values[-1] = node
+            else:
+                values[-1] = Not(operand)
+        elif item is Or:
+            append(Or(pop(), pop()))
+        elif next(items) is Var:  # a field, read with its node's class
+            node = names.get(item)
+            if node is None:
+                node = names[item] = Var(item)
+            append(node)
+        else:
+            append(Const(item))
+    (node,) = values
+    node.__dict__["_items"] = form._items
+    node.__dict__["_variables"] = form._variables
+    return node
 
 
 def parse_formula(text: str, line: int | None = None) -> Proposition:
     """Parse a formula with no scenario checks.  A formula nesting ``(`` and
     ``!`` more than :data:`MAX_NESTING` deep is refused."""
-    parser = _Parser(text, line)
-    node = parser.formula()
-    if parser.values[parser.at]:
-        raise parser.fail("expected end of input")
-    # the slots the cached properties would fill; the root is a node of
-    # this parse alone, so no other formula reads them
-    node.__dict__["_items"] = tuple(parser.items)
-    node.__dict__["_variables"] = frozenset(parser.names)
-    return node
+    return _tree(_read_formula(text, line))
 
 
 def measurement_context(prop: Proposition, scenario: Scenario) -> Context:
@@ -392,18 +437,25 @@ def parse_proposition(text: str, scenario: Scenario) -> Proposition:
     return node
 
 
+def _read_formulas(text: str, scenario: Scenario) -> list[_Form]:
+    """Each formula of a proposition file as its prefix form and variable
+    set, building no node, with every check of :func:`parse_propositions`
+    in the same order: what ``bell`` passes to the Bell route."""
+    forms = []
+    for lineno, raw in enumerate(_LINE_END_RE.split(text), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        form = _read_formula(raw, lineno)
+        measurement_context(form, scenario)
+        forms.append(form)
+    return forms
+
+
 def parse_propositions(text: str, scenario: Scenario) -> list[Proposition]:
     """Parse a proposition file: one formula per line, blank lines and
     ``#`` comment lines ignored.  Lines end only at a line feed, a carriage
     return, or the two in that order; other characters that
     ``str.splitlines`` breaks at, such as U+001C or U+0085, are whitespace
     inside a line.  Syntax errors carry the line number."""
-    props = []
-    for lineno, raw in enumerate(_LINE_END_RE.split(text), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        node = parse_formula(raw, lineno)
-        measurement_context(node, scenario)
-        props.append(node)
-    return props
+    return [_tree(form) for form in _read_formulas(text, scenario)]

@@ -18,14 +18,21 @@ from choicectx import (
     ProbabilisticModel,
     SUPPORT_EPSILON,
     Scenario,
+    And,
+    Not,
+    NotContradictory,
+    Or,
     TooLarge,
     bell_scenario,
+    bell_violation,
     classify,
     gen_random_model,
     hardy_distribution,
     hardy_table,
     luce_raiffa,
+    parse_formula,
     parse_model,
+    parse_propositions,
     pr_box,
     pr_box_distribution,
     serialize_model,
@@ -1191,6 +1198,62 @@ class TestFormulaFileFuzz:
             rc = main(["bell", model_path, "--props", str(props), *flags])
         assert rc in {0, 1, 2, 3}
         assert "Traceback" not in err.getvalue()
+
+
+# ways to write one formula of a file again, each read by another path of
+# the parser: parentheses, a "!" chain and the constants
+REWRITES = [
+    lambda text: text,
+    lambda text: f"({text})",
+    lambda text: f"!!({text})",
+    lambda text: f"({text}) & 1",
+    lambda text: f"0 | !!!(!({text}))",
+]
+
+
+class TestBellPrefixPath:
+    """``bell`` reads each formula's prefix form and variables with no node
+    built; the library builds the formulas' trees.  Both must give the same
+    violation, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.data())
+    def test_cli_and_library_agree_at_bell_route_size(self, tmp_path_factory, seed, data):
+        try:
+            model = uniform_over_support(gen_random_model(10, 7, 0.35, seed))
+        except ValueError:  # a context without events has no distribution
+            return
+        lines = support_text(support_reduction(model)).splitlines()
+        text = "# support formulas\n" + "\n".join(
+            data.draw(st.sampled_from(REWRITES))(line) for line in lines
+        )
+        root = tmp_path_factory.mktemp("bell_prefix")
+        doc, props = root / "model.json", root / "model.props"
+        doc.write_text(serialize_model(model))
+        props.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["bell", "--machine", str(doc), "--props", str(props)])
+        try:
+            violation = bell_violation(parse_propositions(text, model.scenario), model)
+        except NotContradictory:
+            assert rc == 2 and "jointly satisfiable" in err.getvalue()
+            return
+        assert rc == 0, err.getvalue()
+        assert json.loads(out.getvalue())["violation"].hex() == violation.hex()
+
+    def test_bell_builds_no_formula_node(
+        self, pr_dist_file, pr_props_file, monkeypatch, capsys
+    ):
+        def refuse(node, *args):
+            raise AssertionError(f"a {type(node).__name__} node was built")
+
+        for kind in (And, Or, Not):
+            monkeypatch.setattr(kind, "__init__", refuse)
+        with pytest.raises(AssertionError):
+            parse_formula("!a & b | a")  # the library still builds trees
+        assert main(["bell", "--machine", pr_dist_file, "--props", pr_props_file]) == 0
+        assert json.loads(capsys.readouterr().out) == {"formulas": 4, "violation": 1.0}
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ from choicectx import (
     ProbabilisticModel,
     SUPPORT_EPSILON,
     Scenario,
+    TooLarge,
     catalog,
     double_headed_coin,
     gen_random_model,
@@ -25,7 +26,7 @@ from choicectx import (
     validate_model,
     validate_probabilistic,
 )
-from choicectx.core import canonical_context, shortlex
+from choicectx.core import VARIABLES_LIMIT, canonical_context, shortlex
 from choicectx.modelio import _checked_distribution
 
 
@@ -233,6 +234,33 @@ def prob_doc():
             }
         ],
     }
+
+
+class TestVariableLimit:
+    """A document declaring over VARIABLES_LIMIT variables is refused as
+    soon as its variables are read, so a later fault is not reached."""
+
+    @staticmethod
+    def doc(count):
+        # well formed but for its "contexts", which is no array
+        names = [f"x{i:05d}" for i in range(count)]
+        return json.dumps(
+            {
+                "variables": names,
+                "contexts": 5,
+                "possibilistic": [{"context": [v], "events": [[v]]} for v in names],
+            }
+        )
+
+    def test_count_is_named_before_a_later_fault(self):
+        with pytest.raises(TooLarge) as err:
+            parse_model(self.doc(VARIABLES_LIMIT + 1))
+        assert str(err.value) == "16,385 variables are over the limit of 16,384"
+
+    def test_at_the_limit_the_later_fault_is_named(self):
+        with pytest.raises(ModelSemanticError) as err:
+            parse_model(self.doc(VARIABLES_LIMIT))
+        assert str(err.value) == "contexts: expected an array"
 
 
 class TestProbabilisticDocs:

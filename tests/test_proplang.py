@@ -25,8 +25,9 @@ from choicectx import (
     parse_propositions,
     support_propositions,
 )
-from choicectx.core import VARIABLE_RE
-from choicectx.proplang import MAX_NESTING
+from choicectx.core import VARIABLE_RE, Scenario
+from choicectx.errors import ChoiceCtxError
+from choicectx.proplang import MAX_NESTING, _read_formula, _read_formulas
 
 
 # what each bad formula of ``test_syntax_errors_carry_position`` is refused with
@@ -428,6 +429,89 @@ class TestParsedPrefixForm:
             assert parsed.__dict__["_items"] == phi._items
         finally:
             sys.setrecursionlimit(limit)
+
+
+# whitespace a formula may hold between tokens: U+00A0, U+001C and U+2003
+# are whitespace to the tokenizer as a space is
+spacing = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\x1c", "\u2003"])
+
+
+def spaced(pieces, gaps):
+    return "".join(piece + gap for piece, gap in zip(pieces, gaps))
+
+
+# texts in the grammar with odd whitespace around every token: parentheses,
+# the constants, "!" chains and chains of up to 60 operands
+spaced_texts = st.recursive(
+    st.tuples(spacing, st.sampled_from(["a", "b", "a'", "c_1", "0", "1"]), spacing).map(
+        "".join
+    ),
+    lambda sub: st.one_of(
+        st.tuples(st.integers(1, 4), spacing, sub).map(
+            lambda triple: "!" * triple[0] + triple[1] + triple[2]
+        ),
+        st.tuples(spacing, sub, spacing).map(lambda triple: "(%s%s)%s" % triple),
+        st.tuples(st.sampled_from(["&", "|"]), st.lists(sub, min_size=2, max_size=60)).map(
+            lambda pair: pair[0].join(pair[1])
+        ),
+    ),
+    max_leaves=120,
+)
+
+# a scenario over the drawn names in which some pairs fit no context
+READER_SCENARIO = Scenario.make(["a", "b", "a'", "c_1"], [["a", "b"], ["a'", "b"], ["c_1"]])
+
+
+def edited_file(data):
+    """A formula file of drawn lines, some of them then broken: a character
+    outside the grammar, an undeclared name, a cut, or nesting past the
+    limit."""
+    line = st.one_of(spaced_texts, st.just("# a comment"), st.just(""))
+    lines = data.draw(st.lists(line, min_size=1, max_size=5))
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        edit = data.draw(st.sampled_from(["character", "unknown", "cut", "nest"]))
+        at = data.draw(st.integers(0, len(lines[i])))
+        if edit in ("character", "unknown"):
+            noise = " ghost " if edit == "unknown" else data.draw(st.sampled_from("$2'\u00e9"))
+            lines[i] = lines[i][:at] + noise + lines[i][at:]
+        elif edit == "cut":
+            lines[i] = lines[i][:at]
+        else:
+            lines[i] = "!(" * MAX_NESTING + lines[i] + ")" * MAX_NESTING
+    return data.draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
+
+
+class TestPrefixReader:
+    """The formula reader behind ``bell`` builds no node.  What it gives of
+    each formula must be what the public parse functions' trees hold, and
+    it must refuse a file exactly as ``parse_propositions`` does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(spaced_texts, grammar_texts, deep_texts, leaf_texts))
+    def test_forms_match_the_trees(self, text):
+        form = _read_formula(text, None)
+        tree = parse_formula(text)
+        assert form._items == tree._items == flat(reference_form(tree))
+        assert form._items == rebuilt(tree)._items  # flattened from the nodes
+        assert form.variables() == tree.variables() == reference_variables(tree)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_files_give_the_same_forms_or_the_same_error(self, data):
+        text = edited_file(data)
+        try:
+            trees = parse_propositions(text, READER_SCENARIO)
+        except ChoiceCtxError as exc:
+            with pytest.raises(type(exc)) as err:
+                _read_formulas(text, READER_SCENARIO)
+            assert str(err.value) == str(exc)
+            assert getattr(err.value, "position", None) == getattr(exc, "position", None)
+            assert getattr(err.value, "line", None) == getattr(exc, "line", None)
+            return
+        forms = _read_formulas(text, READER_SCENARIO)
+        assert [form._items for form in forms] == [flat(reference_form(t)) for t in trees]
+        assert [form.variables() for form in forms] == [t.variables() for t in trees]
 
 
 class TestScenarioChecks:
