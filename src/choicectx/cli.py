@@ -274,17 +274,26 @@ def _dispatch(config: RunConfig) -> int:
         )
 
     elif config.command == "bell":
-        from .proplang import _read_formulas
+        from .probabilistic import _violation
+        from .proplang import _read_formulas, _read_tables
 
         if not isinstance(model, ProbabilisticModel):
             raise ModelSemanticError("the inequality needs a probabilistic model", "$")
-        # the Bell route reads only each formula's prefix form and variables,
-        # so no formula node is built
-        forms = _read_formulas(_read(config.props_path), model.scenario)
-        violation = bell_violation(forms, model, config.bound, deadline)
-        doc = {"formulas": len(forms), "violation": violation}
-        lines = [f"formulas: {len(forms)}", f"violation: {violation!r}"]
-        bad = certifies_contextuality(violation, len(forms))
+        # each formula is parsed straight to its truth table, with no prefix
+        # form and no node; on any fault or expiry the checked path, prefix
+        # forms then bell_violation, refuses the file as the library does
+        text = _read(config.props_path)
+        tables = _read_tables(text, model.scenario, config.bound, deadline)
+        if tables is None:
+            forms = _read_formulas(text, model.scenario)
+            violation = bell_violation(forms, model, config.bound, deadline)
+            count = len(forms)
+        else:
+            violation = _violation(tables, model, deadline)
+            count = len(tables)
+        doc = {"formulas": count, "violation": violation}
+        lines = [f"formulas: {count}", f"violation: {violation!r}"]
+        bad = certifies_contextuality(violation, count)
 
     else:
         raise AssertionError(f"unhandled command {config.command!r}")

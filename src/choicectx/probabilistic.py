@@ -236,6 +236,37 @@ def uniform_over_support(model: PossibilisticModel) -> ProbabilisticModel:
 _ROW_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
+def _patterns(k: int) -> list[int]:
+    """The truth table over ``2^k`` rows of each of ``k`` variables, in
+    order: row ``i`` binds the ``j``-th variable to bit ``j`` of ``i``."""
+    rows = 1 << k
+    patterns = []
+    for j in range(k):
+        # 2^j unset rows, then 2^j set ones, repeated over all the rows
+        half = 1 << j
+        pattern, width = ((1 << half) - 1) << half, 2 * half
+        while width < rows:
+            pattern |= pattern << width
+            width *= 2
+        patterns.append(pattern)
+    return patterns
+
+
+def _satisfying(
+    table: int, names: list[str], bit: Mapping[str, int], deadline: float | None
+) -> tuple[int, frozenset[int]]:
+    """The variable mask of ``names`` and the masked codes of the set rows
+    of their truth table ``table``, read as :func:`_patterns` lays it out;
+    ``deadline`` is read before each block of rows."""
+    flags = format(table, f"0{1 << len(names)}b")[::-1].encode().translate(_ROW_FLAGS)
+    satisfying: list[int] = []
+    for block in _set_rows(names, bit, flags):
+        if past_deadline(deadline):
+            raise TimeBudgetExceeded()
+        satisfying += block
+    return _mask(bit, names), frozenset(satisfying)
+
+
 def _truth_tables(
     props: list[Proposition], bit: Mapping[str, int], deadline: float | None
 ) -> Iterator[tuple[int, frozenset[int]]]:
@@ -243,17 +274,19 @@ def _truth_tables(
 
     Of a formula this reads only its prefix form ``_items`` and its
     ``variables()``: a :class:`Proposition` gives both, and so does a
-    formula as ``bell`` reads it from its file, with no tree built.  A
+    formula read by ``proplang._read_formulas``, with no tree built.  A
     formula over ``k`` variables becomes its whole truth table as one
     ``2^k``-bit integer: row ``i`` binds the formula's ``j``-th variable (in
-    ascending scenario bit) to bit ``j`` of ``i``, so ascending rows are
-    ascending submasks.  The prefix form is read backwards on a stack of
-    values, ``&``/``|``/``!`` acting on whole tables, and the set rows are
-    decoded to codes.  Tables over :data:`TABLE_ROWS_LIMIT` rows in all are
-    refused with :class:`TooLarge` before any is built.  The reversed
-    prefix form is read in slices of :data:`DEADLINE_STRIDE` items, and
-    ``deadline`` is read before each slice, the first included, and before
-    each block of table rows.
+    ascending scenario bit) to bit ``j`` of ``i`` (:func:`_patterns`), so
+    ascending rows are ascending submasks.  The prefix form is read
+    backwards on a stack of values, ``&``/``|``/``!`` acting on whole
+    tables, and the set rows are decoded to codes (:func:`_satisfying`).
+    ``bell``'s fast path, ``proplang._read_tables``, builds the same tables
+    as its parser reads the text.  Tables over :data:`TABLE_ROWS_LIMIT`
+    rows in all are refused with :class:`TooLarge` before any is built.
+    The reversed prefix form is read in slices of :data:`DEADLINE_STRIDE`
+    items, and ``deadline`` is read before each slice, the first included,
+    and before each block of table rows.
     """
     from .proplang import And, Const, Not, Or, Var
 
@@ -265,17 +298,8 @@ def _truth_tables(
         )
     for prop in props:
         names = sorted(prop.variables(), key=bit.__getitem__)
-        rows = 1 << len(names)
-        full = (1 << rows) - 1
-        table_of: dict[str, int] = {}
-        for j, name in enumerate(names):
-            # 2^j unset rows, then 2^j set ones, repeated over all the rows
-            half = 1 << j
-            pattern, width = ((1 << half) - 1) << half, 2 * half
-            while width < rows:
-                pattern |= pattern << width
-                width *= 2
-            table_of[name] = pattern
+        full = (1 << (1 << len(names))) - 1
+        table_of = dict(zip(names, _patterns(len(names))))
 
         values: list = []
         append, pop = values.append, values.pop
@@ -300,13 +324,11 @@ def _truth_tables(
                     append(item)  # a field: a variable's name or a constant
 
         (table,) = values
-        flags = format(table, f"0{rows}b")[::-1].encode().translate(_ROW_FLAGS)
-        satisfying: list[int] = []
-        for block in _set_rows(names, bit, flags):
-            if past_deadline(deadline):
-                raise TimeBudgetExceeded()
-            satisfying += block
-        yield _mask(bit, names), frozenset(satisfying)
+        yield _satisfying(table, names, bit, deadline)
+
+
+# a formula's measurement context and truth table
+_ContextTable = tuple[Context, tuple[int, frozenset[int]]]
 
 
 def _probability(table: tuple[int, frozenset[int]], entries: Entries) -> float:
@@ -314,23 +336,55 @@ def _probability(table: tuple[int, frozenset[int]], entries: Entries) -> float:
     return math.fsum([p for code, p in entries if code & cmask in satisfying])
 
 
-def _contradiction(
+def _compile(
     props: list[Proposition], scenario: Scenario, bound: int, deadline: float | None
-) -> tuple[list[Context], list[tuple[int, frozenset[int]]], bool]:
-    """Measurement context and truth table of each formula, and whether no
-    code meets every table: at once if one has no satisfying row, else by
-    the section search stopped at its first complete code."""
+) -> list[_ContextTable]:
+    """Measurement context and truth table of each formula, in a scenario
+    of at most ``bound`` variables."""
     from .proplang import measurement_context
 
     n = len(scenario.variables)
     if n > bound:
         raise TooLarge(f"{n} variables exceed the exhaustive bound of {bound}")
     contexts = [measurement_context(prop, scenario) for prop in props]
-    tables = list(_truth_tables(props, scenario.bit, deadline))
-    contradictory = not all(satisfying for _, satisfying in tables) or not (
+    return list(zip(contexts, _truth_tables(props, scenario.bit, deadline)))
+
+
+def _excess(
+    compiled: list[_ContextTable],
+    scenario: Scenario,
+    deadline: float | None,
+    model: ProbabilisticModel | None = None,
+) -> float | None:
+    """The Bell route's kernel, over each formula's measurement context and
+    truth table.  ``None`` if some code meets every table, the formulas
+    being jointly satisfiable: at once if a table has no satisfying row,
+    else by the section search stopped at its first complete code.
+    Otherwise the excess over ``N - 1`` of the ``math.fsum`` of their
+    probabilities under ``model``, or ``0.0`` with no model."""
+    tables = [table for _, table in compiled]
+    if all(satisfying for _, satisfying in tables) and (
         _search_masks(_Compiled(scenario.bit, tables), deadline, first=True)
+    ):
+        return None
+    if model is None:
+        return 0.0
+    total = math.fsum(
+        _probability(table, model._codes[model._key(context)]) for context, table in compiled
     )
-    return contexts, tables, contradictory
+    return total - (len(compiled) - 1)
+
+
+def _violation(
+    compiled: list[_ContextTable], model: ProbabilisticModel, deadline: float | None
+) -> float:
+    """:func:`bell_violation` of formulas already compiled."""
+    excess = _excess(compiled, model.scenario, deadline, model)
+    if excess is None:
+        raise NotContradictory(
+            "the formulas are jointly satisfiable, so no bound applies"
+        )
+    return excess
 
 
 def eval_probability(prop: Proposition, model: ProbabilisticModel) -> float:
@@ -363,7 +417,8 @@ def jointly_contradictory(
     ``tools/oracle.py``.  Scenarios with more than ``bound`` variables are
     refused; ``deadline`` covers the compile and the search.
     """
-    return _contradiction(list(props), scenario, bound, deadline)[2]
+    compiled = _compile(list(props), scenario, bound, deadline)
+    return _excess(compiled, scenario, deadline) is not None
 
 
 def bell_violation(
@@ -380,20 +435,13 @@ def bell_violation(
     over ``N * SUPPORT_EPSILON`` certifies that the model is contextual
     (:func:`certifies_contextuality`).  Each formula is compiled once, for
     both the contradiction search and its probability, from its prefix form
-    and variables alone (:func:`_truth_tables`): the CLI's ``bell`` passes
-    the prefix forms its formula file gives, and never builds a tree.
+    and variables alone (:func:`_truth_tables`), and both go through one
+    kernel, :func:`_excess`.  The CLI's ``bell`` gives that kernel the
+    tables its parser builds as it reads the formula file, and comes here,
+    with the prefix forms of ``proplang._read_formulas``, only to refuse a
+    file or report an expired budget; it never builds a tree.
     """
-    scenario = model.scenario
-    contexts, tables, contradictory = _contradiction(list(props), scenario, bound, deadline)
-    if not contradictory:
-        raise NotContradictory(
-            "the formulas are jointly satisfiable, so no bound applies"
-        )
-    total = math.fsum(
-        _probability(table, model._codes[model._key(context)])
-        for table, context in zip(tables, contexts)
-    )
-    return total - (len(tables) - 1)
+    return _violation(_compile(list(props), model.scenario, bound, deadline), model, deadline)
 
 
 def certifies_contextuality(violation: float, formulas: int) -> bool:

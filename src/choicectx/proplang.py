@@ -25,20 +25,41 @@ variable) and places it wherever the literal occurs; nodes are immutable
 and every method reads values, never identity, so the sharing cannot be
 seen.  A formula built in code is flattened once, when first needed.
 Equality, hashing, ``variables()``, ``to_text`` and ``repr`` read that
-form, and the Bell route compiles it to a truth table; ``bell`` reads its
-formula file with :func:`_read_formulas`, which gives the Bell route the
-prefix forms alone, so it never builds a tree.
+form, and the library's Bell route compiles it to a truth table.
+
+The same parser has a second target, the truth table itself
+(:class:`_TableParser`): ``bell`` reads its formula file with
+:func:`_read_tables`, which checks every line's tokens first and then
+parses each line straight to its table, with no prefix form and no node.
+On any fault or expiry it gives up, and ``bell`` refuses the file through
+:func:`_read_formulas` and ``bell_violation``, as the library would.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping
+from functools import cached_property, reduce
+from typing import Iterator, Mapping
 
-from .core import IDENTIFIER, Context, Scenario
-from .errors import NotMeasurable, PropositionSyntaxError, UnknownVariable
+from .core import (
+    DEADLINE_STRIDE,
+    IDENTIFIER,
+    TABLE_ROWS_LIMIT,
+    VARIABLE_RE,
+    Context,
+    Scenario,
+    past_deadline,
+)
+from .errors import (
+    NotMeasurable,
+    PropositionSyntaxError,
+    TimeBudgetExceeded,
+    TooLarge,
+    UnknownVariable,
+)
+from .probabilistic import _ContextTable, _patterns, _satisfying
 
 
 class Proposition:
@@ -237,6 +258,14 @@ def _tokenize(text: str, line: int | None) -> list[str]:
     """Token texts, ending with ``""`` at the end of input.  A token's kind
     is its text: one of ``!&|()``, a constant ``0``/``1``, or else an
     identifier."""
+    # most lines are read by splitting at whitespace and around each
+    # operator; a piece that is not one token (a stray character, or "10",
+    # which is two) sends the line to the regular expression
+    spaced = text.replace("!", " ! ").replace("&", " & ").replace("|", " | ")
+    values = spaced.replace("(", " ( ").replace(")", " ) ").split()
+    if all(value in _SYMBOLS or VARIABLE_RE.match(value) for value in set(values)):
+        values.append("")
+        return values
     values = _TOKEN_RE.findall(text)
     if len("".join(values)) != len("".join(text.split())):
         # some character is neither whitespace nor in a token: with the
@@ -267,20 +296,57 @@ class _Form:
         return self._variables
 
 
+class _Literals(dict):
+    """The prefix-form items of a literal over each variable name, made on
+    first use: ``head`` then the name."""
+
+    __slots__ = ("head",)
+
+    def __init__(self, *head: type):
+        self.head = head
+
+    def __missing__(self, name: str) -> tuple:
+        items = self[name] = (*self.head, name)
+        return items
+
+
 class _Parser:
     """Reads one formula's tokens into its prefix form and builds no node:
     the public parse functions build the tree from that form
-    (:func:`_tree`), and ``bell`` compiles the form as it is.  Each
-    literal's items are appended, and a chain's connectives go in front of
-    its operands once the chain ends."""
+    (:func:`_tree`).  Each literal's items are appended, and a chain's
+    connectives go in front of its operands once the chain ends.
 
-    def __init__(self, text: str, line: int | None):
-        self.values = _tokenize(text, line)
+    What the parser writes goes through its output hooks alone, so that
+    :class:`_TableParser` reads the same grammar, with the same checks, to
+    a truth table: ``leaves``, ``negations`` and ``constants`` hold the
+    items a variable, a negated variable and a constant append;
+    :meth:`close` ends a chain and :meth:`negate` applies a run of ``!``
+    to the operand after it.  A literal that starts at or past ``mark``
+    first calls :meth:`tick`; the prefix form reads no clock, so its mark
+    lies past the last token."""
+
+    def __init__(self, values: list[str], text: str, line: int | None):
+        self.values = values
         self.text = text
         self.line = line
         self.at = 0
         self.depth = 0
+        self.mark = len(values)
         self.items: list[object] = []
+        self.leaves: Mapping[str, tuple] = _Literals(Var)
+        self.negations: Mapping[str, tuple] = _Literals(Not, Var)
+        self.constants: Mapping[str, tuple] = _CONSTANTS
+
+    def close(self, start: int, operands: int, kind: type) -> None:
+        """End a chain of ``operands`` operands, its items from ``start``."""
+        self.items[start:start] = [kind] * (operands - 1)  # moves only this chain's items
+
+    def negate(self, start: int, count: int) -> None:
+        """Negate ``count`` times the operand whose items start at ``start``."""
+        self.items[start:start] = [Not] * count
+
+    def tick(self) -> None:
+        """Read the clock: the prefix form reads none."""
 
     def position(self) -> int:
         """Where the current token starts, worked out only for an error."""
@@ -308,8 +374,8 @@ class _Parser:
             self.at += 1
             self.conjunction()
             operands += 1
-        if operands > 1:  # moves only this chain's items
-            self.items[start:start] = [Or] * (operands - 1)
+        if operands > 1:
+            self.close(start, operands, Or)
 
     def conjunction(self) -> None:
         start = len(self.items)
@@ -320,26 +386,29 @@ class _Parser:
             self.literal()
             operands += 1
         if operands > 1:
-            self.items[start:start] = [And] * (operands - 1)
+            self.close(start, operands, And)
 
     def literal(self) -> None:
+        if self.at >= self.mark:
+            self.tick()
         values = self.values
         value = values[self.at]
         if value not in _SYMBOLS:  # a variable
             self.at += 1
-            self.items += (Var, value)
+            self.items += self.leaves[value]
             return
         # a negated variable; one that would pass the nesting limit goes
         # the long way below, which refuses it at its "!"
         name = values[self.at + 1] if value == "!" else ""
         if name not in _SYMBOLS and self.depth < MAX_NESTING:
             self.at += 2
-            self.items += (Not, Var, name)
+            self.items += self.negations[name]
             return
         outer = self.depth
         while values[self.at] == "!":  # a chain of "!" is read in a loop
             self.nest()
-        self.items += [Not] * (self.depth - outer)
+        count = self.depth - outer
+        start = len(self.items)
         value = values[self.at]
         if value == "(":
             self.nest()
@@ -347,19 +416,72 @@ class _Parser:
             if values[self.at] != ")":
                 raise self.fail("expected ')'")
         elif value == "0" or value == "1":
-            self.items += (Const, value == "1")
+            self.items += self.constants[value]
         elif value not in _SYMBOLS:
-            self.items += (Var, value)
+            self.items += self.leaves[value]
         else:
             raise self.fail("expected a variable, constant, '!' or '('")
         self.at += 1
         self.depth = outer
+        if count:
+            self.negate(start, count)
+
+
+# the prefix-form items of each constant
+_CONSTANTS = {"0": (Const, False), "1": (Const, True)}
+
+# the table operation of each connective
+_OPERATIONS = {And: operator.and_, Or: operator.or_}
+
+# a literal's first token lies at most MAX_NESTING + 2 tokens past the one
+# before it (its own "!" and variable, the ")" that follow it and one
+# connective), so a clock read at the first literal this many tokens past
+# the last read leaves at most DEADLINE_STRIDE tokens between reads
+_TOKEN_STRIDE = DEADLINE_STRIDE - MAX_NESTING - 1
+
+
+class _TableParser(_Parser):
+    """Reads one formula's tokens straight to its truth table, for ``bell``:
+    the grammar and every check are :class:`_Parser`'s.  The value of a
+    formula over the variables ``names`` (in ascending scenario bit) is its
+    ``2^k``-row table as an int, as in :func:`probabilistic._truth_tables`:
+    a literal pushes its variable's pattern or that pattern's complement,
+    and the end of a chain ANDs or ORs its operands.  With a ``deadline``,
+    the clock is read before the first literal and then at the first
+    literal :data:`_TOKEN_STRIDE` or more tokens past the last read, so
+    before each run of at most :data:`DEADLINE_STRIDE` tokens; expiry
+    raises :class:`TimeBudgetExceeded`."""
+
+    def __init__(
+        self, values: list[str], text: str, line: int, names: list[str], deadline: float | None
+    ):
+        super().__init__(values, text, line)
+        self.full = (1 << (1 << len(names))) - 1
+        patterns = _patterns(len(names))
+        self.leaves = {name: (p,) for name, p in zip(names, patterns)}
+        self.negations = {name: (p ^ self.full,) for name, p in zip(names, patterns)}
+        self.constants = {"0": (0,), "1": (self.full,)}
+        self.deadline = deadline
+        if deadline is not None:
+            self.mark = 0
+
+    def close(self, start: int, operands: int, kind: type) -> None:
+        self.items[start:] = [reduce(_OPERATIONS[kind], self.items[start:])]
+
+    def negate(self, start: int, count: int) -> None:
+        if count % 2:
+            self.items[-1] ^= self.full
+
+    def tick(self) -> None:
+        if past_deadline(self.deadline):
+            raise TimeBudgetExceeded()
+        self.mark = self.at + _TOKEN_STRIDE
 
 
 def _read_formula(text: str, line: int | None) -> _Form:
     """One formula's prefix form and variable set, with every syntax check
     of :func:`parse_formula` and no node built."""
-    parser = _Parser(text, line)
+    parser = _Parser(_tokenize(text, line), text, line)
     parser.formula()
     if parser.values[parser.at]:
         raise parser.fail("expected end of input")
@@ -416,18 +538,32 @@ def parse_formula(text: str, line: int | None = None) -> Proposition:
 
 def measurement_context(prop: Proposition, scenario: Scenario) -> Context:
     """The canonically first cover context containing all of the formula's
-    variables; raises :class:`NotMeasurable` if no context does."""
-    used = prop.variables()
-    declared = set(scenario.variables)
-    for name in sorted(used):
-        if name not in declared:
-            raise UnknownVariable(f"unknown variable {name!r}")
-    contexts = scenario.contexts_containing(used)
-    if not contexts:
-        raise NotMeasurable(
-            f"variables {sorted(used)} fit inside no cover context"
-        )
-    return contexts[0]
+    variables; raises :class:`UnknownVariable` for the sorted-first
+    undeclared one, else :class:`NotMeasurable` if no context does."""
+    return _context_of(prop.variables(), scenario)
+
+
+def _context_of(used: frozenset[str], scenario: Scenario) -> Context:
+    """:func:`measurement_context` of the variables ``used``, on the masks
+    of the scenario's layout: the first cover context whose mask covers
+    theirs."""
+    try:
+        bit, masks = scenario.bit, scenario._masks
+    except (TooLarge, UnknownVariable):
+        # a scenario no document gives has no layout: over VARIABLES_LIMIT
+        # variables, or a cover naming an undeclared one; a bit for each
+        # used variable alone tells the same contexts apart
+        bit = dict.fromkeys(scenario.variables, 0)
+        bit.update((v, 1 << j) for j, v in enumerate(used.intersection(bit)))
+        masks = [sum(bit.get(v, 0) for v in set(context)) for context in scenario.cover]
+    undeclared = used.difference(bit)
+    if undeclared:
+        raise UnknownVariable(f"unknown variable {min(undeclared)!r}")
+    want = sum(map(bit.__getitem__, used))
+    for context, mask in zip(scenario.cover, masks):
+        if want & mask == want:
+            return context
+    raise NotMeasurable(f"variables {sorted(used)} fit inside no cover context")
 
 
 def parse_proposition(text: str, scenario: Scenario) -> Proposition:
@@ -437,19 +573,68 @@ def parse_proposition(text: str, scenario: Scenario) -> Proposition:
     return node
 
 
+def _formula_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The number and text of each line of a proposition file that holds a
+    formula: blank lines and ``#`` comment lines hold none."""
+    for lineno, raw in enumerate(_LINE_END_RE.split(text), start=1):
+        stripped = raw.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, raw
+
+
 def _read_formulas(text: str, scenario: Scenario) -> list[_Form]:
     """Each formula of a proposition file as its prefix form and variable
     set, building no node, with every check of :func:`parse_propositions`
-    in the same order: what ``bell`` passes to the Bell route."""
+    in the same order.  ``bell`` reads a file with it, then passes the forms
+    to :func:`bell_violation`, only where :func:`_read_tables` gives up: so
+    ``bell`` refuses a file exactly as the library does."""
     forms = []
-    for lineno, raw in enumerate(_LINE_END_RE.split(text), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, raw in _formula_lines(text):
         form = _read_formula(raw, lineno)
         measurement_context(form, scenario)
         forms.append(form)
     return forms
+
+
+def _read_tables(
+    text: str, scenario: Scenario, bound: int, deadline: float | None
+) -> list[_ContextTable] | None:
+    """Each formula of a proposition file as its measurement context and
+    truth table (its variable mask and satisfying masked codes, as
+    :func:`probabilistic._truth_tables` gives them), parsed straight to the
+    table with no prefix form and no node: ``bell``'s fast path.
+
+    Every line is tokenized first, and a formula's identifier tokens are
+    its variables, so the measurement contexts, ``bound`` and the total of
+    table rows (:data:`TABLE_ROWS_LIMIT`) are checked before any table is
+    built.  Then each line is read by :class:`_TableParser`, and its rows
+    decoded.  On any fault, or once ``deadline`` has passed, this gives
+    ``None`` and leaves the refusal to :func:`_read_formulas` and
+    :func:`bell_violation`, which make every check in their own order."""
+    if len(scenario.variables) > bound:
+        return None
+    try:
+        lines, rows_in_all = [], 0
+        for lineno, raw in _formula_lines(text):
+            values = _tokenize(raw, lineno)
+            used = frozenset(values).difference(_SYMBOLS)
+            lines.append((lineno, raw, values, used, _context_of(used, scenario)))
+            rows_in_all += 1 << len(used)
+        if rows_in_all > TABLE_ROWS_LIMIT:
+            return None
+        bit = scenario.bit
+        pairs = []
+        for lineno, raw, values, used, context in lines:
+            names = sorted(used, key=bit.__getitem__)
+            parser = _TableParser(values, raw, lineno, names, deadline)
+            parser.formula()
+            if values[parser.at]:
+                return None  # a syntax error: text past the formula
+            (table,) = parser.items
+            pairs.append((context, _satisfying(table, names, bit, deadline)))
+    except (PropositionSyntaxError, UnknownVariable, NotMeasurable, TooLarge, TimeBudgetExceeded):
+        return None
+    return pairs
 
 
 def parse_propositions(text: str, scenario: Scenario) -> list[Proposition]:

@@ -6,8 +6,10 @@ import math
 import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import product
+from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from choicectx import (
     Not,
     NotContradictory,
     Or,
+    TimeBudgetExceeded,
     TooLarge,
     bell_scenario,
     bell_violation,
@@ -41,7 +44,7 @@ from choicectx import (
     uniform_over_support,
     validate_model,
 )
-from choicectx import catalog, cli, contextuality, errors
+from choicectx import catalog, cli, contextuality, core, errors
 from choicectx.cli import RunConfig, build_parser, main, parse_args, run
 from choicectx.contextuality import Kind
 from choicectx.core import TABLE_ROWS_LIMIT
@@ -1254,6 +1257,134 @@ class TestBellPrefixPath:
             parse_formula("!a & b | a")  # the library still builds trees
         assert main(["bell", "--machine", pr_dist_file, "--props", pr_props_file]) == 0
         assert json.loads(capsys.readouterr().out) == {"formulas": 4, "violation": 1.0}
+
+
+# a model whose one context is wider than the truth tables may be: a
+# formula over all of its 21 variables has 2^21 rows
+WIDE_NAMES = [f"w{i:02d}" for i in range(21)]
+WIDE_MODEL = ProbabilisticModel.make(
+    Scenario.make(WIDE_NAMES, [WIDE_NAMES]),
+    {tuple(WIDE_NAMES): [({v: 0 for v in WIDE_NAMES}, 1.0)]},
+)
+
+
+def faulty_file(data, model, lines):
+    """``lines`` of a formula file with zero to three faults, and the flags
+    ``bell`` runs with: a stray character, a syntax error, an undeclared
+    name, an unmeasurable line, nesting past the limit, a line too wide for
+    the truth tables, a --bound under the variable count, --budget 0, or an
+    undeclared name and a syntax error on one line."""
+    names = model.scenario.variables
+    apart = [
+        f"{u} & {v}"
+        for u, v in combinations(names, 2)
+        if not model.scenario.contexts_containing([u, v])
+    ]
+    faults = ["character", "syntax", "undeclared", "nest", "bound", "budget", "combined"]
+    faults += ["unmeasurable"] * bool(apart) + ["width"] * (model is WIDE_MODEL)
+    lines, flags = list(lines), []
+    for fault in data.draw(st.lists(st.sampled_from(faults), max_size=3)):
+        i = data.draw(st.integers(0, len(lines)))  # len(lines) adds a line
+        line = lines[i] if i < len(lines) else ""
+        at = data.draw(st.integers(0, len(line)))
+        if fault == "character":
+            line = line[:at] + "$" + line[at:]
+        elif fault == "syntax":
+            line = line[:at] + data.draw(st.sampled_from(["&", "(", ")", "!", " a b"]))
+        elif fault == "undeclared":
+            line = f"{line} & ghost" if line else "ghost"
+        elif fault == "nest":
+            line = "(" * (MAX_NESTING + 1) + (line or "a") + ")" * (MAX_NESTING + 1)
+        elif fault == "combined":
+            line = "zz & ("
+        elif fault == "unmeasurable":
+            line = data.draw(st.sampled_from(apart))
+        elif fault == "width":
+            line = " | ".join(WIDE_NAMES)
+        elif fault == "bound":
+            flags += ["--bound", str(len(names) - 1)]
+        else:
+            flags += ["--budget", "0"]
+        lines[i:i + 1] = [line]
+    return "\n".join(lines) + "\n", flags
+
+
+def library_answer(text, model, flags):
+    """The exit code and message or violation of the library route,
+    ``parse_propositions`` then ``bell_violation``, for ``bell``'s flags."""
+    bound = int(flags[flags.index("--bound") + 1]) if "--bound" in flags else 24
+    deadline = time.monotonic() - 1.0 if "--budget" in flags else None
+    try:
+        props = parse_propositions(text, model.scenario)
+        violation = bell_violation(props, model, bound, deadline)
+    except TimeBudgetExceeded:
+        return 3, None
+    except errors.ChoiceCtxError as exc:
+        return 2, f"error: {exc}\n"
+    return 0, violation.hex()
+
+
+class TestBellDifferential:
+    """``bell`` parses a file that passes every check straight to truth
+    tables, and refuses any other through the formulas' prefix forms.
+    Whatever the file and flags, it must answer as the library does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["bell", "generated", "wide"]), st.integers(0, 10**6), st.data())
+    def test_cli_and_library_agree_on_faulty_files(self, tmp_path_factory, kind, seed, data):
+        if kind == "bell":
+            model = pr_box_distribution()
+            lines = support_text(support_reduction(model)).splitlines()
+        elif kind == "generated":
+            try:
+                model = uniform_over_support(gen_random_model(10, 7, 0.35, seed))
+            except ValueError:  # a context without events has no distribution
+                return
+            lines = support_text(support_reduction(model)).splitlines()
+        else:
+            model = WIDE_MODEL
+            lines = ["w00 | w01", "!w00 & !w01", "w02 | !w03"]
+        text, flags = faulty_file(data, model, lines)
+        root = tmp_path_factory.mktemp("bell_differential")
+        doc, props = root / "model.json", root / "model.props"
+        doc.write_text(serialize_model(model))
+        props.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["bell", "--machine", *flags, str(doc), "--props", str(props)])
+        want_rc, want = library_answer(text, model, flags)
+        assert rc == want_rc, err.getvalue()
+        if rc == 0:
+            assert json.loads(out.getvalue())["violation"].hex() == want
+        elif rc == 2:
+            assert err.getvalue() == want
+        else:
+            assert json.loads(out.getvalue())["inconclusive"] is True
+
+    def test_a_long_line_reads_the_clock_every_stride(self, pr_dist_file, tmp_path, monkeypatch, capsys):
+        # a chain of 3,000 disjuncts is 5,999 tokens: the clock is read at
+        # its literals at tokens 0, 924, ..., 5,544 (seven reads, each run
+        # under DEADLINE_STRIDE tokens) and before its one block of rows;
+        # the constant-false line after it, once before its literal and once
+        # before its row, settles the family with no search
+        props = tmp_path / "long.props"
+        props.write_text(" | ".join(["a"] * 3000) + "\n0\n")
+        reads = []
+        monkeypatch.setattr(core, "time", SimpleNamespace(monotonic=lambda: reads.append(1) or 0.0))
+        argv = ["bell", "--machine", "--budget", "1", pr_dist_file, "--props", str(props)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {"formulas": 2, "violation": -0.5}
+        assert len(reads) == 10
+
+    def test_syntax_error_after_a_valid_line_outranks_an_expired_budget(
+        self, pr_dist_file, tmp_path, capsys
+    ):
+        props = tmp_path / "cut.props"
+        props.write_text("a & b\na & (\n")
+        assert main(["bell", "--budget", "0", pr_dist_file, "--props", str(props)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected a variable, constant, '!' or '('")
+        assert err.endswith("(line 2, position 5)\n")
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,11 @@
+import re
 import sys
 from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choicectx import (
@@ -25,9 +26,18 @@ from choicectx import (
     parse_propositions,
     support_propositions,
 )
-from choicectx.core import VARIABLE_RE, Scenario
+from choicectx import core
+from choicectx.core import DEADLINE_STRIDE, IDENTIFIER, VARIABLES_LIMIT, VARIABLE_RE, Scenario
 from choicectx.errors import ChoiceCtxError
-from choicectx.proplang import MAX_NESTING, _read_formula, _read_formulas
+from choicectx.probabilistic import _compile
+from choicectx.proplang import (
+    MAX_NESTING,
+    _read_formula,
+    _read_formulas,
+    _read_tables,
+    _tokenize,
+    _TableParser,
+)
 
 
 # what each bad formula of ``test_syntax_errors_carry_position`` is refused with
@@ -115,6 +125,34 @@ class TestParsing:
         with pytest.raises(PropositionSyntaxError) as err:
             parse_formula("a &", line=7)
         assert err.value.line == 7
+
+
+REFERENCE_TOKEN_RE = re.compile(IDENTIFIER + "|[01!&|()]")
+
+
+def reference_tokens(text):
+    """The tokens of ``text`` by one regular expression, or the position of
+    its first character that is neither whitespace nor in a token."""
+    values = REFERENCE_TOKEN_RE.findall(text)
+    blanked = REFERENCE_TOKEN_RE.sub(lambda token: " " * len(token[0]), text)
+    if blanked.strip():
+        return len(blanked) - len(blanked.lstrip())
+    return values + [""]
+
+
+class TestTokenizer:
+    # identifier characters, the digits that split off a constant, stray
+    # characters and whitespace the tokenizer skips
+    @settings(max_examples=500, deadline=None)
+    @given(st.text("ab'_019!&|() \t\u00a0\x1c\u2003$\u00e9", max_size=30))
+    def test_tokens_match_the_regular_expression(self, text):
+        expected = reference_tokens(text)
+        if isinstance(expected, int):
+            with pytest.raises(PropositionSyntaxError) as err:
+                _tokenize(text, None)
+            assert err.value.position == expected
+        else:
+            assert _tokenize(text, None) == expected
 
 
 class TestEvaluation:
@@ -514,6 +552,68 @@ class TestPrefixReader:
         assert [form.variables() for form in forms] == [t.variables() for t in trees]
 
 
+class TestTableReader:
+    """``bell`` parses each formula straight to its truth table.  On a file
+    the checked path accepts, it must give the tables the prefix forms
+    compile to; on any other, it gives up, leaving the refusal to the
+    checked path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_tables_match_the_prefix_compile(self, data):
+        text = edited_file(data)
+        try:
+            forms = _read_formulas(text, READER_SCENARIO)
+        except ChoiceCtxError:
+            assert _read_tables(text, READER_SCENARIO, 24, None) is None
+            return
+        expected = _compile(forms, READER_SCENARIO, 24, None)
+        assert _read_tables(text, READER_SCENARIO, 24, None) == expected
+        assert _read_tables(text, READER_SCENARIO, 3, None) is None  # over the bound
+
+    @staticmethod
+    def clock_marks(text):
+        """The token before which each clock read falls, parsing ``text`` to
+        its table with a deadline that never passes."""
+        marks = []
+        tick = _TableParser.tick
+
+        def recorded(parser):
+            marks.append(parser.at)
+            tick(parser)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_TableParser, "tick", recorded)
+            (table,) = _read_tables(text, READER_SCENARIO, 24, float("inf"))
+        return marks
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(deep_texts, st.sampled_from(["a", "!b", "(a | !b)"])),
+            min_size=1,
+            max_size=40,
+        ),
+        st.sampled_from([" & ", " | "]),
+    )
+    # 102 tokens from each literal to the next, so a read due at the 1,024th
+    # token falls at the 1,122nd unless it is taken early
+    @example(["!" * MAX_NESTING + "a"] * 12, " | ")
+    def test_clock_read_every_stride_of_tokens(self, pieces, joint):
+        # chains of literals nested MAX_NESTING deep, the most tokens that
+        # may lie between two literals
+        text = joint.join(pieces)
+        tokens = len(_tokenize(text, None)) - 1
+        marks = self.clock_marks(text)
+        assert marks[0] == 0
+        assert all(0 < b - a <= DEADLINE_STRIDE for a, b in zip(marks, marks[1:]))
+        assert tokens - marks[-1] <= DEADLINE_STRIDE
+
+    def test_expired_deadline_gives_up(self):
+        assert _read_tables("a & b\n", READER_SCENARIO, 24, 0.0) is None
+        assert _read_tables("a & b\n", READER_SCENARIO, 24, None) is not None
+
+
 class TestScenarioChecks:
     def test_measurement_context_picks_first(self):
         s = bell_scenario()
@@ -533,6 +633,46 @@ class TestScenarioChecks:
     def test_parse_proposition_accepts_measurable(self):
         phi = parse_proposition("a & !b", bell_scenario())
         assert phi == And(Var("a"), Not(Var("b")))
+
+    @staticmethod
+    def reference_context(used, scenario):
+        """The measurement context by sets, as it was first defined."""
+        declared = set(scenario.variables)
+        for name in sorted(used):
+            if name not in declared:
+                raise UnknownVariable(f"unknown variable {name!r}")
+        contexts = [c for c in scenario.cover if set(used) <= set(c)]
+        if not contexts:
+            raise NotMeasurable(f"variables {sorted(used)} fit inside no cover context")
+        return contexts[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=5),
+        st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "ghost"]), max_size=4)),
+        st.lists(st.sampled_from(["a", "b", "c", "d", "e", "ghost", "zz"]), max_size=4),
+    )
+    def test_matches_the_set_definition(self, variables, contexts, used):
+        # the cover may name a variable the scenario does not declare, and
+        # the formula may too: then the sorted-first one is named
+        scenario = Scenario.make(variables, contexts)
+        prop = reduce(And, [Var(v) for v in used], Const(True))
+        try:
+            expected = self.reference_context(frozenset(used), scenario)
+        except ChoiceCtxError as exc:
+            with pytest.raises(type(exc)) as err:
+                measurement_context(prop, scenario)
+            assert str(err.value) == str(exc)
+        else:
+            assert measurement_context(prop, scenario) == expected
+
+    def test_scenario_over_the_variables_limit(self):
+        # too many variables for a layout: the context is still found
+        names = [f"v{i:05d}" for i in range(VARIABLES_LIMIT + 1)]
+        scenario = Scenario.make(names, [names[:1], names[1:3]])
+        assert measurement_context(parse_formula("v00002"), scenario) == ("v00001", "v00002")
+        with pytest.raises(NotMeasurable):
+            measurement_context(parse_formula("v00000 & v00001"), scenario)
 
 
 class TestPropositionFiles:
