@@ -18,6 +18,7 @@ mark, which is not part of the text.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -326,4 +327,14 @@ def run(config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    return run(parse_args(argv))
+    # the cyclic collector is paused for the run, as timeit does: a
+    # document's events are thousands of acyclic lists, freed by reference
+    # counting, which it would only walk again; one the caller turned off
+    # stays off, and library calls keep their caller's collector policy
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return run(parse_args(argv))
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -100,13 +100,16 @@ def parse_model(text: str) -> Model:
     refused with :class:`TooLarge` as soon as its variables are read, before
     any other fault it may hold.
 
-    Every check runs on every document, but no path is built for a check
-    that passes: the events or distribution entries of a context are
-    encoded and tested in bulk, and a table that fails (or, for a
-    distribution, holds an int ``p`` or a float outcome) is rechecked entry
-    by entry in document order to name the first bad one.  Each
-    event and each entry's assignment is read straight into its code in the
-    scenario's :attr:`Scenario.bit` layout, the form both models store.
+    Every check runs on every document.  The paths to the variables, the
+    contexts and each context's entry (its ``context`` and its ``events``
+    or ``distribution``, and their names) are built as they are read, but
+    none below them is built for a check that passes: the events or
+    distribution entries of a context are encoded and tested in bulk, and
+    a table that fails (or, for a distribution, holds an int ``p`` or a
+    float outcome) is rechecked entry by entry in document order to name
+    the first bad one.  Each event and each entry's assignment is read
+    straight into its code in the scenario's :attr:`Scenario.bit` layout,
+    the form both models store.
     """
     try:
         doc = json.loads(text)

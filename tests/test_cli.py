@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -1642,3 +1643,101 @@ class TestRarePaths:
         argv = ["gen", "--vars", "3", "--contexts", "2", "--density", "0.5", "--seed", "-1"]
         assert main(argv) == 2
         assert capsys.readouterr() == ("", "error: seed must be a nonnegative integer\n")
+
+
+@pytest.fixture
+def collector():
+    """Restores the cyclic collector's setting after a test that changes it."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture(scope="module")
+def sized_runs(tmp_path_factory):
+    """Per command, the argv of a run on a small and on a large generated input."""
+    root = tmp_path_factory.mktemp("sized")
+    runs = {command: [] for command in ("classify", "axioms", "bell", "gen")}
+    # the bell sizes are strongly contextual, so that their support formulas
+    # are jointly contradictory and bell exits 0
+    for size, bell_size in (((6, 4, 0.5, 1), (10, 7, 0.35, 2)), ((17, 12, 0.7, 1), (14, 10, 0.3, 1))):
+        name = "-".join(map(str, size))
+        model = root / f"{name}.json"
+        model.write_text(serialize_model(gen_random_model(*size)))
+        runs["classify"].append(["classify", "--machine", str(model)])
+        runs["axioms"].append(["axioms", "--machine", str(model)])
+        n, k, density, seed = size
+        runs["gen"].append(
+            ["gen", "--vars", str(n), "--contexts", str(k), "--density", str(density), "--seed", str(seed)]
+        )
+        distribution = uniform_over_support(gen_random_model(*bell_size))
+        prob, props = root / f"bell-{name}.json", root / f"bell-{name}.props"
+        prob.write_text(serialize_model(distribution))
+        props.write_text(support_text(support_reduction(distribution)))
+        runs["bell"].append(["bell", "--machine", str(prob), "--props", str(props)])
+    return runs
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector for a run and leaves it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["classify", "{hardy}"], 0),
+            (["classify", "--strict", "{hardy}"], 1),
+            (["classify", "{bad}"], 2),
+            (["classify", "--budget", "0", "{hardy}"], 3),
+        ],
+        ids=["ok", "strict", "bad-document", "budget"],
+    )
+    def test_every_exit_restores_the_setting(
+        self, argv, code, enabled, hardy_file, tmp_path, collector, capsys
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        argv = [arg.format(hardy=hardy_file, bad=bad) for arg in argv]
+        gc.enable() if enabled else gc.disable()
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_a_usage_error_restores_the_setting(self, enabled, hardy_file, collector, capsys):
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(SystemExit) as err:
+            main(["classify", "--nope", hardy_file])
+        assert err.value.code == 2
+        assert gc.isenabled() is enabled
+
+    def test_the_collector_is_off_during_a_run(self, hardy_file, monkeypatch, collector, capsys):
+        seen = []
+        real = contextuality.classify
+
+        def spy(model, deadline):
+            seen.append(gc.isenabled())
+            return real(model, deadline)
+
+        monkeypatch.setattr(contextuality, "classify", spy)
+        gc.enable()
+        assert main(["classify", hardy_file]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("command", ["classify", "axioms", "bell", "gen"])
+    def test_the_garbage_a_run_leaves_does_not_grow_with_its_input(
+        self, command, sized_runs, capsys
+    ):
+        # a run's lists are acyclic: the cyclic garbage it leaves, found by
+        # the collect after it, is a fixed count whatever the input's size
+        left = []
+        for argv in sized_runs[command]:
+            assert main(argv) == 0  # the first run of a command also imports its modules
+            gc.collect()
+            assert main(argv) == 0
+            left.append(gc.collect())
+        capsys.readouterr()
+        assert left[0] == left[1]
