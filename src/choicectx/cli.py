@@ -30,7 +30,6 @@ from .errors import ChoiceCtxError, ModelSemanticError, TimeBudgetExceeded
 from .modelio import parse_model, serialize_model
 from .probabilistic import (
     ProbabilisticModel,
-    bell_violation,
     certifies_contextuality,
     support_reduction,
 )
@@ -276,22 +275,16 @@ def _dispatch(config: RunConfig) -> int:
 
     elif config.command == "bell":
         from .probabilistic import _violation
-        from .proplang import _read_formulas, _read_tables
+        from .proplang import _read_tables
 
         if not isinstance(model, ProbabilisticModel):
             raise ModelSemanticError("the inequality needs a probabilistic model", "$")
         # each formula is parsed straight to its truth table, with no prefix
-        # form and no node; on any fault or expiry the checked path, prefix
-        # forms then bell_violation, refuses the file as the library does
+        # form and no node, in one pass that refuses a file as the library does
         text = _read(config.props_path)
         tables = _read_tables(text, model.scenario, config.bound, deadline)
-        if tables is None:
-            forms = _read_formulas(text, model.scenario)
-            violation = bell_violation(forms, model, config.bound, deadline)
-            count = len(forms)
-        else:
-            violation = _violation(tables, model, deadline)
-            count = len(tables)
+        violation = _violation(tables, model, deadline)
+        count = len(tables)
         doc = {"formulas": count, "violation": violation}
         lines = [f"formulas: {count}", f"violation: {violation!r}"]
         bad = certifies_contextuality(violation, count)

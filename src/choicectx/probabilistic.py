@@ -267,21 +267,37 @@ def _satisfying(
     return _mask(bit, names), frozenset(satisfying)
 
 
+def _check_rows(rows_in_all: int) -> None:
+    """Refuse truth tables of ``rows_in_all`` rows in all, over
+    :data:`TABLE_ROWS_LIMIT`, with :class:`TooLarge`."""
+    if rows_in_all > TABLE_ROWS_LIMIT:
+        raise TooLarge(
+            f"the formulas' truth tables would hold {rows_in_all:,} rows, "
+            f"over the limit of {TABLE_ROWS_LIMIT:,}"
+        )
+
+
+def _check_bound(scenario: Scenario, bound: int) -> None:
+    """Refuse a scenario of over ``bound`` variables with :class:`TooLarge`."""
+    n = len(scenario.variables)
+    if n > bound:
+        raise TooLarge(f"{n} variables exceed the exhaustive bound of {bound}")
+
+
 def _truth_tables(
     props: list[Proposition], bit: Mapping[str, int], deadline: float | None
 ) -> Iterator[tuple[int, frozenset[int]]]:
     """Compile each formula to its variable mask and satisfying masked codes.
 
     Of a formula this reads only its prefix form ``_items`` and its
-    ``variables()``: a :class:`Proposition` gives both, and so does a
-    formula read by ``proplang._read_formulas``, with no tree built.  A
+    ``variables()``, as a :class:`Proposition` gives them.  A
     formula over ``k`` variables becomes its whole truth table as one
     ``2^k``-bit integer: row ``i`` binds the formula's ``j``-th variable (in
     ascending scenario bit) to bit ``j`` of ``i`` (:func:`_patterns`), so
     ascending rows are ascending submasks.  The prefix form is read
     backwards on a stack of values, ``&``/``|``/``!`` acting on whole
     tables, and the set rows are decoded to codes (:func:`_satisfying`).
-    ``bell``'s fast path, ``proplang._read_tables``, builds the same tables
+    ``bell``'s reader, ``proplang._read_tables``, builds the same tables
     as its parser reads the text.  Tables over :data:`TABLE_ROWS_LIMIT`
     rows in all are refused with :class:`TooLarge` before any is built.
     The reversed prefix form is read in slices of :data:`DEADLINE_STRIDE`
@@ -290,12 +306,7 @@ def _truth_tables(
     """
     from .proplang import And, Const, Not, Or, Var
 
-    rows_in_all = sum(1 << len(prop.variables()) for prop in props)
-    if rows_in_all > TABLE_ROWS_LIMIT:
-        raise TooLarge(
-            f"the formulas' truth tables would hold {rows_in_all:,} rows, "
-            f"over the limit of {TABLE_ROWS_LIMIT:,}"
-        )
+    _check_rows(sum(1 << len(prop.variables()) for prop in props))
     for prop in props:
         names = sorted(prop.variables(), key=bit.__getitem__)
         full = (1 << (1 << len(names))) - 1
@@ -343,9 +354,7 @@ def _compile(
     of at most ``bound`` variables."""
     from .proplang import measurement_context
 
-    n = len(scenario.variables)
-    if n > bound:
-        raise TooLarge(f"{n} variables exceed the exhaustive bound of {bound}")
+    _check_bound(scenario, bound)
     contexts = [measurement_context(prop, scenario) for prop in props]
     return list(zip(contexts, _truth_tables(props, scenario.bit, deadline)))
 
@@ -436,10 +445,9 @@ def bell_violation(
     (:func:`certifies_contextuality`).  Each formula is compiled once, for
     both the contradiction search and its probability, from its prefix form
     and variables alone (:func:`_truth_tables`), and both go through one
-    kernel, :func:`_excess`.  The CLI's ``bell`` gives that kernel the
-    tables its parser builds as it reads the formula file, and comes here,
-    with the prefix forms of ``proplang._read_formulas``, only to refuse a
-    file or report an expired budget; it never builds a tree.
+    kernel, :func:`_excess`.  The CLI's ``bell`` does not come here: it
+    gives that kernel the tables its parser builds as it reads the formula
+    file (``proplang._read_tables``), which refuses a file as this would.
     """
     return _violation(_compile(list(props), model.scenario, bound, deadline), model, deadline)
 

@@ -29,10 +29,9 @@ form, and the library's Bell route compiles it to a truth table.
 
 The same parser has a second target, the truth table itself
 (:class:`_TableParser`): ``bell`` reads its formula file with
-:func:`_read_tables`, which checks every line's tokens first and then
-parses each line straight to its table, with no prefix form and no node.
-On any fault or expiry it gives up, and ``bell`` refuses the file through
-:func:`_read_formulas` and ``bell_violation``, as the library would.
+:func:`_read_tables`, which parses each line straight to its table, with
+no prefix form and no node, and refuses a file as the library route
+would, in one pass.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from .errors import (
     TooLarge,
     UnknownVariable,
 )
-from .probabilistic import _ContextTable, _patterns, _satisfying
+from .probabilistic import _check_bound, _check_rows, _ContextTable, _patterns, _satisfying
 
 
 class Proposition:
@@ -281,21 +280,6 @@ def _tokenize(text: str, line: int | None) -> list[str]:
 _SYMBOLS = frozenset(["", "!", "&", "|", "(", ")", "0", "1"])
 
 
-class _Form:
-    """A formula as the Bell route reads it: its prefix form ``_items`` and
-    its variable set, read from the text with no node built.  Like a
-    :class:`Proposition`, it gives its variables through ``variables()``."""
-
-    __slots__ = ("_items", "_variables")
-
-    def __init__(self, items: tuple[object, ...], variables: frozenset[str]):
-        self._items = items
-        self._variables = variables
-
-    def variables(self) -> frozenset[str]:
-        return self._variables
-
-
 class _Literals(dict):
     """The prefix-form items of a literal over each variable name, made on
     first use: ``head`` then the name."""
@@ -347,6 +331,14 @@ class _Parser:
 
     def tick(self) -> None:
         """Read the clock: the prefix form reads none."""
+
+    def read(self) -> list[object]:
+        """Read the whole formula, with every syntax check, and give what
+        the output hooks wrote."""
+        self.formula()
+        if self.values[self.at]:
+            raise self.fail("expected end of input")
+        return self.items
 
     def position(self) -> int:
         """Where the current token starts, worked out only for an error."""
@@ -478,32 +470,21 @@ class _TableParser(_Parser):
         self.mark = self.at + _TOKEN_STRIDE
 
 
-def _read_formula(text: str, line: int | None) -> _Form:
-    """One formula's prefix form and variable set, with every syntax check
-    of :func:`parse_formula` and no node built."""
-    parser = _Parser(_tokenize(text, line), text, line)
-    parser.formula()
-    if parser.values[parser.at]:
-        raise parser.fail("expected end of input")
-    # the whole input was read, so every identifier token is a variable
-    return _Form(tuple(parser.items), frozenset(parser.values).difference(_SYMBOLS))
-
-
-def _tree(form: _Form) -> Proposition:
-    """The tree of a formula read by :func:`_read_formula`, built from its
-    prefix form read backwards on a stack, as the truth-table compile reads
-    it.  One node stands for each literal (a variable or a negated
-    variable) wherever it occurs: nodes are immutable and compared by value,
-    so a formula may hold the same leaf at many places.  The root gets the
-    form's prefix form and variable set, the slots the cached properties
-    would fill; it is a node of this formula alone, so no other formula
-    reads them."""
+def _tree(items: tuple[object, ...], variables: frozenset[str]) -> Proposition:
+    """The tree of a formula from the prefix form ``items`` the parser
+    wrote, read backwards on a stack, as the truth-table compile reads it.
+    One node stands for each literal (a variable or a negated variable)
+    wherever it occurs: nodes are immutable and compared by value, so a
+    formula may hold the same leaf at many places.  The root gets ``items``
+    and the formula's ``variables``, the slots the cached properties would
+    fill; it is a node of this formula alone, so no other formula reads
+    them."""
     names: dict[str, Var] = {}
     negated: dict[str, Not] = {}
     values: list = []
     append, pop = values.append, values.pop
-    items = reversed(form._items)
-    for item in items:
+    reader = reversed(items)
+    for item in reader:
         if item is And:
             append(And(pop(), pop()))
         elif item is Not:
@@ -517,7 +498,7 @@ def _tree(form: _Form) -> Proposition:
                 values[-1] = Not(operand)
         elif item is Or:
             append(Or(pop(), pop()))
-        elif next(items) is Var:  # a field, read with its node's class
+        elif next(reader) is Var:  # a field, read with its node's class
             node = names.get(item)
             if node is None:
                 node = names[item] = Var(item)
@@ -525,15 +506,18 @@ def _tree(form: _Form) -> Proposition:
         else:
             append(Const(item))
     (node,) = values
-    node.__dict__["_items"] = form._items
-    node.__dict__["_variables"] = form._variables
+    node.__dict__["_items"] = items
+    node.__dict__["_variables"] = variables
     return node
 
 
 def parse_formula(text: str, line: int | None = None) -> Proposition:
     """Parse a formula with no scenario checks.  A formula nesting ``(`` and
     ``!`` more than :data:`MAX_NESTING` deep is refused."""
-    return _tree(_read_formula(text, line))
+    values = _tokenize(text, line)
+    items = _Parser(values, text, line).read()
+    # the whole input was read, so every identifier token is a variable
+    return _tree(tuple(items), frozenset(values).difference(_SYMBOLS))
 
 
 def measurement_context(prop: Proposition, scenario: Scenario) -> Context:
@@ -582,58 +566,50 @@ def _formula_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, raw
 
 
-def _read_formulas(text: str, scenario: Scenario) -> list[_Form]:
-    """Each formula of a proposition file as its prefix form and variable
-    set, building no node, with every check of :func:`parse_propositions`
-    in the same order.  ``bell`` reads a file with it, then passes the forms
-    to :func:`bell_violation`, only where :func:`_read_tables` gives up: so
-    ``bell`` refuses a file exactly as the library does."""
-    forms = []
-    for lineno, raw in _formula_lines(text):
-        form = _read_formula(raw, lineno)
-        measurement_context(form, scenario)
-        forms.append(form)
-    return forms
-
-
 def _read_tables(
     text: str, scenario: Scenario, bound: int, deadline: float | None
-) -> list[_ContextTable] | None:
+) -> list[_ContextTable]:
     """Each formula of a proposition file as its measurement context and
     truth table (its variable mask and satisfying masked codes, as
     :func:`probabilistic._truth_tables` gives them), parsed straight to the
-    table with no prefix form and no node: ``bell``'s fast path.
+    table with no prefix form and no node: how ``bell`` reads its file.
 
-    Every line is tokenized first, and a formula's identifier tokens are
-    its variables, so the measurement contexts, ``bound`` and the total of
-    table rows (:data:`TABLE_ROWS_LIMIT`) are checked before any table is
-    built.  Then each line is read by :class:`_TableParser`, and its rows
-    decoded.  On any fault, or once ``deadline`` has passed, this gives
-    ``None`` and leaves the refusal to :func:`_read_formulas` and
-    :func:`bell_violation`, which make every check in their own order."""
-    if len(scenario.variables) > bound:
-        return None
-    try:
-        lines, rows_in_all = [], 0
-        for lineno, raw in _formula_lines(text):
-            values = _tokenize(raw, lineno)
-            used = frozenset(values).difference(_SYMBOLS)
-            lines.append((lineno, raw, values, used, _context_of(used, scenario)))
-            rows_in_all += 1 << len(used)
-        if rows_in_all > TABLE_ROWS_LIMIT:
-            return None
-        bit = scenario.bit
-        pairs = []
-        for lineno, raw, values, used, context in lines:
+    The file is read once, and refused as :func:`parse_propositions` then
+    :func:`bell_violation` would refuse it: each line's tokens and syntax,
+    then its measurement context, in file order; after the last line,
+    ``bound``, the total of table rows (:data:`TABLE_ROWS_LIMIT`), then
+    ``deadline``.  A formula's identifier tokens are its variables, so its
+    context and rows are known from its tokens, and a context fault is
+    raised only once the line's syntax is checked.  Tables are built only
+    while none of those last three is due, so at most
+    :data:`TABLE_ROWS_LIMIT` rows in all; a line read once one is due goes
+    through the plain :class:`_Parser`, for its checks alone.  An expiry
+    met while a table is built only marks the budget as spent."""
+    over_bound = len(scenario.variables) > bound
+    bit = scenario.bit
+    pairs, rows_in_all, expired = [], 0, False
+    for lineno, raw in _formula_lines(text):
+        values = _tokenize(raw, lineno)
+        used = frozenset(values).difference(_SYMBOLS)
+        rows_in_all += 1 << len(used)
+        try:
+            context = _context_of(used, scenario)
+        except (UnknownVariable, NotMeasurable):
+            _Parser(values, raw, lineno).read()  # a syntax error is named first
+            raise
+        if not (over_bound or expired or rows_in_all > TABLE_ROWS_LIMIT):
             names = sorted(used, key=bit.__getitem__)
-            parser = _TableParser(values, raw, lineno, names, deadline)
-            parser.formula()
-            if values[parser.at]:
-                return None  # a syntax error: text past the formula
-            (table,) = parser.items
-            pairs.append((context, _satisfying(table, names, bit, deadline)))
-    except (PropositionSyntaxError, UnknownVariable, NotMeasurable, TooLarge, TimeBudgetExceeded):
-        return None
+            try:
+                (table,) = _TableParser(values, raw, lineno, names, deadline).read()
+                pairs.append((context, _satisfying(table, names, bit, deadline)))
+                continue
+            except TimeBudgetExceeded:
+                expired = True
+        _Parser(values, raw, lineno).read()  # its checks alone
+    _check_bound(scenario, bound)
+    _check_rows(rows_in_all)
+    if expired:
+        raise TimeBudgetExceeded()
     return pairs
 
 
@@ -642,5 +618,11 @@ def parse_propositions(text: str, scenario: Scenario) -> list[Proposition]:
     ``#`` comment lines ignored.  Lines end only at a line feed, a carriage
     return, or the two in that order; other characters that
     ``str.splitlines`` breaks at, such as U+001C or U+0085, are whitespace
-    inside a line.  Syntax errors carry the line number."""
-    return [_tree(form) for form in _read_formulas(text, scenario)]
+    inside a line.  Each line is parsed, then its measurement context is
+    checked.  Syntax errors carry the line number."""
+    props = []
+    for lineno, raw in _formula_lines(text):
+        prop = parse_formula(raw, lineno)
+        measurement_context(prop, scenario)
+        props.append(prop)
+    return props

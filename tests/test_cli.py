@@ -45,7 +45,7 @@ from choicectx import (
     uniform_over_support,
     validate_model,
 )
-from choicectx import catalog, cli, contextuality, core, errors
+from choicectx import catalog, cli, contextuality, core, errors, proplang
 from choicectx.cli import RunConfig, build_parser, main, parse_args, run
 from choicectx.contextuality import Kind
 from choicectx.core import TABLE_ROWS_LIMIT
@@ -1216,7 +1216,7 @@ REWRITES = [
 
 
 class TestBellPrefixPath:
-    """``bell`` reads each formula's prefix form and variables with no node
+    """``bell`` parses each formula straight to its truth table with no node
     built; the library builds the formulas' trees.  Both must give the same
     violation, bit for bit."""
 
@@ -1263,6 +1263,7 @@ class TestBellPrefixPath:
 # a model whose one context is wider than the truth tables may be: a
 # formula over all of its 21 variables has 2^21 rows
 WIDE_NAMES = [f"w{i:02d}" for i in range(21)]
+WIDE_LINE = " | ".join(WIDE_NAMES)
 WIDE_MODEL = ProbabilisticModel.make(
     Scenario.make(WIDE_NAMES, [WIDE_NAMES]),
     {tuple(WIDE_NAMES): [({v: 0 for v in WIDE_NAMES}, 1.0)]},
@@ -1301,7 +1302,7 @@ def faulty_file(data, model, lines):
         elif fault == "unmeasurable":
             line = data.draw(st.sampled_from(apart))
         elif fault == "width":
-            line = " | ".join(WIDE_NAMES)
+            line = WIDE_LINE
         elif fault == "bound":
             flags += ["--bound", str(len(names) - 1)]
         else:
@@ -1326,9 +1327,9 @@ def library_answer(text, model, flags):
 
 
 class TestBellDifferential:
-    """``bell`` parses a file that passes every check straight to truth
-    tables, and refuses any other through the formulas' prefix forms.
-    Whatever the file and flags, it must answer as the library does."""
+    """``bell`` reads its formula file once, parsing each line straight to
+    its truth table, and refuses a file in that pass.  Whatever the file and
+    flags, it must answer as the library does."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(["bell", "generated", "wide"]), st.integers(0, 10**6), st.data())
@@ -1361,6 +1362,56 @@ class TestBellDifferential:
             assert err.getvalue() == want
         else:
             assert json.loads(out.getvalue())["inconclusive"] is True
+
+    @pytest.mark.parametrize(
+        "lines, flags, expected",
+        [
+            # the bound is checked before the total of table rows
+            ([WIDE_LINE], ["--bound", "3"], "21 variables exceed the exhaustive bound of 3"),
+            # the total of table rows before an expired budget
+            ([WIDE_LINE], ["--budget", "0"], "would hold 2,097,152 rows"),
+            (["w00", WIDE_LINE], ["--budget", "0"], "would hold 2,097,154 rows"),
+            # a line's syntax before an earlier line's table rows
+            ([WIDE_LINE, "zz & ("], [], "found end of input (line 2, position 6)"),
+            # a line's measurement context before an expired budget, whether
+            # or not an earlier line's table met the expiry
+            (["ghost", "w00"], ["--budget", "0"], "unknown variable 'ghost'"),
+            (["w00", "ghost"], ["--budget", "0"], "unknown variable 'ghost'"),
+        ],
+    )
+    def test_refusal_precedence(self, tmp_path, capsys, lines, flags, expected):
+        text = "\n".join(lines) + "\n"
+        doc, props = tmp_path / "wide.json", tmp_path / "wide.props"
+        doc.write_text(serialize_model(WIDE_MODEL))
+        props.write_text(text)
+        rc = main(["bell", *flags, str(doc), "--props", str(props)])
+        err = capsys.readouterr().err
+        assert (rc, err) == library_answer(text, WIDE_MODEL, flags)
+        assert expected in err
+
+    @pytest.mark.parametrize("flags", [[], ["--bound", "3"], ["--budget", "0"]])
+    def test_a_refused_file_is_read_once(
+        self, pr_dist_file, tmp_path, monkeypatch, capsys, flags
+    ):
+        props = tmp_path / "cut.props"
+        props.write_text("# a cut last line\na & b\n!a | b\na & (\n")
+        lines, tokenize = [], proplang._tokenize
+        monkeypatch.setattr(
+            proplang, "_tokenize", lambda text, line: lines.append(line) or tokenize(text, line)
+        )
+        assert main(["bell", *flags, pr_dist_file, "--props", str(props)]) == 2
+        assert capsys.readouterr().err.endswith("(line 4, position 5)\n")
+        assert lines == [2, 3, 4]
+
+    def test_no_table_is_built_over_the_bound(
+        self, pr_dist_file, pr_props_file, monkeypatch, capsys
+    ):
+        def refuse(*args):
+            raise AssertionError("a truth table was built")
+
+        monkeypatch.setattr(proplang._TableParser, "__init__", refuse)
+        assert main(["bell", "--bound", "3", pr_dist_file, "--props", pr_props_file]) == 2
+        assert capsys.readouterr().err == "error: 4 variables exceed the exhaustive bound of 3\n"
 
     def test_a_long_line_reads_the_clock_every_stride(self, pr_dist_file, tmp_path, monkeypatch, capsys):
         # a chain of 3,000 disjuncts is 5,999 tokens: the clock is read at

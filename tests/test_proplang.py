@@ -28,12 +28,10 @@ from choicectx import (
 )
 from choicectx import core
 from choicectx.core import DEADLINE_STRIDE, IDENTIFIER, VARIABLES_LIMIT, VARIABLE_RE, Scenario
-from choicectx.errors import ChoiceCtxError
+from choicectx.errors import ChoiceCtxError, TimeBudgetExceeded
 from choicectx.probabilistic import _compile
 from choicectx.proplang import (
     MAX_NESTING,
-    _read_formula,
-    _read_formulas,
     _read_tables,
     _tokenize,
     _TableParser,
@@ -521,55 +519,49 @@ def edited_file(data):
 
 
 class TestPrefixReader:
-    """The formula reader behind ``bell`` builds no node.  What it gives of
-    each formula must be what the public parse functions' trees hold, and
-    it must refuse a file exactly as ``parse_propositions`` does."""
+    """The parser writes each formula's prefix form and variable set with no
+    node built; what the tree's root keeps of them must be what the
+    recursive reference walk and a fresh flattening give."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(spaced_texts, grammar_texts, deep_texts, leaf_texts))
     def test_forms_match_the_trees(self, text):
-        form = _read_formula(text, None)
         tree = parse_formula(text)
-        assert form._items == tree._items == flat(reference_form(tree))
-        assert form._items == rebuilt(tree)._items  # flattened from the nodes
-        assert form.variables() == tree.variables() == reference_variables(tree)
+        assert tree.__dict__["_items"] == flat(reference_form(tree))
+        assert tree._items == rebuilt(tree)._items  # flattened from the nodes
+        assert tree.variables() == rebuilt(tree).variables() == reference_variables(tree)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_files_give_the_same_forms_or_the_same_error(self, data):
-        text = edited_file(data)
-        try:
-            trees = parse_propositions(text, READER_SCENARIO)
-        except ChoiceCtxError as exc:
-            with pytest.raises(type(exc)) as err:
-                _read_formulas(text, READER_SCENARIO)
-            assert str(err.value) == str(exc)
-            assert getattr(err.value, "position", None) == getattr(exc, "position", None)
-            assert getattr(err.value, "line", None) == getattr(exc, "line", None)
-            return
-        forms = _read_formulas(text, READER_SCENARIO)
-        assert [form._items for form in forms] == [flat(reference_form(t)) for t in trees]
-        assert [form.variables() for form in forms] == [t.variables() for t in trees]
+
+def check_against_library(text, bound, deadline):
+    """``_read_tables`` gives the tables that the library route,
+    ``parse_propositions`` then ``_compile``, gives for a formula file over
+    ``READER_SCENARIO``, or raises what that route raises: the same type,
+    message, position and line."""
+    try:
+        props = parse_propositions(text, READER_SCENARIO)
+        tables = _compile(props, READER_SCENARIO, bound, deadline)
+    except ChoiceCtxError as want:
+        with pytest.raises(type(want)) as err:
+            _read_tables(text, READER_SCENARIO, bound, deadline)
+        assert str(err.value) == str(want)
+        assert getattr(err.value, "position", None) == getattr(want, "position", None)
+        assert getattr(err.value, "line", None) == getattr(want, "line", None)
+        return
+    assert _read_tables(text, READER_SCENARIO, bound, deadline) == tables
 
 
 class TestTableReader:
-    """``bell`` parses each formula straight to its truth table.  On a file
-    the checked path accepts, it must give the tables the prefix forms
-    compile to; on any other, it gives up, leaving the refusal to the
-    checked path."""
+    """``bell`` parses each formula straight to its truth table, in one pass
+    over the file.  On a file the library route accepts, it must give the
+    tables the prefix forms compile to; on any other, it must raise what the
+    library route raises, with the same message, position and line."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_tables_match_the_prefix_compile(self, data):
         text = edited_file(data)
-        try:
-            forms = _read_formulas(text, READER_SCENARIO)
-        except ChoiceCtxError:
-            assert _read_tables(text, READER_SCENARIO, 24, None) is None
-            return
-        expected = _compile(forms, READER_SCENARIO, 24, None)
-        assert _read_tables(text, READER_SCENARIO, 24, None) == expected
-        assert _read_tables(text, READER_SCENARIO, 3, None) is None  # over the bound
+        check_against_library(text, 24, None)
+        check_against_library(text, 3, None)  # under the scenario's four variables
 
     @staticmethod
     def clock_marks(text):
@@ -609,9 +601,12 @@ class TestTableReader:
         assert all(0 < b - a <= DEADLINE_STRIDE for a, b in zip(marks, marks[1:]))
         assert tokens - marks[-1] <= DEADLINE_STRIDE
 
-    def test_expired_deadline_gives_up(self):
-        assert _read_tables("a & b\n", READER_SCENARIO, 24, 0.0) is None
-        assert _read_tables("a & b\n", READER_SCENARIO, 24, None) is not None
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_expired_deadline_gives_up(self, data):
+        check_against_library(edited_file(data), 24, 0.0)
+        with pytest.raises(TimeBudgetExceeded):
+            _read_tables("a & b\n", READER_SCENARIO, 24, 0.0)
 
 
 class TestScenarioChecks:
