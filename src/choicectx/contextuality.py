@@ -81,9 +81,12 @@ def is_global_section(assignment: Assignment, model: PossibilisticModel) -> bool
         if extra:
             parts.append(f"extraneous variables {extra}")
         raise DomainMismatch("assignment is not total on the scenario: " + "; ".join(parts))
-    compiled = model.compiled
-    code = _mask(compiled.bit, assignment.support())
-    return all(code & cmask in allowed for cmask, allowed in compiled.contexts)
+    # every cover context is resolved before any is tested, so a missing
+    # support entry or an undeclared cover variable raises whatever the
+    # assignment; the search order of ``model.compiled`` is not needed
+    supports = [model._codes[model._key(context)] for context in scenario.cover]
+    code = _mask(scenario.bit, assignment.support())
+    return all(code & cmask in allowed for cmask, allowed in zip(scenario._masks, supports))
 
 
 def global_sections_bruteforce(

@@ -16,22 +16,21 @@ be of any length.  ``parse_proposition`` additionally checks the formula
 against a scenario: every variable must be declared and the variable set
 must fit inside a single cover context, otherwise the formula has no
 measurement context.  AST nodes support ``&``, ``|`` and ``~`` for
-programmatic construction.  Each formula has a prefix form: every node's
-class, then its fields in order.  The parser writes only the prefix form
-and the variable set, as it reads the text, and builds no node.  The
-public parse functions build the tree from the prefix form; within a
-formula the builder makes one node per literal (a variable or a negated
-variable) and places it wherever the literal occurs; nodes are immutable
-and every method reads values, never identity, so the sharing cannot be
-seen.  A formula built in code is flattened once, when first needed.
-Equality, hashing, ``variables()``, ``to_text`` and ``repr`` read that
-form, and the library's Bell route compiles it to a truth table.
+programmatic construction.
 
-The same parser has a second target, the truth table itself
-(:class:`_TableParser`): ``bell`` reads its formula file with
-:func:`_read_tables`, which parses each line straight to its table, with
-no prefix form and no node, and refuses a file as the library route
-would, in one pass.
+One parser reads the grammar to either of two targets, as it reads the
+text.  The public parse functions build each formula's tree: within a
+formula one node stands for each literal (a variable, a negated variable
+or a constant) wherever it occurs; nodes are immutable and every method
+reads values, never identity, so the sharing cannot be seen.  ``bell``
+reads its formula file with :func:`_read_tables`, whose
+:class:`_TableParser` parses each line straight to its truth table, with
+no node, and refuses a file as the library route would, in one pass.
+
+Each formula also has a prefix form: every node's class, then its fields
+in order.  Only a formula's flattening writes it, once, when first
+needed.  Equality, hashing, ``to_text`` and ``repr`` read that form, and
+the library's Bell route compiles it to a truth table.
 """
 
 from __future__ import annotations
@@ -65,12 +64,11 @@ class Proposition:
     """Base class for formula nodes.
 
     Every method walks the formula on an explicit stack, so a chain of any
-    length is handled without recursion.  ``==``, ``hash``,
-    ``variables()``, ``to_text`` and ``repr`` read the prefix form
-    :attr:`_items`, which is already in printing order.  A parsed formula's
-    tree is built from the prefix form the parser wrote, and its root keeps
-    that form and the variable set; a formula built in code flattens once,
-    on first use.  ``evaluate`` walks the nodes
+    length is handled without recursion.  ``==``, ``hash``, ``to_text`` and
+    ``repr`` read the prefix form :attr:`_items`, which is already in
+    printing order; it is written only by flattening the nodes, once, on
+    first use.  ``variables()`` reads it too, unless the parser gave the
+    root the variables of its tokens.  ``evaluate`` walks the nodes
     themselves, so it can skip an operand the result no longer depends
     on."""
 
@@ -88,7 +86,7 @@ class Proposition:
             if kind is Var:
                 value = bool(binding[item.name])
             elif kind is Const:
-                value = item.value
+                value = bool(item.value)
             elif kind is Not:
                 todo += (_NOT, item.operand)
             elif kind is And:
@@ -280,36 +278,46 @@ def _tokenize(text: str, line: int | None) -> list[str]:
 _SYMBOLS = frozenset(["", "!", "&", "|", "(", ")", "0", "1"])
 
 
-class _Literals(dict):
-    """The prefix-form items of a literal over each variable name, made on
-    first use: ``head`` then the name."""
+class _Nodes(dict):
+    """The node of each token text, made by ``make`` on first use."""
 
-    __slots__ = ("head",)
+    __slots__ = ("make",)
 
-    def __init__(self, *head: type):
-        self.head = head
+    def __init__(self, make):
+        self.make = make
 
-    def __missing__(self, name: str) -> tuple:
-        items = self[name] = (*self.head, name)
-        return items
+    def __missing__(self, name: str) -> Proposition:
+        node = self[name] = self.make(name)
+        return node
 
 
 class _Parser:
-    """Reads one formula's tokens into its prefix form and builds no node:
-    the public parse functions build the tree from that form
-    (:func:`_tree`).  Each literal's items are appended, and a chain's
-    connectives go in front of its operands once the chain ends.
+    """Reads one formula's tokens to one of two targets, with the same
+    grammar and checks: this class builds the formula's tree, and
+    :class:`_TableParser` its truth table.  Each literal pushes its value on
+    ``items``, and a chain's operands become one value when the chain ends.
 
-    What the parser writes goes through its output hooks alone, so that
-    :class:`_TableParser` reads the same grammar, with the same checks, to
-    a truth table: ``leaves``, ``negations`` and ``constants`` hold the
-    items a variable, a negated variable and a constant append;
-    :meth:`close` ends a chain and :meth:`negate` applies a run of ``!``
-    to the operand after it.  A literal that starts at or past ``mark``
-    first calls :meth:`tick`; the prefix form reads no clock, so its mark
-    lies past the last token."""
+    What the parser builds goes through its output hooks alone: ``leaves``,
+    ``negations`` and ``constants`` give the value a variable, a negated
+    variable and a constant push (:func:`_tree_parser` gives a tree's);
+    :meth:`close` reduces a chain's operands with ``conjoin`` or
+    ``disjoin``, and :meth:`negate` applies a run of ``!`` to the operand
+    after it.  A literal that starts at or past ``mark`` first calls
+    :meth:`tick`; the tree reads no clock, so its mark lies past the last
+    token."""
 
-    def __init__(self, values: list[str], text: str, line: int | None):
+    conjoin = And
+    disjoin = Or
+
+    def __init__(
+        self,
+        values: list[str],
+        text: str,
+        line: int | None,
+        leaves: Mapping[str, object],
+        negations: Mapping[str, object],
+        constants: Mapping[str, object],
+    ):
         self.values = values
         self.text = text
         self.line = line
@@ -317,24 +325,29 @@ class _Parser:
         self.depth = 0
         self.mark = len(values)
         self.items: list[object] = []
-        self.leaves: Mapping[str, tuple] = _Literals(Var)
-        self.negations: Mapping[str, tuple] = _Literals(Not, Var)
-        self.constants: Mapping[str, tuple] = _CONSTANTS
+        self.leaves = leaves
+        self.negations = negations
+        self.constants = constants
 
-    def close(self, start: int, operands: int, kind: type) -> None:
-        """End a chain of ``operands`` operands, its items from ``start``."""
-        self.items[start:start] = [kind] * (operands - 1)  # moves only this chain's items
+    def close(self, operands: int, operation) -> None:
+        """End a chain: its last ``operands`` values become one, reduced
+        left to right with ``operation``."""
+        items = self.items
+        items[-operands:] = [reduce(operation, items[-operands:])]
 
-    def negate(self, start: int, count: int) -> None:
-        """Negate ``count`` times the operand whose items start at ``start``."""
-        self.items[start:start] = [Not] * count
+    def negate(self, count: int) -> None:
+        """Negate the last value ``count`` times."""
+        node = self.items[-1]
+        for _ in range(count):
+            node = Not(node)
+        self.items[-1] = node
 
     def tick(self) -> None:
-        """Read the clock: the prefix form reads none."""
+        """Read the clock: the tree reads none."""
 
     def read(self) -> list[object]:
-        """Read the whole formula, with every syntax check, and give what
-        the output hooks wrote."""
+        """Read the whole formula, with every syntax check, and give the
+        values left on ``items``: the formula's one value."""
         self.formula()
         if self.values[self.at]:
             raise self.fail("expected end of input")
@@ -359,7 +372,6 @@ class _Parser:
         self.at += 1
 
     def formula(self) -> None:
-        start = len(self.items)
         self.conjunction()
         operands = 1
         while self.values[self.at] == "|":
@@ -367,10 +379,9 @@ class _Parser:
             self.conjunction()
             operands += 1
         if operands > 1:
-            self.close(start, operands, Or)
+            self.close(operands, self.disjoin)
 
     def conjunction(self) -> None:
-        start = len(self.items)
         self.literal()
         operands = 1
         while self.values[self.at] == "&":
@@ -378,7 +389,7 @@ class _Parser:
             self.literal()
             operands += 1
         if operands > 1:
-            self.close(start, operands, And)
+            self.close(operands, self.conjoin)
 
     def literal(self) -> None:
         if self.at >= self.mark:
@@ -387,20 +398,19 @@ class _Parser:
         value = values[self.at]
         if value not in _SYMBOLS:  # a variable
             self.at += 1
-            self.items += self.leaves[value]
+            self.items.append(self.leaves[value])
             return
         # a negated variable; one that would pass the nesting limit goes
         # the long way below, which refuses it at its "!"
         name = values[self.at + 1] if value == "!" else ""
         if name not in _SYMBOLS and self.depth < MAX_NESTING:
             self.at += 2
-            self.items += self.negations[name]
+            self.items.append(self.negations[name])
             return
         outer = self.depth
         while values[self.at] == "!":  # a chain of "!" is read in a loop
             self.nest()
         count = self.depth - outer
-        start = len(self.items)
         value = values[self.at]
         if value == "(":
             self.nest()
@@ -408,22 +418,16 @@ class _Parser:
             if values[self.at] != ")":
                 raise self.fail("expected ')'")
         elif value == "0" or value == "1":
-            self.items += self.constants[value]
+            self.items.append(self.constants[value])
         elif value not in _SYMBOLS:
-            self.items += self.leaves[value]
+            self.items.append(self.leaves[value])
         else:
             raise self.fail("expected a variable, constant, '!' or '('")
         self.at += 1
         self.depth = outer
         if count:
-            self.negate(start, count)
+            self.negate(count)
 
-
-# the prefix-form items of each constant
-_CONSTANTS = {"0": (Const, False), "1": (Const, True)}
-
-# the table operation of each connective
-_OPERATIONS = {And: operator.and_, Or: operator.or_}
 
 # a literal's first token lies at most MAX_NESTING + 2 tokens past the one
 # before it (its own "!" and variable, the ")" that follow it and one
@@ -444,23 +448,23 @@ class _TableParser(_Parser):
     before each run of at most :data:`DEADLINE_STRIDE` tokens; expiry
     raises :class:`TimeBudgetExceeded`."""
 
+    conjoin = operator.and_
+    disjoin = operator.or_
+
     def __init__(
         self, values: list[str], text: str, line: int, names: list[str], deadline: float | None
     ):
-        super().__init__(values, text, line)
-        self.full = (1 << (1 << len(names))) - 1
+        full = (1 << (1 << len(names))) - 1
         patterns = _patterns(len(names))
-        self.leaves = {name: (p,) for name, p in zip(names, patterns)}
-        self.negations = {name: (p ^ self.full,) for name, p in zip(names, patterns)}
-        self.constants = {"0": (0,), "1": (self.full,)}
+        leaves = dict(zip(names, patterns))
+        negations = {name: p ^ full for name, p in zip(names, patterns)}
+        super().__init__(values, text, line, leaves, negations, {"0": 0, "1": full})
+        self.full = full
         self.deadline = deadline
         if deadline is not None:
             self.mark = 0
 
-    def close(self, start: int, operands: int, kind: type) -> None:
-        self.items[start:] = [reduce(_OPERATIONS[kind], self.items[start:])]
-
-    def negate(self, start: int, count: int) -> None:
+    def negate(self, count: int) -> None:
         if count % 2:
             self.items[-1] ^= self.full
 
@@ -470,54 +474,24 @@ class _TableParser(_Parser):
         self.mark = self.at + _TOKEN_STRIDE
 
 
-def _tree(items: tuple[object, ...], variables: frozenset[str]) -> Proposition:
-    """The tree of a formula from the prefix form ``items`` the parser
-    wrote, read backwards on a stack, as the truth-table compile reads it.
-    One node stands for each literal (a variable or a negated variable)
-    wherever it occurs: nodes are immutable and compared by value, so a
-    formula may hold the same leaf at many places.  The root gets ``items``
-    and the formula's ``variables``, the slots the cached properties would
-    fill; it is a node of this formula alone, so no other formula reads
-    them."""
-    names: dict[str, Var] = {}
-    negated: dict[str, Not] = {}
-    values: list = []
-    append, pop = values.append, values.pop
-    reader = reversed(items)
-    for item in reader:
-        if item is And:
-            append(And(pop(), pop()))
-        elif item is Not:
-            operand = values[-1]
-            if type(operand) is Var:
-                node = negated.get(operand.name)
-                if node is None:
-                    node = negated[operand.name] = Not(operand)
-                values[-1] = node
-            else:
-                values[-1] = Not(operand)
-        elif item is Or:
-            append(Or(pop(), pop()))
-        elif next(reader) is Var:  # a field, read with its node's class
-            node = names.get(item)
-            if node is None:
-                node = names[item] = Var(item)
-            append(node)
-        else:
-            append(Const(item))
-    (node,) = values
-    node.__dict__["_items"] = items
-    node.__dict__["_variables"] = variables
-    return node
+def _tree_parser(values: list[str], text: str, line: int | None) -> _Parser:
+    """A parser that builds the formula's tree: within the formula one node
+    stands for each literal (a variable, a negated variable or a constant),
+    made on first use and placed wherever the literal occurs."""
+    leaves = _Nodes(Var)
+    negations = _Nodes(lambda name: Not(leaves[name]))
+    constants = _Nodes(lambda value: Const(value == "1"))
+    return _Parser(values, text, line, leaves, negations, constants)
 
 
 def parse_formula(text: str, line: int | None = None) -> Proposition:
     """Parse a formula with no scenario checks.  A formula nesting ``(`` and
     ``!`` more than :data:`MAX_NESTING` deep is refused."""
     values = _tokenize(text, line)
-    items = _Parser(values, text, line).read()
+    (node,) = _tree_parser(values, text, line).read()
     # the whole input was read, so every identifier token is a variable
-    return _tree(tuple(items), frozenset(values).difference(_SYMBOLS))
+    node.__dict__["_variables"] = frozenset(values).difference(_SYMBOLS)
+    return node
 
 
 def measurement_context(prop: Proposition, scenario: Scenario) -> Context:
@@ -572,7 +546,7 @@ def _read_tables(
     """Each formula of a proposition file as its measurement context and
     truth table (its variable mask and satisfying masked codes, as
     :func:`probabilistic._truth_tables` gives them), parsed straight to the
-    table with no prefix form and no node: how ``bell`` reads its file.
+    table with no node: how ``bell`` reads its file.
 
     The file is read once, and refused as :func:`parse_propositions` then
     :func:`bell_violation` would refuse it: each line's tokens and syntax,
@@ -583,7 +557,7 @@ def _read_tables(
     raised only once the line's syntax is checked.  Tables are built only
     while none of those last three is due, so at most
     :data:`TABLE_ROWS_LIMIT` rows in all; a line read once one is due goes
-    through the plain :class:`_Parser`, for its checks alone.  An expiry
+    through :func:`_tree_parser`, for its checks alone.  An expiry
     met while a table is built only marks the budget as spent."""
     over_bound = len(scenario.variables) > bound
     bit = scenario.bit
@@ -595,7 +569,7 @@ def _read_tables(
         try:
             context = _context_of(used, scenario)
         except (UnknownVariable, NotMeasurable):
-            _Parser(values, raw, lineno).read()  # a syntax error is named first
+            _tree_parser(values, raw, lineno).read()  # a syntax error is named first
             raise
         if not (over_bound or expired or rows_in_all > TABLE_ROWS_LIMIT):
             names = sorted(used, key=bit.__getitem__)
@@ -605,7 +579,7 @@ def _read_tables(
                 continue
             except TimeBudgetExceeded:
                 expired = True
-        _Parser(values, raw, lineno).read()  # its checks alone
+        _tree_parser(values, raw, lineno).read()  # its checks alone
     _check_bound(scenario, bound)
     _check_rows(rows_in_all)
     if expired:

@@ -15,6 +15,7 @@ from choicectx import (
     TimeBudgetExceeded,
     TooLarge,
     UnknownContext,
+    UnknownVariable,
     classify,
     double_headed_coin,
     gen_random_model,
@@ -106,6 +107,35 @@ class TestIsGlobalSection:
             is_global_section(
                 Assignment.make({"a": 1, "b": 0, "c": 0, "d": 1}), m
             )
+
+    @staticmethod
+    def assignments(model):
+        variables = model.scenario.variables
+        bits = itertools.product((0, 1), repeat=len(variables))
+        return [Assignment.make(zip(variables, code)) for code in bits]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_the_section_scan(self, seed):
+        m = gen_random_model(6, 4, 0.5, seed=seed)
+        verdicts = [is_global_section(s, m) for s in self.assignments(m)]
+        # the greedy search order is never built for a verdict
+        assert "compiled" not in m.__dict__
+        sections = set(global_sections_bruteforce(m))
+        assert verdicts == [s in sections for s in self.assignments(m)]
+
+    def test_faults_are_raised_whatever_the_assignment(self):
+        # a cover context with no support entry, where the first context
+        # alone already refuses a = 1; a cover variable the scenario does
+        # not declare
+        missing = PossibilisticModel(Scenario.make("ab", ["a", "b"]), {("a",): [set()]})
+        undeclared = PossibilisticModel(Scenario.make("a", [["a", "z"]]), {("a", "z"): []})
+        for m, error in [(missing, UnknownContext), (undeclared, UnknownVariable)]:
+            with pytest.raises(error) as want:
+                m.compiled
+            for s in self.assignments(m):
+                with pytest.raises(error) as err:
+                    is_global_section(s, m)
+                assert str(err.value) == str(want.value)
 
 
 class TestSectionSearch:

@@ -25,10 +25,14 @@ from choicectx import (
     intersection_closed,
     is_choice_structure,
     overlap_property,
+    parse_propositions,
     strong_contextuality_via_bell,
     support_propositions,
     uniform_over_support,
 )
+from choicectx.core import EXHAUSTIVE_BOUND_DEFAULT
+from choicectx.probabilistic import _violation
+from choicectx.proplang import _read_tables
 
 
 def _load_oracle():
@@ -95,12 +99,25 @@ def test_bell_violation_matches_oracle(n, k, density, seed):
     supports = oracle_supports(model)
     props = support_propositions(model)
     distribution = uniform_over_support(model)
+    text = "".join(f"{prop.to_text()}\n" for prop in props)
+    scenario = model.scenario
+    routes = [
+        lambda: bell_violation(props, distribution),
+        # the same formulas read back from their text: parsed to trees, and
+        # parsed straight to truth tables as the CLI's bell reads them
+        lambda: bell_violation(parse_propositions(text, scenario), distribution),
+        lambda: _violation(
+            _read_tables(text, scenario, EXHAUSTIVE_BOUND_DEFAULT, None), distribution, None
+        ),
+    ]
     if oracle.classify(supports)[0] == "StronglyContextual":
         expected = float(oracle.uniform_bell_sum(supports) - (len(supports) - 1))
-        assert abs(bell_violation(props, distribution) - expected) <= 1e-9
+        for route in routes:
+            assert abs(route() - expected) <= 1e-9
     else:
-        with pytest.raises(NotContradictory):
-            bell_violation(props, distribution)
+        for route in routes:
+            with pytest.raises(NotContradictory):
+                route()
 
 
 @settings(max_examples=300, deadline=None)

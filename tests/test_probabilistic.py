@@ -527,8 +527,8 @@ class TestTruthTables:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(formulas_over(NAMES), min_size=1, max_size=4))
     def test_compiled_tables_match_evaluate(self, props):
-        # the parser writes a parsed formula's prefix form itself, so each
-        # formula is also compiled as read back from its text
+        # the parser builds a parsed formula's tree itself, so each formula
+        # is also compiled as read back from its text
         bit = WIDE.bit
         for family in (props, [parse_formula(prop.to_text()) for prop in props]):
             compiled = list(_truth_tables(family, bit, None))
@@ -612,11 +612,11 @@ class TestTruthTables:
         assert self.clock_reads(prop, monkeypatch) == 10
 
     def test_compile_of_a_parsed_line_reads_the_clock_every_stride(self, monkeypatch):
-        # the same chain read from a formula file, its prefix form written
-        # by the parser
+        # the same chain read from a formula file, its tree built by the
+        # parser
         (prop,) = parse_propositions(" | ".join(["a"] * 3000) + "\n", bell_scenario())
         assert prop == reduce(Or, [Var("a")] * 3000)
-        assert len(prop.__dict__["_items"]) == 8999
+        assert len(prop._items) == 8999
         assert self.clock_reads(prop, monkeypatch) == 10
 
     def test_wide_contexts_need_no_recursion(self):

@@ -168,6 +168,11 @@ class TestEvaluation:
     def test_constants(self):
         assert Const(True).evaluate({})
         assert not Const(False).evaluate({})
+        # a constant built in code with a value that is not a bool gives its truth
+        assert Const(1).evaluate({}) is True
+        assert Const(0).evaluate({}) is False
+        assert (Var("a") & Const("x")).evaluate({"a": 1}) is True
+        assert (Var("a") | Const("")).evaluate({"a": 0}) is False
 
     def test_connectives_short_circuit(self):
         # once the left operand decides, the right one is never read
@@ -432,41 +437,6 @@ deep_texts = st.tuples(
 leaf_texts = st.sampled_from(["a", "!a", "(a)", "((!a))", " a' "])
 
 
-class TestParsedPrefixForm:
-    """The parser writes each formula's prefix form and variable set as it
-    reads the text; they must be what the recursive reference walk gives,
-    and the formula must behave as a copy that flattens lazily."""
-
-    @staticmethod
-    def check(parsed):
-        assert parsed.__dict__["_items"] == flat(reference_form(parsed))
-        assert parsed.variables() == reference_variables(parsed)
-        copy = rebuilt(parsed)
-        assert "_items" not in copy.__dict__
-        assert parsed == copy and hash(parsed) == hash(copy)
-        assert parsed.variables() == copy.variables()
-        assert repr(parsed) == repr(copy)
-        assert parsed.to_text() == copy.to_text()
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.one_of(grammar_texts, deep_texts, leaf_texts))
-    def test_matches_the_reference_walk(self, text):
-        self.check(parse_formula(text))
-
-    def test_2057_disjunct_support_formula(self):
-        # the reference walks recurse once per disjunct
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(20_000)
-        try:
-            phi = support_propositions(gen_random_model(18, 8, 0.5, seed=3))[-1]
-            parsed = parse_formula(phi.to_text())
-            assert parsed.to_text().count(" | ") == 2056
-            self.check(parsed)
-            assert parsed.__dict__["_items"] == phi._items
-        finally:
-            sys.setrecursionlimit(limit)
-
-
 # whitespace a formula may hold between tokens: U+00A0, U+001C and U+2003
 # are whitespace to the tokenizer as a space is
 spacing = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\x1c", "\u2003"])
@@ -494,6 +464,44 @@ spaced_texts = st.recursive(
     max_leaves=120,
 )
 
+
+class TestParsedPrefixForm:
+    """The parser builds each formula's tree and gives its root the
+    variables of its tokens; the tree's prefix form and variables must be
+    what the recursive reference walk gives, and the formula must behave as
+    a copy that shares no node with it."""
+
+    @staticmethod
+    def check(parsed):
+        assert parsed._items == flat(reference_form(parsed))
+        assert parsed.variables() == reference_variables(parsed)
+        copy = rebuilt(parsed)
+        assert "_items" not in copy.__dict__
+        assert parsed._items == copy._items  # each flattened from its own nodes
+        assert parsed == copy and hash(parsed) == hash(copy)
+        assert parsed.variables() == copy.variables()
+        assert repr(parsed) == repr(copy)
+        assert parsed.to_text() == copy.to_text()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(spaced_texts, grammar_texts, deep_texts, leaf_texts))
+    def test_matches_the_reference_walk(self, text):
+        self.check(parse_formula(text))
+
+    def test_2057_disjunct_support_formula(self):
+        # the reference walks recurse once per disjunct
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(20_000)
+        try:
+            phi = support_propositions(gen_random_model(18, 8, 0.5, seed=3))[-1]
+            parsed = parse_formula(phi.to_text())
+            assert parsed.to_text().count(" | ") == 2056
+            self.check(parsed)
+            assert parsed._items == phi._items
+        finally:
+            sys.setrecursionlimit(limit)
+
+
 # a scenario over the drawn names in which some pairs fit no context
 READER_SCENARIO = Scenario.make(["a", "b", "a'", "c_1"], [["a", "b"], ["a'", "b"], ["c_1"]])
 
@@ -516,20 +524,6 @@ def edited_file(data):
         else:
             lines[i] = "!(" * MAX_NESTING + lines[i] + ")" * MAX_NESTING
     return data.draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
-
-
-class TestPrefixReader:
-    """The parser writes each formula's prefix form and variable set with no
-    node built; what the tree's root keeps of them must be what the
-    recursive reference walk and a fresh flattening give."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(spaced_texts, grammar_texts, deep_texts, leaf_texts))
-    def test_forms_match_the_trees(self, text):
-        tree = parse_formula(text)
-        assert tree.__dict__["_items"] == flat(reference_form(tree))
-        assert tree._items == rebuilt(tree)._items  # flattened from the nodes
-        assert tree.variables() == rebuilt(tree).variables() == reference_variables(tree)
 
 
 def check_against_library(text, bound, deadline):
