@@ -526,6 +526,20 @@ def edited_file(data):
     return data.draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)
 
 
+class TestPrefixReader:
+    """The parser builds each formula's tree; the prefix form and variable
+    set its root gives must be what the recursive reference walk and a
+    fresh flattening give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(spaced_texts, grammar_texts, deep_texts, leaf_texts))
+    def test_forms_match_the_trees(self, text):
+        tree = parse_formula(text)
+        assert tree._items == flat(reference_form(tree))
+        assert tree._items == rebuilt(tree)._items  # flattened from the nodes
+        assert tree.variables() == rebuilt(tree).variables() == reference_variables(tree)
+
+
 def check_against_library(text, bound, deadline):
     """``_read_tables`` gives the tables that the library route,
     ``parse_propositions`` then ``_compile``, gives for a formula file over
