@@ -6,13 +6,14 @@ ways: every event is realized by some section (NonContextual), some event is
 realized by no section (Contextual), or no section exists at all
 (StronglyContextual).
 
-Both search strategies run on the model's bitmask form
-(:attr:`PossibilisticModel.compiled`), where ascending integers enumerate
-assignments in lexicographic order.  The brute-force referee scans every
-code in that order.  The level-wise search of ``core``, which also decides
-the Bell route's contradictions, assigns variables in greedy completion
-order and sorts the codes it finds, so both emit sections in the same
-order.  Sections are decoded to :class:`Assignment` only on the way out.
+Both search strategies run on codes in the :attr:`Scenario.bit` layout,
+where ascending integers enumerate assignments in lexicographic order.
+The brute-force referee scans every code in that order against the
+cover's masks and supports.  The level-wise search of ``core``, which also
+decides the Bell route's contradictions, assigns variables in the greedy
+order of :attr:`PossibilisticModel.compiled` and sorts the codes it finds,
+so both emit sections in the same order.  Sections are decoded to
+:class:`Assignment` only on the way out.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from .core import (
     Context,
     Event,
     PossibilisticModel,
+    _check_bound,
+    _decoder,
     _mask,
     _search_masks,
     _shortlex_key,
     past_deadline,
 )
-from .errors import DomainMismatch, TimeBudgetExceeded, TooLarge
+from .errors import DomainMismatch, TimeBudgetExceeded
 
 
 class Kind(enum.Enum):
@@ -98,15 +101,17 @@ def global_sections_bruteforce(
     naive so it can referee the level-wise search of
     :func:`global_sections_backtracking`.
     """
-    compiled = model.compiled
-    if compiled.n > bound:
-        raise TooLarge(
-            f"{compiled.n} variables exceed the exhaustive bound of {bound}"
-        )
+    # the supports, then the layout, then the bound, as ``model.compiled`` refuses them
+    scenario = model.scenario
+    supports = [model._codes[model._key(context)] for context in scenario.cover]
+    contexts = list(zip(scenario._masks, supports))
+    n = len(scenario.bit)
+    _check_bound(n, bound)
+    decode = _decoder(scenario.bit, scenario.bit)
     return [
-        compiled.decode(code)
-        for code in range(1 << compiled.n)
-        if all(code & cmask in allowed for cmask, allowed in compiled.contexts)
+        decode(code)
+        for code in range(1 << n)
+        if all(code & cmask in allowed for cmask, allowed in contexts)
     ]
 
 

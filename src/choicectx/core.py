@@ -73,6 +73,13 @@ def _check_variable_count(n: int) -> None:
         raise TooLarge(f"{n:,} variables are over the limit of {VARIABLES_LIMIT:,}")
 
 
+def _check_bound(n: int, bound: int) -> None:
+    """Refuse ``n`` variables, over the exhaustive ``bound`` of the
+    brute-force scan and the Bell route, with :class:`TooLarge`."""
+    if n > bound:
+        raise TooLarge(f"{n} variables exceed the exhaustive bound of {bound}")
+
+
 def past_deadline(deadline: float | None) -> bool:
     """Whether ``deadline`` (a ``time.monotonic`` value) has passed; a
     budgeted loop calls it before each run of at most

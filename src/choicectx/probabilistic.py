@@ -20,12 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .core import (
-    DEADLINE_STRIDE,
     EXHAUSTIVE_BOUND_DEFAULT,
-    TABLE_ROWS_LIMIT,
     Assignment,
     Context,
     PossibilisticModel,
@@ -35,19 +33,16 @@ from .core import (
     _decoder,
     _failing,
     _in_shortlex,
-    _mask,
     _passing,
     _search_masks,
-    _set_rows,
     canonical_context,
-    past_deadline,
     validate_model,
 )
-from .errors import NotContradictory, TimeBudgetExceeded, TooLarge, UnknownContext
+from .errors import NotContradictory, UnknownContext
 
-# the functions that take formulas import proplang where they use it, so
-# reading a document does not load the parser; annotations name its
-# Proposition unimported
+# the functions that take formulas import proplang, their compiler, where
+# they use it, so reading a document does not load the parser; annotations
+# name its Proposition and _ContextTable unimported
 
 # probabilities this close to zero are treated as zero
 SUPPORT_EPSILON = 1e-9
@@ -232,131 +227,9 @@ def uniform_over_support(model: PossibilisticModel) -> ProbabilisticModel:
     return ProbabilisticModel._from_codes(model.scenario, codes)
 
 
-# "0"/"1" characters of a printed truth table to the bytes 0/1
-_ROW_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _patterns(k: int) -> list[int]:
-    """The truth table over ``2^k`` rows of each of ``k`` variables, in
-    order: row ``i`` binds the ``j``-th variable to bit ``j`` of ``i``."""
-    rows = 1 << k
-    patterns = []
-    for j in range(k):
-        # 2^j unset rows, then 2^j set ones, repeated over all the rows
-        half = 1 << j
-        pattern, width = ((1 << half) - 1) << half, 2 * half
-        while width < rows:
-            pattern |= pattern << width
-            width *= 2
-        patterns.append(pattern)
-    return patterns
-
-
-def _satisfying(
-    table: int, names: list[str], bit: Mapping[str, int], deadline: float | None
-) -> tuple[int, frozenset[int]]:
-    """The variable mask of ``names`` and the masked codes of the set rows
-    of their truth table ``table``, read as :func:`_patterns` lays it out;
-    ``deadline`` is read before each block of rows."""
-    flags = format(table, f"0{1 << len(names)}b")[::-1].encode().translate(_ROW_FLAGS)
-    satisfying: list[int] = []
-    for block in _set_rows(names, bit, flags):
-        if past_deadline(deadline):
-            raise TimeBudgetExceeded()
-        satisfying += block
-    return _mask(bit, names), frozenset(satisfying)
-
-
-def _check_rows(rows_in_all: int) -> None:
-    """Refuse truth tables of ``rows_in_all`` rows in all, over
-    :data:`TABLE_ROWS_LIMIT`, with :class:`TooLarge`."""
-    if rows_in_all > TABLE_ROWS_LIMIT:
-        raise TooLarge(
-            f"the formulas' truth tables would hold {rows_in_all:,} rows, "
-            f"over the limit of {TABLE_ROWS_LIMIT:,}"
-        )
-
-
-def _check_bound(scenario: Scenario, bound: int) -> None:
-    """Refuse a scenario of over ``bound`` variables with :class:`TooLarge`."""
-    n = len(scenario.variables)
-    if n > bound:
-        raise TooLarge(f"{n} variables exceed the exhaustive bound of {bound}")
-
-
-def _truth_tables(
-    props: list[Proposition], bit: Mapping[str, int], deadline: float | None
-) -> Iterator[tuple[int, frozenset[int]]]:
-    """Compile each formula to its variable mask and satisfying masked codes.
-
-    Of a formula this reads only its prefix form ``_items`` and its
-    ``variables()``, as a :class:`Proposition` gives them.  A
-    formula over ``k`` variables becomes its whole truth table as one
-    ``2^k``-bit integer: row ``i`` binds the formula's ``j``-th variable (in
-    ascending scenario bit) to bit ``j`` of ``i`` (:func:`_patterns`), so
-    ascending rows are ascending submasks.  The prefix form is read
-    backwards on a stack of values, ``&``/``|``/``!`` acting on whole
-    tables, and the set rows are decoded to codes (:func:`_satisfying`).
-    ``bell``'s reader, ``proplang._read_tables``, builds the same tables
-    as its parser reads the text.  Tables over :data:`TABLE_ROWS_LIMIT`
-    rows in all are refused with :class:`TooLarge` before any is built.
-    The reversed prefix form is read in slices of :data:`DEADLINE_STRIDE`
-    items, and ``deadline`` is read before each slice, the first included,
-    and before each block of table rows.
-    """
-    from .proplang import And, Const, Not, Or, Var
-
-    _check_rows(sum(1 << len(prop.variables()) for prop in props))
-    for prop in props:
-        names = sorted(prop.variables(), key=bit.__getitem__)
-        full = (1 << (1 << len(names))) - 1
-        table_of = dict(zip(names, _patterns(len(names))))
-
-        values: list = []
-        append, pop = values.append, values.pop
-        items = prop._items[::-1]
-        for start in range(0, len(items), DEADLINE_STRIDE):
-            if past_deadline(deadline):
-                raise TimeBudgetExceeded()
-            for item in items[start : start + DEADLINE_STRIDE]:
-                if item is Var:
-                    values[-1] = table_of[values[-1]]
-                elif item is And:
-                    append(pop() & pop())
-                elif item is Not:
-                    values[-1] ^= full
-                elif item is Or:
-                    append(pop() | pop())
-                elif item is Const:
-                    values[-1] = full if values[-1] else 0
-                elif isinstance(item, type):
-                    raise TypeError(f"cannot compile a {item.__qualname__} node")
-                else:
-                    append(item)  # a field: a variable's name or a constant
-
-        (table,) = values
-        yield _satisfying(table, names, bit, deadline)
-
-
-# a formula's measurement context and truth table
-_ContextTable = tuple[Context, tuple[int, frozenset[int]]]
-
-
 def _probability(table: tuple[int, frozenset[int]], entries: Entries) -> float:
     cmask, satisfying = table
     return math.fsum([p for code, p in entries if code & cmask in satisfying])
-
-
-def _compile(
-    props: list[Proposition], scenario: Scenario, bound: int, deadline: float | None
-) -> list[_ContextTable]:
-    """Measurement context and truth table of each formula, in a scenario
-    of at most ``bound`` variables."""
-    from .proplang import measurement_context
-
-    _check_bound(scenario, bound)
-    contexts = [measurement_context(prop, scenario) for prop in props]
-    return list(zip(contexts, _truth_tables(props, scenario.bit, deadline)))
 
 
 def _excess(
@@ -404,7 +277,7 @@ def eval_probability(prop: Proposition, model: ProbabilisticModel) -> float:
     It is compiled to its truth table, and the ``p`` of the context's
     entries whose masked code satisfies it are summed with ``math.fsum``.
     """
-    from .proplang import measurement_context
+    from .proplang import _truth_tables, measurement_context
 
     context = measurement_context(prop, model.scenario)
     (table,) = _truth_tables([prop], model.scenario.bit, None)
@@ -426,6 +299,8 @@ def jointly_contradictory(
     ``tools/oracle.py``.  Scenarios with more than ``bound`` variables are
     refused; ``deadline`` covers the compile and the search.
     """
+    from .proplang import _compile
+
     compiled = _compile(list(props), scenario, bound, deadline)
     return _excess(compiled, scenario, deadline) is not None
 
@@ -442,13 +317,13 @@ def bell_violation(
     :func:`jointly_contradictory` (otherwise the bound carries no
     information and :class:`NotContradictory` is raised).  Only an excess
     over ``N * SUPPORT_EPSILON`` certifies that the model is contextual
-    (:func:`certifies_contextuality`).  Each formula is compiled once, for
-    both the contradiction search and its probability, from its prefix form
-    and variables alone (:func:`_truth_tables`), and both go through one
-    kernel, :func:`_excess`.  The CLI's ``bell`` does not come here: it
-    gives that kernel the tables its parser builds as it reads the formula
-    file (``proplang._read_tables``), which refuses a file as this would.
+    (:func:`certifies_contextuality`).  ``proplang`` compiles each formula
+    once to its truth table, which serves both the contradiction search and
+    its probability in one kernel, :func:`_excess`; the CLI's ``bell`` runs
+    that kernel on the tables ``proplang`` reads from its file.
     """
+    from .proplang import _compile
+
     return _violation(_compile(list(props), model.scenario, bound, deadline), model, deadline)
 
 

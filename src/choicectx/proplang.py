@@ -22,15 +22,15 @@ One parser reads the grammar to either of two targets, as it reads the
 text.  The public parse functions build each formula's tree: within a
 formula one node stands for each literal (a variable, a negated variable
 or a constant) wherever it occurs; nodes are immutable and every method
-reads values, never identity, so the sharing cannot be seen.  ``bell``
-reads its formula file with :func:`_read_tables`, whose
-:class:`_TableParser` parses each line straight to its truth table, with
-no node, and refuses a file as the library route would, in one pass.
+reads values, never identity, so the sharing cannot be seen.  Each
+formula also has a prefix form, every node's class then its fields,
+written once by its flattening when first needed; equality, hashing,
+``to_text`` and ``repr`` read it.
 
-Each formula also has a prefix form: every node's class, then its fields
-in order.  Only a formula's flattening writes it, once, when first
-needed.  Equality, hashing, ``to_text`` and ``repr`` read that form, and
-the library's Bell route compiles it to a truth table.
+Both Bell routes compile formulas to truth tables here: the library's
+(:func:`_compile`) from each formula's prefix form, and ``bell``'s
+(:func:`_read_tables`) straight from its file, whose lines
+:class:`_TableParser` parses to their tables with no node.
 """
 
 from __future__ import annotations
@@ -48,6 +48,9 @@ from .core import (
     VARIABLE_RE,
     Context,
     Scenario,
+    _check_bound,
+    _mask,
+    _set_rows,
     past_deadline,
 )
 from .errors import (
@@ -57,7 +60,6 @@ from .errors import (
     TooLarge,
     UnknownVariable,
 )
-from .probabilistic import _check_bound, _check_rows, _ContextTable, _patterns, _satisfying
 
 
 class Proposition:
@@ -429,6 +431,51 @@ class _Parser:
             self.negate(count)
 
 
+# "0"/"1" characters of a printed truth table to the bytes 0/1
+_ROW_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _patterns(k: int) -> list[int]:
+    """The truth table over ``2^k`` rows of each of ``k`` variables, in
+    order: row ``i`` binds the ``j``-th variable to bit ``j`` of ``i``."""
+    rows = 1 << k
+    patterns = []
+    for j in range(k):
+        # 2^j unset rows, then 2^j set ones, repeated over all the rows
+        half = 1 << j
+        pattern, width = ((1 << half) - 1) << half, 2 * half
+        while width < rows:
+            pattern |= pattern << width
+            width *= 2
+        patterns.append(pattern)
+    return patterns
+
+
+def _satisfying(
+    table: int, names: list[str], bit: Mapping[str, int], deadline: float | None
+) -> tuple[int, frozenset[int]]:
+    """The variable mask of ``names`` and the masked codes of the set rows
+    of their truth table ``table``, read as :func:`_patterns` lays it out;
+    ``deadline`` is read before each block of rows."""
+    flags = format(table, f"0{1 << len(names)}b")[::-1].encode().translate(_ROW_FLAGS)
+    satisfying: list[int] = []
+    for block in _set_rows(names, bit, flags):
+        if past_deadline(deadline):
+            raise TimeBudgetExceeded()
+        satisfying += block
+    return _mask(bit, names), frozenset(satisfying)
+
+
+def _check_rows(rows_in_all: int) -> None:
+    """Refuse truth tables of ``rows_in_all`` rows in all, over
+    :data:`TABLE_ROWS_LIMIT`, with :class:`TooLarge`."""
+    if rows_in_all > TABLE_ROWS_LIMIT:
+        raise TooLarge(
+            f"the formulas' truth tables would hold {rows_in_all:,} rows, "
+            f"over the limit of {TABLE_ROWS_LIMIT:,}"
+        )
+
+
 # a literal's first token lies at most MAX_NESTING + 2 tokens past the one
 # before it (its own "!" and variable, the ")" that follow it and one
 # connective), so a clock read at the first literal this many tokens past
@@ -440,7 +487,7 @@ class _TableParser(_Parser):
     """Reads one formula's tokens straight to its truth table, for ``bell``:
     the grammar and every check are :class:`_Parser`'s.  The value of a
     formula over the variables ``names`` (in ascending scenario bit) is its
-    ``2^k``-row table as an int, as in :func:`probabilistic._truth_tables`:
+    ``2^k``-row table as an int, as in :func:`_truth_tables`:
     a literal pushes its variable's pattern or that pattern's complement,
     and the end of a chain ANDs or ORs its operands.  With a ``deadline``,
     the clock is read before the first literal and then at the first
@@ -540,16 +587,78 @@ def _formula_lines(text: str) -> Iterator[tuple[int, str]]:
             yield lineno, raw
 
 
+# a formula's measurement context and truth table
+_ContextTable = tuple[Context, tuple[int, frozenset[int]]]
+
+
+def _truth_tables(
+    props: list[Proposition], bit: Mapping[str, int], deadline: float | None
+) -> Iterator[tuple[int, frozenset[int]]]:
+    """Compile each formula to its variable mask and satisfying masked codes.
+
+    Of a formula this reads only its prefix form ``_items`` and its
+    ``variables()``.  A formula over ``k`` variables becomes its whole
+    truth table as one ``2^k``-bit integer: row ``i`` binds the formula's
+    ``j``-th variable (in ascending scenario bit) to bit ``j`` of ``i``
+    (:func:`_patterns`), so ascending rows are ascending submasks.  The
+    prefix form is read backwards on a stack of values, ``&``/``|``/``!``
+    acting on whole tables, and the set rows are decoded to codes
+    (:func:`_satisfying`).  Tables over :data:`TABLE_ROWS_LIMIT` rows in
+    all are refused with :class:`TooLarge` before any is built.  The
+    reversed prefix form is read in slices of :data:`DEADLINE_STRIDE`
+    items, and ``deadline`` is read before each slice, the first included,
+    and before each block of table rows.
+    """
+    _check_rows(sum(1 << len(prop.variables()) for prop in props))
+    for prop in props:
+        names = sorted(prop.variables(), key=bit.__getitem__)
+        full = (1 << (1 << len(names))) - 1
+        table_of = dict(zip(names, _patterns(len(names))))
+
+        values: list = []
+        append, pop = values.append, values.pop
+        items = prop._items[::-1]
+        for start in range(0, len(items), DEADLINE_STRIDE):
+            if past_deadline(deadline):
+                raise TimeBudgetExceeded()
+            for item in items[start : start + DEADLINE_STRIDE]:
+                if item is Var:
+                    values[-1] = table_of[values[-1]]
+                elif item is And:
+                    append(pop() & pop())
+                elif item is Not:
+                    values[-1] ^= full
+                elif item is Or:
+                    append(pop() | pop())
+                elif item is Const:
+                    values[-1] = full if values[-1] else 0
+                elif isinstance(item, type):
+                    raise TypeError(f"cannot compile a {item.__qualname__} node")
+                else:
+                    append(item)  # a field: a variable's name or a constant
+
+        (table,) = values
+        yield _satisfying(table, names, bit, deadline)
+
+
+def _compile(
+    props: list[Proposition], scenario: Scenario, bound: int, deadline: float | None
+) -> list[_ContextTable]:
+    """Measurement context and truth table of each formula, in a scenario
+    of at most ``bound`` variables."""
+    _check_bound(len(scenario.variables), bound)
+    contexts = [measurement_context(prop, scenario) for prop in props]
+    return list(zip(contexts, _truth_tables(props, scenario.bit, deadline)))
+
+
 def _read_tables(
     text: str, scenario: Scenario, bound: int, deadline: float | None
 ) -> list[_ContextTable]:
-    """Each formula of a proposition file as its measurement context and
-    truth table (its variable mask and satisfying masked codes, as
-    :func:`probabilistic._truth_tables` gives them), parsed straight to the
-    table with no node: how ``bell`` reads its file.
+    """Each formula of a proposition file as :func:`_compile` gives it,
+    parsed straight to its table with no node: how ``bell`` reads its file.
 
     The file is read once, and refused as :func:`parse_propositions` then
-    :func:`bell_violation` would refuse it: each line's tokens and syntax,
+    :func:`_compile` would refuse it: each line's tokens and syntax,
     then its measurement context, in file order; after the last line,
     ``bound``, the total of table rows (:data:`TABLE_ROWS_LIMIT`), then
     ``deadline``.  A formula's identifier tokens are its variables, so its
@@ -580,7 +689,7 @@ def _read_tables(
             except TimeBudgetExceeded:
                 expired = True
         _tree_parser(values, raw, lineno).read()  # its checks alone
-    _check_bound(scenario, bound)
+    _check_bound(len(scenario.variables), bound)
     _check_rows(rows_in_all)
     if expired:
         raise TimeBudgetExceeded()

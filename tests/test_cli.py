@@ -902,6 +902,26 @@ class TestEntryPoint:
         assert proc.stdout.split() == ["[]", "False"]
 
     @pytest.mark.parametrize(
+        "module, loaded",
+        [
+            # the formula parser compiles formulas with no probabilistic model
+            ("proplang", ["choicectx.core", "choicectx.errors", "choicectx.proplang"]),
+            # reading a probabilistic model loads no formula parser
+            ("probabilistic", ["choicectx.core", "choicectx.errors", "choicectx.probabilistic"]),
+        ],
+    )
+    def test_submodule_loads_only_its_imports(self, module, loaded):
+        code = (
+            f"import json, sys, choicectx.{module}; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('choicectx.'))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == loaded
+
+    @pytest.mark.parametrize(
         "command, own, absent",
         [
             ("bell", "proplang", ["axioms", "contextuality", "catalog"]),

@@ -162,6 +162,30 @@ class TestSectionSearch:
         with pytest.raises(TooLarge):
             global_sections_bruteforce(m, bound=5)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bruteforce_builds_no_search_order(self, seed):
+        m = gen_random_model(7, 4, 0.6, seed=seed)
+        sections = global_sections_bruteforce(m)
+        # the referee shares no compile code with the search it checks
+        assert "compiled" not in m.__dict__
+        assert sections == global_sections_backtracking(m)
+
+    def test_bruteforce_faults_come_before_the_bound(self):
+        # a missing support entry before an undeclared cover variable; an
+        # undeclared cover variable; a scenario too large to lay out
+        names = [f"x{i}" for i in range(core.VARIABLES_LIMIT + 1)]
+        faulty = [
+            PossibilisticModel(Scenario.make("ab", [["a"], ["a", "z"]]), {("a",): [set()]}),
+            PossibilisticModel(Scenario.make("a", [["a", "z"]]), {("a", "z"): []}),
+            PossibilisticModel._from_codes(Scenario.make(names, [names[:1]]), {("x0",): {0}}),
+        ]
+        for m, error in zip(faulty, [UnknownContext, UnknownVariable, TooLarge]):
+            with pytest.raises(error) as want:
+                m.compiled
+            with pytest.raises(error) as err:
+                global_sections_bruteforce(m, bound=0)
+            assert str(err.value) == str(want.value)
+
     def test_deadline_expiry_carries_partials(self):
         # one free 12-variable context: enough nodes to hit the deadline check
         m = gen_random_model(12, 1, 1.0, seed=0)

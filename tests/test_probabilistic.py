@@ -53,7 +53,8 @@ from choicectx import (
 from choicectx import core
 from choicectx.contextuality import Kind
 from choicectx.core import DEADLINE_STRIDE, _Compiled
-from choicectx.probabilistic import SUPPORT_EPSILON, _truth_tables
+from choicectx.probabilistic import SUPPORT_EPSILON
+from choicectx.proplang import _truth_tables
 
 
 def two_var_model(p00, p01, p10, p11):

@@ -29,9 +29,9 @@ from choicectx import (
 from choicectx import core
 from choicectx.core import DEADLINE_STRIDE, IDENTIFIER, VARIABLES_LIMIT, VARIABLE_RE, Scenario
 from choicectx.errors import ChoiceCtxError, TimeBudgetExceeded
-from choicectx.probabilistic import _compile
 from choicectx.proplang import (
     MAX_NESTING,
+    _compile,
     _read_tables,
     _tokenize,
     _TableParser,
@@ -440,10 +440,6 @@ leaf_texts = st.sampled_from(["a", "!a", "(a)", "((!a))", " a' "])
 # whitespace a formula may hold between tokens: U+00A0, U+001C and U+2003
 # are whitespace to the tokenizer as a space is
 spacing = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\x1c", "\u2003"])
-
-
-def spaced(pieces, gaps):
-    return "".join(piece + gap for piece, gap in zip(pieces, gaps))
 
 
 # texts in the grammar with odd whitespace around every token: parentheses,
