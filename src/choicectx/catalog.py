@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import chain, compress
 
-from .core import TABLE_ROWS_LIMIT, PossibilisticModel, Scenario, _set_rows
+from .core import TABLE_ROWS_LIMIT, PossibilisticModel, Scenario, _count_text, _set_rows
 from .errors import TooLarge
 from .probabilistic import ProbabilisticModel, uniform_over_support
 
@@ -225,12 +225,9 @@ def gen_random_model(
 
 def _check_table_rows(rows: int, contexts: dict[frozenset[str], None]) -> None:
     """Raise :class:`TooLarge` if ``rows``, the table rows of ``contexts``,
-    pass :data:`TABLE_ROWS_LIMIT`.  A count of 2^64 or more is given as the
-    largest power of two below it: its decimal digits could pass the
-    interpreter's limit on converting an integer to text."""
+    pass :data:`TABLE_ROWS_LIMIT`."""
     if rows > TABLE_ROWS_LIMIT:
-        count = f"over 2^{(rows - 1).bit_length() - 1}" if rows >> 64 else f"{rows:,}"
         raise TooLarge(
             f"{len(contexts):,} contexts of up to {max(map(len, contexts)):,} variables "
-            f"have {count} outcomes to draw, over the limit of {TABLE_ROWS_LIMIT:,}"
+            f"have {_count_text(rows)} outcomes to draw, over the limit of {TABLE_ROWS_LIMIT:,}"
         )

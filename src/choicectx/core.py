@@ -73,6 +73,13 @@ def _check_variable_count(n: int) -> None:
         raise TooLarge(f"{n:,} variables are over the limit of {VARIABLES_LIMIT:,}")
 
 
+def _count_text(count: int) -> str:
+    """``count`` as a message prints it: with thousands separators, or from
+    2^64 on as the largest power of two below it, since its decimal digits
+    could pass the interpreter's limit on converting an integer to text."""
+    return f"over 2^{(count - 1).bit_length() - 1}" if count >> 64 else f"{count:,}"
+
+
 def _check_bound(n: int, bound: int) -> None:
     """Refuse ``n`` variables, over the exhaustive ``bound`` of the
     brute-force scan and the Bell route, with :class:`TooLarge`."""
@@ -474,14 +481,11 @@ def _failing(narrative: str, witness: Mapping[str, object]) -> Verdict:
     return Verdict(holds=False, witness=witness, narrative=narrative)
 
 
-def validate_model(model: PossibilisticModel) -> Verdict:
-    """Check every structural invariant of a possibilistic model.
-
-    Returns a failing verdict for the first violated invariant, with the
-    offending context/event as witness.  An empty support set C(U) is legal
-    but reported as a warning: it rules out every global section.
-    """
-    scenario = model.scenario
+def _structure_fault(scenario: Scenario, keys: Mapping[Context, object]) -> Verdict | None:
+    """The failing verdict of the first structural fault of a model over
+    ``scenario`` with entries keyed by ``keys``, if it has one: in the
+    variables, in the cover, or a cover context with no entry or an entry
+    outside the cover.  Both validators run it before their own checks."""
     variables = set(scenario.variables)
 
     if not scenario.variables:
@@ -520,18 +524,31 @@ def validate_model(model: PossibilisticModel) -> Verdict:
 
     cover_set = set(scenario.cover)
     for context in scenario.cover:
-        if context not in model._codes:
+        if context not in keys:
             return _failing(
                 f"no support entry for context {format_event(context)}",
                 {"reason": "missing-support", "context": list(context)},
             )
-    for context in model._codes:
+    for context in keys:
         if context not in cover_set:
             return _failing(
                 f"support entry for unknown context {format_event(context)}",
                 {"reason": "unknown-context", "context": list(context)},
             )
+    return None
 
+
+def validate_model(model: PossibilisticModel) -> Verdict:
+    """Check every structural invariant of a possibilistic model.
+
+    Returns a failing verdict for the first violated invariant, with the
+    offending context/event as witness.  An empty support set C(U) is legal
+    but reported as a warning: it rules out every global section.
+    """
+    scenario = model.scenario
+    fault = _structure_fault(scenario, model._codes)
+    if fault is not None:
+        return fault
     for context, cmask in zip(scenario.cover, scenario._masks):
         bad = [code for code in model._codes[context] if code & ~cmask]
         if bad:

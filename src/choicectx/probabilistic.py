@@ -35,8 +35,8 @@ from .core import (
     _in_shortlex,
     _passing,
     _search_masks,
+    _structure_fault,
     canonical_context,
-    validate_model,
 )
 from .errors import NotContradictory, UnknownContext
 
@@ -164,12 +164,9 @@ def validate_probabilistic(model: ProbabilisticModel) -> Verdict:
     :meth:`ProbabilisticModel.make`.
     """
     scenario = model.scenario
-    # the empty event lies inside every context, so only the structural
-    # checks can fail, and no context warns of an empty support
-    empty_event = dict.fromkeys(model._codes, frozenset([0]))
-    structural = validate_model(PossibilisticModel._from_codes(scenario, empty_event))
-    if not structural.holds:
-        return structural
+    fault = _structure_fault(scenario, model._codes)
+    if fault is not None:
+        return fault
     if model._fault is not None:
         return model._fault
 
@@ -232,41 +229,31 @@ def _probability(table: tuple[int, frozenset[int]], entries: Entries) -> float:
     return math.fsum([p for code, p in entries if code & cmask in satisfying])
 
 
-def _excess(
-    compiled: list[_ContextTable],
-    scenario: Scenario,
-    deadline: float | None,
-    model: ProbabilisticModel | None = None,
-) -> float | None:
-    """The Bell route's kernel, over each formula's measurement context and
-    truth table.  ``None`` if some code meets every table, the formulas
-    being jointly satisfiable: at once if a table has no satisfying row,
-    else by the section search stopped at its first complete code.
-    Otherwise the excess over ``N - 1`` of the ``math.fsum`` of their
-    probabilities under ``model``, or ``0.0`` with no model."""
-    tables = [table for _, table in compiled]
-    if all(satisfying for _, satisfying in tables) and (
-        _search_masks(_Compiled(scenario.bit, tables), deadline, first=True)
-    ):
-        return None
-    if model is None:
-        return 0.0
-    total = math.fsum(
-        _probability(table, model._codes[model._key(context)]) for context, table in compiled
+def _satisfiable(
+    tables: list[tuple[int, frozenset[int]]], bit: Mapping[str, int], deadline: float | None
+) -> bool:
+    """Whether some code in the layout ``bit`` meets every truth table: not
+    if a table has no satisfying row, else as the section search, stopped
+    at its first complete code, finds."""
+    return all(satisfying for _, satisfying in tables) and bool(
+        _search_masks(_Compiled(bit, tables), deadline, first=True)
     )
-    return total - (len(compiled) - 1)
 
 
 def _violation(
     compiled: list[_ContextTable], model: ProbabilisticModel, deadline: float | None
 ) -> float:
-    """:func:`bell_violation` of formulas already compiled."""
-    excess = _excess(compiled, model.scenario, deadline, model)
-    if excess is None:
+    """:func:`bell_violation` of formulas already compiled: unless the
+    tables are :func:`_satisfiable`, the excess over ``N - 1`` of the
+    ``math.fsum`` of the formulas' probabilities under ``model``."""
+    if _satisfiable([table for _, table in compiled], model.scenario.bit, deadline):
         raise NotContradictory(
             "the formulas are jointly satisfiable, so no bound applies"
         )
-    return excess
+    total = math.fsum(
+        _probability(table, model._codes[model._key(context)]) for context, table in compiled
+    )
+    return total - (len(compiled) - 1)
 
 
 def eval_probability(prop: Proposition, model: ProbabilisticModel) -> float:
@@ -302,7 +289,7 @@ def jointly_contradictory(
     from .proplang import _compile
 
     compiled = _compile(list(props), scenario, bound, deadline)
-    return _excess(compiled, scenario, deadline) is not None
+    return not _satisfiable([table for _, table in compiled], scenario.bit, deadline)
 
 
 def bell_violation(
@@ -319,8 +306,8 @@ def bell_violation(
     over ``N * SUPPORT_EPSILON`` certifies that the model is contextual
     (:func:`certifies_contextuality`).  ``proplang`` compiles each formula
     once to its truth table, which serves both the contradiction search and
-    its probability in one kernel, :func:`_excess`; the CLI's ``bell`` runs
-    that kernel on the tables ``proplang`` reads from its file.
+    its probability in :func:`_violation`; the CLI's ``bell`` runs that on
+    the tables ``proplang`` reads from its file.
     """
     from .proplang import _compile
 

@@ -20,9 +20,10 @@ programmatic construction.
 
 One parser reads the grammar to either of two targets, as it reads the
 text.  The public parse functions build each formula's tree: within a
-formula one node stands for each literal (a variable, a negated variable
-or a constant) wherever it occurs; nodes are immutable and every method
-reads values, never identity, so the sharing cannot be seen.  Each
+formula one node, made before the formula is read, stands for each
+literal (a variable, a negated variable or a constant) wherever it
+occurs, and no two formulas share a node; nodes are immutable and every
+method reads values, never identity, so the sharing cannot be seen.  Each
 formula also has a prefix form, every node's class then its fields,
 written once by its flattening when first needed; equality, hashing,
 ``to_text`` and ``repr`` read it.
@@ -49,6 +50,7 @@ from .core import (
     Context,
     Scenario,
     _check_bound,
+    _count_text,
     _mask,
     _set_rows,
     past_deadline,
@@ -280,19 +282,6 @@ def _tokenize(text: str, line: int | None) -> list[str]:
 _SYMBOLS = frozenset(["", "!", "&", "|", "(", ")", "0", "1"])
 
 
-class _Nodes(dict):
-    """The node of each token text, made by ``make`` on first use."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, name: str) -> Proposition:
-        node = self[name] = self.make(name)
-        return node
-
-
 class _Parser:
     """Reads one formula's tokens to one of two targets, with the same
     grammar and checks: this class builds the formula's tree, and
@@ -300,13 +289,13 @@ class _Parser:
     ``items``, and a chain's operands become one value when the chain ends.
 
     What the parser builds goes through its output hooks alone: ``leaves``,
-    ``negations`` and ``constants`` give the value a variable, a negated
-    variable and a constant push (:func:`_tree_parser` gives a tree's);
-    :meth:`close` reduces a chain's operands with ``conjoin`` or
-    ``disjoin``, and :meth:`negate` applies a run of ``!`` to the operand
-    after it.  A literal that starts at or past ``mark`` first calls
-    :meth:`tick`; the tree reads no clock, so its mark lies past the last
-    token."""
+    ``negations`` and ``constants`` map each token text to the value its
+    variable, negated variable or constant pushes (:func:`_tree_parser`
+    gives a tree's nodes); :meth:`close` reduces a chain's operands with
+    ``conjoin`` or ``disjoin``, and :meth:`negate` applies a run of ``!``
+    to the operand after it.  A literal that starts at or past ``mark``
+    first calls :meth:`tick`; the tree reads no clock, so its mark lies
+    past the last token."""
 
     conjoin = And
     disjoin = Or
@@ -471,7 +460,7 @@ def _check_rows(rows_in_all: int) -> None:
     :data:`TABLE_ROWS_LIMIT`, with :class:`TooLarge`."""
     if rows_in_all > TABLE_ROWS_LIMIT:
         raise TooLarge(
-            f"the formulas' truth tables would hold {rows_in_all:,} rows, "
+            f"the formulas' truth tables would hold {_count_text(rows_in_all)} rows, "
             f"over the limit of {TABLE_ROWS_LIMIT:,}"
         )
 
@@ -522,22 +511,24 @@ class _TableParser(_Parser):
 
 
 def _tree_parser(values: list[str], text: str, line: int | None) -> _Parser:
-    """A parser that builds the formula's tree: within the formula one node
-    stands for each literal (a variable, a negated variable or a constant),
-    made on first use and placed wherever the literal occurs."""
-    leaves = _Nodes(Var)
-    negations = _Nodes(lambda name: Not(leaves[name]))
-    constants = _Nodes(lambda value: Const(value == "1"))
+    """A parser that builds the formula's tree: one node stands for each
+    literal (a variable, a negated variable or a constant) and is placed
+    wherever the literal occurs.  The nodes are made before the formula is
+    read, one ``Var`` and one ``Not`` over it per identifier token and the
+    two constants, so no two formulas share one."""
+    leaves = {name: Var(name) for name in set(values).difference(_SYMBOLS)}
+    negations = {name: Not(leaf) for name, leaf in leaves.items()}
+    constants = {"0": Const(False), "1": Const(True)}
     return _Parser(values, text, line, leaves, negations, constants)
 
 
 def parse_formula(text: str, line: int | None = None) -> Proposition:
     """Parse a formula with no scenario checks.  A formula nesting ``(`` and
     ``!`` more than :data:`MAX_NESTING` deep is refused."""
-    values = _tokenize(text, line)
-    (node,) = _tree_parser(values, text, line).read()
+    parser = _tree_parser(_tokenize(text, line), text, line)
+    (node,) = parser.read()
     # the whole input was read, so every identifier token is a variable
-    node.__dict__["_variables"] = frozenset(values).difference(_SYMBOLS)
+    node.__dict__["_variables"] = frozenset(parser.leaves)
     return node
 
 
@@ -610,6 +601,7 @@ def _truth_tables(
     and before each block of table rows.
     """
     _check_rows(sum(1 << len(prop.variables()) for prop in props))
+    var, conj, neg, disj, const = Var, And, Not, Or, Const  # locals, read faster
     for prop in props:
         names = sorted(prop.variables(), key=bit.__getitem__)
         full = (1 << (1 << len(names))) - 1
@@ -622,15 +614,15 @@ def _truth_tables(
             if past_deadline(deadline):
                 raise TimeBudgetExceeded()
             for item in items[start : start + DEADLINE_STRIDE]:
-                if item is Var:
+                if item is var:
                     values[-1] = table_of[values[-1]]
-                elif item is And:
+                elif item is conj:
                     append(pop() & pop())
-                elif item is Not:
+                elif item is neg:
                     values[-1] ^= full
-                elif item is Or:
+                elif item is disj:
                     append(pop() | pop())
-                elif item is Const:
+                elif item is const:
                     values[-1] = full if values[-1] else 0
                 elif isinstance(item, type):
                     raise TypeError(f"cannot compile a {item.__qualname__} node")

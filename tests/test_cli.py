@@ -1143,6 +1143,26 @@ class TestBellInputLimits:
         assert "truth tables would hold 16,777,216 rows" in proc.stderr
         assert "over the limit of 1,048,576" in proc.stderr
 
+    def test_row_counts_too_long_to_print_are_powers_of_two(self, tmp_path, capsys):
+        # one formula over 14,400 variables has 2^14400 rows, a count whose
+        # decimal form passes the interpreter's 4,300-digit limit on
+        # converting an integer to text
+        names = [f"x{i:05d}" for i in range(14400)]
+        s = Scenario.make(names, [names])
+        entries = [(dict.fromkeys(names, 0), 1.0)]
+        model = ProbabilisticModel.make(s, {tuple(names): entries})
+        doc = tmp_path / "wide.json"
+        doc.write_text(serialize_model(model))
+        props = tmp_path / "wide.props"
+        props.write_text(" | ".join(names) + "\n")
+        rc = main(["bell", "--bound", "20000", str(doc), "--props", str(props)])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: the formulas' truth tables would hold over 2^14399 rows, "
+            "over the limit of 1,048,576\n",
+        )
+
     def test_wide_contexts(self, tmp_path, capsys):
         # the widest context holds 1,234 events, so its support formula is a
         # chain of 1,234 disjuncts

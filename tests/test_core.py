@@ -9,6 +9,7 @@ from choicectx import (
     Assignment,
     ChoiceCtxError,
     PossibilisticModel,
+    ProbabilisticModel,
     Scenario,
     TooLarge,
     UnboundVariable,
@@ -20,8 +21,16 @@ from choicectx import (
     parse_model,
     serialize_model,
     validate_model,
+    validate_probabilistic,
 )
-from choicectx.core import VARIABLES_LIMIT, _shortlex_key, _shortlex_sorted, shortlex
+from choicectx.core import (
+    VARIABLES_LIMIT,
+    Verdict,
+    _count_text,
+    _shortlex_key,
+    _shortlex_sorted,
+    shortlex,
+)
 
 names = st.text(alphabet="abcxyz_'", min_size=1, max_size=4).filter(
     lambda s: not s[0].isdigit() and s[0] != "'"
@@ -249,6 +258,48 @@ class TestCompiled:
         )
 
 
+# a scenario and the supports of a model over it whose structure fails,
+# and the reason it fails; the constructor is bypassed to hit each defect
+STRUCTURAL_FAULTS = [
+    (Scenario(variables=(), cover=()), {}, "empty-variables"),
+    (
+        Scenario(variables=("a", "9bad"), cover=(("9bad", "a"),)),
+        {("9bad", "a"): frozenset()},
+        "bad-variable-name",
+    ),
+    (
+        Scenario(variables=("a",), cover=((),)),
+        {(): frozenset()},
+        "empty-context",
+    ),
+    (
+        Scenario(variables=("a",), cover=(("a", "ghost"),)),
+        {("a", "ghost"): frozenset()},
+        "unknown-variable",
+    ),
+    (
+        Scenario(variables=("a", "b"), cover=(("a",), ("a",), ("b",))),
+        {("a",): frozenset(), ("b",): frozenset()},
+        "duplicate-context",
+    ),
+    (
+        Scenario(variables=("a", "b"), cover=(("a",),)),
+        {("a",): frozenset()},
+        "uncovered-variable",
+    ),
+    (
+        Scenario(variables=("a", "b"), cover=(("a",), ("b",))),
+        {("a",): frozenset()},
+        "missing-support",
+    ),
+    (
+        Scenario(variables=("a",), cover=(("a",),)),
+        {("a",): frozenset(), ("a", "b"): frozenset()},
+        "unknown-context",
+    ),
+]
+
+
 class TestValidateModel:
     def good(self):
         s = Scenario.make(["a", "b"], [["a", "b"], ["a"]])
@@ -272,42 +323,7 @@ class TestValidateModel:
     @pytest.mark.parametrize(
         "scenario, supports, reason",
         [
-            (Scenario(variables=(), cover=()), {}, "empty-variables"),
-            (
-                Scenario(variables=("a", "9bad"), cover=(("9bad", "a"),)),
-                {("9bad", "a"): frozenset()},
-                "bad-variable-name",
-            ),
-            (
-                Scenario(variables=("a",), cover=((),)),
-                {(): frozenset()},
-                "empty-context",
-            ),
-            (
-                Scenario(variables=("a",), cover=(("a", "ghost"),)),
-                {("a", "ghost"): frozenset()},
-                "unknown-variable",
-            ),
-            (
-                Scenario(variables=("a", "b"), cover=(("a",), ("a",), ("b",))),
-                {("a",): frozenset(), ("b",): frozenset()},
-                "duplicate-context",
-            ),
-            (
-                Scenario(variables=("a", "b"), cover=(("a",),)),
-                {("a",): frozenset()},
-                "uncovered-variable",
-            ),
-            (
-                Scenario(variables=("a", "b"), cover=(("a",), ("b",))),
-                {("a",): frozenset()},
-                "missing-support",
-            ),
-            (
-                Scenario(variables=("a",), cover=(("a",),)),
-                {("a",): frozenset(), ("a", "b"): frozenset()},
-                "unknown-context",
-            ),
+            *STRUCTURAL_FAULTS,
             (
                 Scenario(variables=("a", "b"), cover=(("a",), ("b",))),
                 {
@@ -325,6 +341,34 @@ class TestValidateModel:
         assert not verdict.holds
         assert verdict.witness["reason"] == reason
 
+    @pytest.mark.parametrize("scenario, supports, reason", STRUCTURAL_FAULTS)
+    def test_probabilistic_models_fail_alike(self, scenario, supports, reason):
+        # the same cover and context keys, with no entries and a noted entry
+        # fault, which a structural fault outranks
+        noted = Verdict(holds=False, witness={"reason": "bad-outcome"}, narrative="noted")
+        model = ProbabilisticModel._from_codes(scenario, dict.fromkeys(supports, ()), noted)
+        verdict = validate_probabilistic(model)
+        assert verdict.witness["reason"] == reason
+        assert verdict == validate_model(PossibilisticModel(scenario=scenario, supports=supports))
+
+    def test_entry_faults_come_after_the_structure(self):
+        s = Scenario.make(["a", "b"], [["a"], ["b"]])
+        bad_outcome = [({"a": 2}, 1.0)]
+        missing = ProbabilisticModel.make(s, {("a",): bad_outcome})
+        assert validate_probabilistic(missing).witness == {
+            "reason": "missing-support",
+            "context": ["b"],
+        }
+        whole = ProbabilisticModel.make(s, {("a",): bad_outcome, ("b",): [({"b": 0}, 1.0)]})
+        assert validate_probabilistic(whole).witness == {
+            "reason": "bad-outcome",
+            "context": ["a"],
+            "assignment": {"a": 2},
+        }
+        # the numeric checks come last
+        negative = ProbabilisticModel.make(s, {("a",): [({"a": 0}, -1.0)]})
+        assert validate_probabilistic(negative).witness["reason"] == "missing-support"
+
     def test_verdict_to_doc(self):
         verdict = validate_model(self.good())
         doc = verdict.to_doc()
@@ -334,6 +378,17 @@ class TestValidateModel:
             "narrative": verdict.narrative,
             "warnings": [],
         }
+
+
+class TestCountText:
+    def test_counts_below_2_to_the_64_are_written_out(self):
+        assert _count_text(1_048_577) == "1,048,577"
+        assert _count_text((1 << 64) - 1) == "18,446,744,073,709,551,615"
+
+    def test_larger_counts_are_the_power_of_two_below(self):
+        assert _count_text(1 << 64) == "over 2^63"
+        assert _count_text((1 << 64) + 1) == "over 2^64"
+        assert _count_text(1 << 14400) == "over 2^14399"
 
 
 class TestShortlexCodes:

@@ -286,6 +286,27 @@ class TestTableRowsLimit:
         with pytest.raises(TooLarge, match="would hold 2,097,152 rows"):
             jointly_contradictory([prop, prop], scenario)
 
+    def test_counts_too_long_to_print_are_powers_of_two(self):
+        # 2^14400 rows: their decimal form passes the interpreter's
+        # 4,300-digit limit on converting an integer to text
+        names = [f"x{i:05d}" for i in range(14400)]
+        scenario = Scenario.make(names, [names])
+        props = parse_propositions(" | ".join(names), scenario)
+        entries = [(dict.fromkeys(names, 0), 1.0)]
+        model = ProbabilisticModel.make(scenario, {tuple(names): entries})
+        message = (
+            "the formulas' truth tables would hold over 2^14399 rows, "
+            "over the limit of 1,048,576"
+        )
+        for call in (
+            lambda: jointly_contradictory(props, scenario, 20000),
+            lambda: bell_violation(props, model, 20000),
+            lambda: eval_probability(props[0], model),
+        ):
+            with pytest.raises(TooLarge) as info:
+                call()
+            assert str(info.value) == message
+
 
 class TestBellViolation:
     def test_pr_box_saturates(self):

@@ -296,6 +296,32 @@ class TestSharedLeaves:
             assert parsed.evaluate(binding) is built.evaluate(binding)
 
 
+class TestNodesPerFormula:
+    """Each formula gets its own literal nodes: no node is shared between
+    two formulas, even two lines of one file with the same literals."""
+
+    @staticmethod
+    def node_ids(prop):
+        ids, todo = set(), [prop]
+        while todo:
+            node = todo.pop()
+            ids.add(id(node))
+            todo += [
+                value
+                for value in (getattr(node, f.name) for f in fields(node))
+                if isinstance(value, Proposition)
+            ]
+        return ids
+
+    def test_two_lines_share_no_node(self):
+        scenario = Scenario.make(["a", "b"], [["a", "b"]])
+        lines = ["a & !b | 1", "!a | b & 0 | !b", "a & 1 & !b"]
+        props = parse_propositions("\n".join(lines), scenario)
+        assert [prop.to_text() for prop in props] == lines
+        for one, other in zip(props, props[1:] + props[:1]):
+            assert not self.node_ids(one) & self.node_ids(other)
+
+
 def reference_form(value):
     """A node's class and its fields, each field that is a formula in turn
     replaced by its own form: the dataclass view, built recursively."""
