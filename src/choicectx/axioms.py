@@ -31,7 +31,7 @@ _REGION_KIND = {
 
 def _rows(model: PossibilisticModel) -> list[tuple[Context, int, int]]:
     """One row per cover context: the context, its variable mask and the
-    mask of its chosen variables, the OR of its event codes."""
+    mask of its chosen variables, the OR of its event codes within it."""
     scenario = model.scenario
     return [
         (context, mask, model._chosen[model._key(context)])

@@ -11,15 +11,18 @@ where ascending integers enumerate assignments in lexicographic order.
 The brute-force referee scans every code in that order against the
 cover's masks and supports.  The level-wise search of ``core``, which also
 decides the Bell route's contradictions, assigns variables in the greedy
-order of :attr:`PossibilisticModel.compiled` and sorts the codes it finds,
-so both emit sections in the same order.  Sections are decoded to
-:class:`Assignment` only on the way out.
+order of :attr:`PossibilisticModel.compiled`.  The codes it finds are
+sorted before they are listed, so both emit sections in the same order;
+:func:`classify`, which only counts them, leaves them in search order.
+Sections are decoded to :class:`Assignment` only on the way out.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import repeat
+from operator import and_
 
 from .core import (
     DEADLINE_STRIDE,
@@ -130,7 +133,7 @@ def global_sections_backtracking(
     found so far, in the same order.
     """
     compiled = model.compiled
-    return [compiled.decode(code) for code in _search_masks(compiled, deadline)]
+    return [compiled.decode(code) for code in sorted(_search_masks(compiled, deadline))]
 
 
 def classify(
@@ -152,8 +155,8 @@ def classify(
         realized: set[int] = set()
         for start in range(0, len(sections), DEADLINE_STRIDE):
             if past_deadline(deadline):
-                raise TimeBudgetExceeded(partial_codes=sections, decode=compiled.decode)
-            realized.update(map(cmask.__and__, sections[start : start + DEADLINE_STRIDE]))
+                raise TimeBudgetExceeded(partial_codes=sorted(sections), decode=compiled.decode)
+            realized.update(map(and_, sections[start : start + DEADLINE_STRIDE], repeat(cmask)))
             # realized <= allowed, so equal sizes mean every event is realized
             if len(realized) == len(allowed):
                 break

@@ -25,8 +25,8 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from itertools import compress
+from functools import cached_property
+from itertools import accumulate, compress
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -307,8 +307,18 @@ class PossibilisticModel:
 
     @cached_property
     def _chosen(self) -> dict[Context, int]:
-        """The chosen mask of each context: the OR of its event codes."""
-        return {context: reduce(or_, codes, 0) for context, codes in self._codes.items()}
+        """The chosen mask of each context: the OR of its event codes,
+        masked to the context's own variables.  The codes are ORed only
+        until every variable of the context is chosen."""
+        bit = self.scenario.bit
+        chosen = {}
+        for context, codes in self._codes.items():
+            mask, union = sum(bit.get(v, 0) for v in context), 0
+            for union in accumulate(codes, or_):
+                if union == mask:
+                    break
+            chosen[context] = union & mask
+        return chosen
 
     def _key(self, context: Iterable[str]) -> Context:
         """The canonical form of one of the model's contexts."""
@@ -326,8 +336,10 @@ class PossibilisticModel:
         return [frozenset(self.scenario._names(code)) for code in codes]
 
     def chosen_set(self, context: Iterable[str]) -> frozenset[str]:
-        """All variables that belong to at least one event of the context."""
-        return frozenset(self.scenario._names(self._chosen[self._key(context)]))
+        """All variables of the context that belong to at least one of its
+        events; a variable outside the context is never chosen there."""
+        key = self._key(context)
+        return frozenset(self.scenario._names(self._chosen[key]))
 
     def chosen(self, variable: str, context: Iterable[str]) -> int:
         """1 iff ``variable`` occurs in some event of ``context``.
@@ -401,7 +413,7 @@ class _Compiled:
 def _search_masks(
     compiled: _Compiled, deadline: float | None, first: bool = False
 ) -> list[int]:
-    """Codes that meet every constraint of ``compiled``, ascending; with
+    """Codes that meet every constraint of ``compiled``, in search order; with
     ``first``, the search stops at the first complete code, so the result
     is empty exactly when no code meets them all.  Without it, finding more
     than :data:`TABLE_ROWS_LIMIT` codes raises :class:`TooLarge`, which
@@ -440,7 +452,6 @@ def _search_masks(
                 (depth, block[i : i + DEADLINE_STRIDE])
                 for i in range(0, len(block), DEADLINE_STRIDE)
             ]
-    found.sort()
     return found
 
 

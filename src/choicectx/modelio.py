@@ -56,23 +56,24 @@ def _require(condition: bool, message: str, path: str) -> None:
         raise ModelSemanticError(message, path)
 
 
+def _require_each(items: list, test: Callable[[Any], object], message: str, path: str) -> None:
+    """Require ``test`` of every item of the array ``items`` at ``path``,
+    all at once: only the first item that fails builds its path,
+    ``path[i]``, and its message, ``message`` formatted with the item."""
+    if not all(map(test, items)):
+        i, item = next((i, item) for i, item in enumerate(items) if not test(item))
+        raise ModelSemanticError(message.format(item), f"{path}[{i}]")
+
+
 def _string_list(value: Any, path: str) -> list[str]:
     _require(isinstance(value, list), "expected an array", path)
-    out = []
-    for i, item in enumerate(value):
-        _require(isinstance(item, str), "expected a string", f"{path}[{i}]")
-        out.append(item)
-    return out
+    _require_each(value, str.__instancecheck__, "expected a string", path)
+    return value
 
 
 def _variable_names(value: Any, path: str) -> list[str]:
     names = _string_list(value, path)
-    for i, name in enumerate(names):
-        _require(
-            VARIABLE_RE.match(name) is not None,
-            f"invalid variable name {name!r}",
-            f"{path}[{i}]",
-        )
+    _require_each(names, VARIABLE_RE.match, "invalid variable name {!r}", path)
     _require(len(set(names)) == len(names), "duplicate variable name", path)
     _require(len(names) > 0, "at least one variable is required", path)
     return names
@@ -81,8 +82,7 @@ def _variable_names(value: Any, path: str) -> list[str]:
 def _context_of(value: Any, known: set[str], path: str) -> tuple[str, ...]:
     names = _string_list(value, path)
     _require(len(names) > 0, "context must be nonempty", path)
-    for i, name in enumerate(names):
-        _require(name in known, f"unknown variable {name!r}", f"{path}[{i}]")
+    _require_each(names, known.__contains__, "unknown variable {!r}", path)
     _require(len(set(names)) == len(names), "duplicate variable in context", path)
     return canonical_context(names)
 
@@ -102,14 +102,14 @@ def parse_model(text: str) -> Model:
 
     Every check runs on every document.  The paths to the variables, the
     contexts and each context's entry (its ``context`` and its ``events``
-    or ``distribution``, and their names) are built as they are read, but
-    none below them is built for a check that passes: the events or
-    distribution entries of a context are encoded and tested in bulk, and
-    a table that fails (or, for a distribution, holds an int ``p`` or a
-    float outcome) is rechecked entry by entry in document order to name
-    the first bad one.  Each event and each entry's assignment is read
-    straight into its code in the scenario's :attr:`Scenario.bit` layout,
-    the form both models store.
+    or ``distribution``) are built as they are read, but none below them
+    is built for a check that passes: an array of names is tested whole,
+    the events or distribution entries of a context are encoded and
+    tested in bulk, and a table that fails (or, for a distribution, holds
+    an int ``p`` or a float outcome) is rechecked entry by entry in
+    document order to name the first bad one.  Each event and each entry's
+    assignment is read straight into its code in the scenario's
+    :attr:`Scenario.bit` layout, the form both models store.
     """
     try:
         doc = json.loads(text)
@@ -191,17 +191,19 @@ def _events(raw_events: list, bit: dict[str, int], path: str) -> frozenset[int]:
     """The support of one context as codes, tested in bulk: every event is
     an array of members of the context (``bit`` holds their bits) with one
     code bit per member, and no two events share a code.  Only a failing
-    table goes through :func:`_checked_events`, which names the first one."""
+    table goes through :func:`_checked_events`, which names the first one.
+
+    A code sums its members' bits, so it has fewer bits than its event has
+    members exactly when a member repeats (and carries into another bit):
+    equal totals over the table mean no event repeats one."""
+    get = bit.__getitem__
     try:
-        codes = [sum(map(bit.__getitem__, event)) for event in raw_events]
+        codes = [sum(map(get, event)) for event in raw_events]
+        members = sum(map(list.__len__, raw_events))
     except (KeyError, TypeError):  # a member outside the context, or no array
         return _checked_events(raw_events, bit, path)
     support = frozenset(codes)
-    if (
-        len(support) == len(codes)
-        and set(map(type, raw_events)) <= {list}
-        and list(map(int.bit_count, codes)) == list(map(len, raw_events))
-    ):
+    if len(support) == len(codes) and sum(map(int.bit_count, codes)) == members:
         return support
     return _checked_events(raw_events, bit, path)
 
@@ -232,10 +234,11 @@ def _distribution(
     float of at least 0, no two entries share a code and the ``p`` sum to 1
     within SUPPORT_EPSILON.  Any other table, valid or not, goes through
     :func:`_checked_distribution`, which names the first fault."""
+    get = bit.__getitem__
     try:
         assignments = [raw["assignment"] for raw in raw_entries]
         ps = [raw["p"] for raw in raw_entries]
-        codes = [sum(compress(map(bit.__getitem__, a), a.values())) for a in assignments]
+        codes = [sum(compress(map(get, a), a.values())) for a in assignments]
     except (KeyError, TypeError, AttributeError):  # a key missing, or no object
         return _checked_distribution(raw_entries, bit, path)
     # every variable bound is in the context, so as many as it holds are all of it

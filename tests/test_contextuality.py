@@ -309,12 +309,15 @@ class TestRenameInvariance:
 class TestWitnessPassExpiry:
     def test_expiry_carries_every_section(self, monkeypatch):
         # the search reads the clock through core's binding and finishes;
-        # the witness pass reads its own, which has always expired
-        m = hardy_table()
-        sections = classify(m).section_count
-        assert sections > 0
+        # the witness pass reads its own, which has always expired.  The
+        # generated model's search spans several blocks, so it finds its
+        # sections out of ascending order
+        models = [hardy_table(), gen_random_model(15, 12, 0.8, 1)]
+        counts = [classify(m).section_count for m in models]
+        assert counts[0] > 0 and counts[1] > core.DEADLINE_STRIDE
         monkeypatch.setattr(contextuality, "past_deadline", lambda deadline: True)
-        with pytest.raises(TimeBudgetExceeded) as err:
-            classify(m, deadline=time.monotonic() + 60)
-        assert err.value.partial_count == sections
-        assert list(err.value.partial_sections) == global_sections_backtracking(m)
+        for m, sections in zip(models, counts):
+            with pytest.raises(TimeBudgetExceeded) as err:
+                classify(m, deadline=time.monotonic() + 60)
+            assert err.value.partial_count == sections
+            assert list(err.value.partial_sections) == global_sections_backtracking(m)

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from choicectx import (
     validate_model,
     validate_probabilistic,
 )
+from choicectx.axioms import verdicts
 from choicectx.core import (
     VARIABLES_LIMIT,
     Verdict,
@@ -300,6 +303,17 @@ STRUCTURAL_FAULTS = [
 ]
 
 
+# a model whose context {a} holds the event {b}
+EVENT_OUTSIDE_CONTEXT = (
+    Scenario(variables=("a", "b"), cover=(("a",), ("b",))),
+    {
+        ("a",): frozenset({frozenset({"b"})}),
+        ("b",): frozenset(),
+    },
+    "event-outside-context",
+)
+
+
 class TestValidateModel:
     def good(self):
         s = Scenario.make(["a", "b"], [["a", "b"], ["a"]])
@@ -324,14 +338,7 @@ class TestValidateModel:
         "scenario, supports, reason",
         [
             *STRUCTURAL_FAULTS,
-            (
-                Scenario(variables=("a", "b"), cover=(("a",), ("b",))),
-                {
-                    ("a",): frozenset({frozenset({"b"})}),
-                    ("b",): frozenset(),
-                },
-                "event-outside-context",
-            ),
+            EVENT_OUTSIDE_CONTEXT,
         ],
     )
     def test_invariant_violations(self, scenario, supports, reason):
@@ -340,6 +347,24 @@ class TestValidateModel:
         verdict = validate_model(m)
         assert not verdict.holds
         assert verdict.witness["reason"] == reason
+
+    def test_chosen_masks_hold_only_context_variables(self):
+        scenario, supports, _ = EVENT_OUTSIDE_CONTEXT
+        m = PossibilisticModel(scenario=scenario, supports=supports)
+        # the event {b} of context {a} chooses nothing in {a}
+        assert m.chosen_set(("a",)) == frozenset()
+        masks = dict(zip(scenario.cover, scenario._masks))
+        assert m._chosen == {
+            context: reduce(or_, codes, 0) & masks[context]
+            for context, codes in m._codes.items()
+        }
+        # the checks read only bits inside a context, so the unmasked OR
+        # of the event codes gives the same verdicts
+        unmasked = PossibilisticModel(scenario=scenario, supports=supports)
+        unmasked.__dict__["_chosen"] = {
+            context: reduce(or_, codes, 0) for context, codes in m._codes.items()
+        }
+        assert verdicts(m) == verdicts(unmasked)
 
     @pytest.mark.parametrize("scenario, supports, reason", STRUCTURAL_FAULTS)
     def test_probabilistic_models_fail_alike(self, scenario, supports, reason):

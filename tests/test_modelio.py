@@ -401,6 +401,11 @@ class TestFirstError:
             (["b"], "duplicate event", f"{EVENTS}[1]"),
             # the same event as the next one, its members in another order
             (["b", "a"], "duplicate event", f"{EVENTS}[2]"),
+            # the repeated bit of b carries into the bit of a, which forges the
+            # code of ["a"], distinct from the other events' codes
+            (["b", "b"], "duplicate variable in event", f"{EVENTS}[1]"),
+            # an object keyed by a member reads as that member when iterated
+            ({"a": 0}, "expected an array", f"{EVENTS}[1]"),
         ],
     )
     def test_event(self, event, message, path):
