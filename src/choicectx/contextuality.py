@@ -6,15 +6,18 @@ ways: every event is realized by some section (NonContextual), some event is
 realized by no section (Contextual), or no section exists at all
 (StronglyContextual).
 
-Both search strategies run on codes in the :attr:`Scenario.bit` layout,
+Every search strategy runs on codes in the :attr:`Scenario.bit` layout,
 where ascending integers enumerate assignments in lexicographic order.
 The brute-force referee scans every code in that order against the
-cover's masks and supports.  The level-wise search of ``core``, which also
-decides the Bell route's contradictions, assigns variables in the greedy
-order of :attr:`PossibilisticModel.compiled`.  The codes it finds are
-sorted before they are listed, so both emit sections in the same order;
-:func:`classify`, which only counts them, leaves them in search order.
-Sections are decoded to :class:`Assignment` only on the way out.
+cover's masks and supports.  The section search of ``core`` takes one of
+two kernels on :attr:`PossibilisticModel.compiled`: a bit-parallel scan,
+which ANDs one 2^n-bit table per context, when the model has at most 20
+variables and a cost estimate favours it; otherwise the level-wise
+search, which assigns variables in the compiled greedy order and also
+decides the Bell route's contradictions.  The codes found are sorted
+before they are listed, so every strategy emits sections in the same
+order; :func:`classify`, which only counts them, leaves them in search
+order.  Sections are decoded to :class:`Assignment` only on the way out.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ def global_sections_bruteforce(
     """Enumerate all global sections by scanning every total assignment.
 
     Refuses scenarios with more than ``bound`` variables; kept deliberately
-    naive so it can referee the level-wise search of
+    naive so it can referee both kernels of
     :func:`global_sections_backtracking`.
     """
     # the supports, then the layout, then the bound, as ``model.compiled`` refuses them
@@ -121,16 +124,20 @@ def global_sections_bruteforce(
 def global_sections_backtracking(
     model: PossibilisticModel, deadline: float | None = None
 ) -> list[Assignment]:
-    """Enumerate all global sections by a pruned level-wise search.
+    """Enumerate all global sections by the section search of ``core``.
 
-    Variables are assigned in greedy completion order (the variable that
-    completes the most contexts first), a whole block of partial
-    assignments at a time, and a partial assignment is dropped as soon as a
-    fully assigned context falls outside its support.  The sections are
-    sorted at the end, so they come in the same lexicographic order as from
-    the brute-force scan.  ``deadline`` is a ``time.monotonic`` value;
-    exceeding it raises :class:`TimeBudgetExceeded` carrying the sections
-    found so far, in the same order.
+    Over at most 20 variables, when its cost estimate favours it, the
+    search is a bit-parallel scan: each context becomes a 2^n-bit table of
+    the assignments it allows, and the tables are ANDed.  Otherwise it is a
+    pruned level-wise search: variables are assigned in greedy completion
+    order (the variable that completes the most contexts first), a whole
+    block of partial assignments at a time, and a partial assignment is
+    dropped as soon as a fully assigned context falls outside its support.
+    The sections are sorted at the end, so they come in the same
+    lexicographic order as from the brute-force scan.  ``deadline`` is a
+    ``time.monotonic`` value; exceeding it raises
+    :class:`TimeBudgetExceeded` carrying the sections found so far, in the
+    same order.
     """
     compiled = model.compiled
     return [compiled.decode(code) for code in sorted(_search_masks(compiled, deadline))]

@@ -280,10 +280,10 @@ def jointly_contradictory(
     """Whether no total assignment of the scenario satisfies every formula.
 
     Each formula compiles to its truth table, read as its variable mask and
-    satisfying masked codes, and the section search of ``classify``
-    looks for one code that every table allows.  Sharing that search, the
-    route is refereed by ``tests/test_oracle.py`` against the independent
-    ``tools/oracle.py``.  Scenarios with more than ``bound`` variables are
+    satisfying masked codes, and the section search of ``classify``, in
+    its level-wise form, looks for one code that every table allows.
+    Sharing that search, the route is refereed by ``tests/test_oracle.py``
+    against the independent ``tools/oracle.py``.  Scenarios with more than ``bound`` variables are
     refused; ``deadline`` covers the compile and the search.
     """
     from .proplang import _compile

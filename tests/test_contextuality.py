@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 from types import SimpleNamespace
 
@@ -31,6 +32,8 @@ from choicectx import (
     warp_signalling,
 )
 from choicectx import contextuality, core
+from choicectx.cli import main
+from choicectx.modelio import serialize_model
 
 # ground truth frozen from tools/oracle.py (independent brute force)
 EXPECTED = {
@@ -315,9 +318,113 @@ class TestWitnessPassExpiry:
         models = [hardy_table(), gen_random_model(15, 12, 0.8, 1)]
         counts = [classify(m).section_count for m in models]
         assert counts[0] > 0 and counts[1] > core.DEADLINE_STRIDE
+        # the scan would find them ascending: take the level-wise search
+        monkeypatch.setattr(core, "_scan_pays", lambda compiled: False)
         monkeypatch.setattr(contextuality, "past_deadline", lambda deadline: True)
         for m, sections in zip(models, counts):
             with pytest.raises(TimeBudgetExceeded) as err:
                 classify(m, deadline=time.monotonic() + 60)
             assert err.value.partial_count == sections
             assert list(err.value.partial_sections) == global_sections_backtracking(m)
+
+
+def one_context(n, allowed):
+    """A model over ``n`` variables with one context holding them all and
+    allowing the codes ``allowed``: its sections are those codes."""
+    names = [f"x{i:02d}" for i in range(n)]
+    scenario = Scenario.make(names, [names])
+    return PossibilisticModel._from_codes(scenario, {tuple(names): frozenset(allowed)})
+
+
+class TestSearchKernels:
+    @pytest.mark.parametrize(
+        "n, k, density, seed",
+        [(16, 1, 1.0, 0), (14, 6, 0.9, 2), (15, 5, 0.9, 3), (16, 8, 0.95, 5)],
+    )
+    def test_kernels_agree_on_split_blocks(self, n, k, density, seed):
+        # thousands of sections: the level-wise search splits its blocks
+        # many times, and the scan reads them out by blocks of rows
+        compiled = gen_random_model(n, k, density, seed=seed).compiled
+        sections = core._scan_masks(compiled, None)
+        assert len(sections) > 4 * core.DEADLINE_STRIDE
+        assert sections == sorted(sections)
+        assert sorted(core._levelwise_masks(compiled, None)) == sections
+
+    def test_stopping_at_the_first_section_never_scans(self, monkeypatch):
+        # a dense open cover that the scan would enumerate
+        compiled = gen_random_model(16, 8, 0.95, seed=5).compiled
+        assert core._scan_pays(compiled)
+
+        def refuse(*args):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(core, "_scan_pays", refuse)
+        monkeypatch.setattr(core, "_scan_masks", refuse)
+        assert core._search_masks(compiled, None, first=True)
+
+    def test_scan_ignores_a_code_outside_its_context(self):
+        # the code-built event {a, b} of context {a} sets b, which {a}
+        # lacks: as in the level-wise search it is never met, so {a} allows
+        # only a = 0 although it holds as many codes as a full context
+        scenario = Scenario.make("ab", [["a"], ["b"]])
+        model = PossibilisticModel._from_codes(
+            scenario, {("a",): frozenset({0, 3}), ("b",): frozenset({0, 1})}
+        )
+        assert core._scan_masks(model.compiled, None) == [0, 1]
+        assert sorted(core._levelwise_masks(model.compiled, None)) == [0, 1]
+
+
+# sections under 1/8 of the rows, read out one by one; and most of the
+# rows, read out by blocks of rows
+SPARSE = (15, range(0, 1 << 15, 11))
+DENSE = (12, [code for code in range(1 << 12) if code % 3])
+
+
+class TestScanClock:
+    @staticmethod
+    def counting_clock(monkeypatch, expire_at=None):
+        """Patch core's clock with one that counts its reads in the list it
+        returns, reading 0.0 and, from read ``expire_at`` on, infinity."""
+        reads = []
+
+        def monotonic():
+            reads.append(1)
+            return float("inf") if expire_at is not None and len(reads) > expire_at else 0.0
+
+        monkeypatch.setattr(core, "time", SimpleNamespace(monotonic=monotonic))
+        return reads
+
+    @pytest.mark.parametrize("n, codes", [SPARSE, DENSE], ids=["sparse", "dense"])
+    def test_the_scan_reads_the_clock_every_stride(self, n, codes, monkeypatch):
+        # once before the first table, once per run of DEADLINE_STRIDE
+        # allowed codes (2,979 or 2,730: three runs), and once per run of
+        # DEADLINE_STRIDE sections (2,979: three runs) or of rows (up to
+        # the last section, 4,094: four runs)
+        reads = self.counting_clock(monkeypatch)
+        assert core._scan_masks(one_context(n, codes).compiled, 1.0) == list(codes)
+        assert len(reads) == 1 + 3 + {15: 3, 12: 4}[n]
+
+    def test_expiry_before_the_read_out_carries_no_sections(self, tmp_path, monkeypatch, capsys):
+        model = one_context(*SPARSE)
+        assert core._scan_pays(model.compiled)
+        path = tmp_path / "sparse.json"
+        path.write_text(serialize_model(model))
+        # the second read, before the table's first run of codes, has expired
+        self.counting_clock(monkeypatch, expire_at=1)
+        assert main(["classify", "--budget", "60", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert out == "inconclusive: time budget exceeded (0 sections found before expiry)\n"
+
+    @pytest.mark.parametrize("n, codes", [SPARSE, DENSE], ids=["sparse", "dense"])
+    def test_expiry_in_the_read_out_carries_an_ascending_prefix(self, n, codes, monkeypatch):
+        # the scan, whichever search the estimate picks for one wide context
+        monkeypatch.setattr(core, "_scan_pays", lambda compiled: True)
+        model = one_context(n, codes)
+        sections = global_sections_backtracking(model)
+        # expired from the read after the first run of the read-out
+        self.counting_clock(monkeypatch, expire_at=1 + math.ceil(len(codes) / core.DEADLINE_STRIDE) + 1)
+        with pytest.raises(TimeBudgetExceeded) as err:
+            global_sections_backtracking(model, deadline=0.5)
+        partial = list(err.value.partial_sections)
+        assert 0 < len(partial) <= core.DEADLINE_STRIDE
+        assert partial == sections[: len(partial)]

@@ -7,6 +7,7 @@ search, the inequality route and the axiom checks on random models.
 """
 
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -16,12 +17,14 @@ from hypothesis import strategies as st
 from choicectx import (
     NotContradictory,
     PossibilisticModel,
+    Scenario,
     audit,
     bell_violation,
     check_no_signalling,
     check_weak_axiom,
     classify,
     gen_random_model,
+    global_sections_bruteforce,
     intersection_closed,
     is_choice_structure,
     overlap_property,
@@ -30,7 +33,7 @@ from choicectx import (
     support_propositions,
     uniform_over_support,
 )
-from choicectx.core import EXHAUSTIVE_BOUND_DEFAULT
+from choicectx.core import EXHAUSTIVE_BOUND_DEFAULT, _levelwise_masks, _mask, _scan_masks
 from choicectx.probabilistic import _violation
 from choicectx.proplang import _read_tables
 
@@ -181,3 +184,59 @@ def test_theorem_checks_match_oracle(n, k, density, seed, closed, one_event, pic
         not set(a) & set(b) for i, a in enumerate(supports) for b in list(supports)[:i]
     )
     assert checks[2].detail.endswith("skipped by the overlap quantifier)") is disjoint
+
+
+def random_cover(n, k, density, seed, stray):
+    """A code-built model over ``n`` variables and ``k`` random contexts
+    (fewer when two coincide), each code of a context kept with probability
+    ``density``; with ``stray``, one event of a context that lacks a
+    variable also sets that variable, as only a code-built model can."""
+    rng = random.Random(seed)
+    names = [f"v{i:02d}" for i in range(n)]
+    contexts = [rng.sample(names, rng.randint(1, n)) for _ in range(k)]
+    scenario = Scenario.make(names, contexts)
+    codes = {}
+    for context, cmask in zip(scenario.cover, scenario._masks):
+        # every code inside the context's mask, from the full mask down to 0
+        inside, sub = [], cmask
+        while True:
+            inside.append(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & cmask
+        codes[context] = {code for code in inside if rng.random() < density}
+        if stray and len(context) < n:
+            outside = _mask(scenario.bit, [rng.choice(sorted(set(names) - set(context)))])
+            codes[context].add(rng.choice(inside) | outside)
+            stray = False
+    return PossibilisticModel._from_codes(scenario, {c: frozenset(v) for c, v in codes.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 14),
+    k=st.integers(1, 40),
+    density=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+    empty_cover=st.booleans(),
+    stray=st.booleans(),
+)
+def test_search_kernels_agree(n, k, density, seed, empty_cover, stray):
+    # the scan and the level-wise search find the same sections as the
+    # brute-force referee, whichever one the cost estimate would pick
+    model = random_cover(n, 0 if empty_cover or not n else k, density, seed, stray)
+    compiled = model.compiled
+    expected = [_mask(compiled.bit, s.support()) for s in global_sections_bruteforce(model)]
+    assert _scan_masks(compiled, None) == expected
+    assert sorted(_levelwise_masks(compiled, None)) == expected
+    # the oracle reads the variables off the cover, so it sees them all
+    # only when every variable is covered
+    covered = set().union(*map(set, model.scenario.cover))
+    if n <= 10 and len(covered) == n:
+        kind, witness, count = oracle.classify(oracle_supports(model))
+        ours = classify(model)
+        ours_witness = None
+        if ours.witness_event is not None:
+            context, event = ours.witness_event
+            ours_witness = (context, tuple(sorted(event)))
+        assert (ours.kind.value, ours_witness, ours.section_count) == (kind, witness, count)
