@@ -374,7 +374,9 @@ class _Compiled:
     contexts, ties going to the largest sum of 1/|unassigned variables| over
     the open contexts that hold it, then to scenario order.
     ``completed_at[d]`` lists the contexts whose last variable is
-    ``order[d]``; a context with no variables is in ``completed_at[0]``.
+    ``order[d]``; a context with no variables is checked by the block
+    :func:`_levelwise_masks` starts from, and is also listed first in
+    ``completed_at[0]`` when there is a variable.
 
     Every context holding a free variable is open, so each variable's
     score reads only its own list of the contexts that hold it, kept in
@@ -413,24 +415,21 @@ class _Compiled:
             completed = []
 
 
-def _search_masks(
-    compiled: _Compiled, deadline: float | None, first: bool = False
-) -> list[int]:
-    """Codes that meet every constraint of ``compiled``, in no fixed order;
-    with ``first``, the search stops at the first complete code, so the
-    result is empty exactly when no code meets them all.  Without it,
-    finding more than :data:`TABLE_ROWS_LIMIT` codes raises
+def _search_masks(compiled: _Compiled, deadline: float | None) -> list[int]:
+    """Every code that meets every constraint of ``compiled``, in no fixed
+    order: the section search's entry for every section, as ``classify``
+    asks; the Bell route's, for any one, is :func:`_levelwise_masks` with
+    ``first``.  Finding more than :data:`TABLE_ROWS_LIMIT` codes raises
     :class:`TooLarge`, which bounds the memory the found codes take.
 
-    Enumerating every code over at most 20 variables (2^n rows within
-    :data:`TABLE_ROWS_LIMIT`), the search takes the bit-parallel scan of
-    :func:`_scan_masks` when :func:`_scan_pays` estimates it cheaper, and
-    the level-wise search of :func:`_levelwise_masks` otherwise; with
-    ``first``, always the level-wise search, which can stop early.
+    Over at most 20 variables (2^n rows within :data:`TABLE_ROWS_LIMIT`),
+    the search takes the bit-parallel scan of :func:`_scan_masks` when
+    :func:`_scan_pays` estimates it cheaper, and the level-wise search of
+    :func:`_levelwise_masks` otherwise.
     """
-    if not first and 1 << compiled.n <= TABLE_ROWS_LIMIT and _scan_pays(compiled):
+    if 1 << compiled.n <= TABLE_ROWS_LIMIT and _scan_pays(compiled):
         return _scan_masks(compiled, deadline)
-    return _levelwise_masks(compiled, deadline, first)
+    return _levelwise_masks(compiled, deadline)
 
 
 # the costs that choose between the two searches, in allowed-set tests of
@@ -467,7 +466,8 @@ def _scan_pays(compiled: _Compiled) -> bool:
     return scan < tests
 
 
-# byte values of the characters "0" and "1" mapped to 0 and 1
+# "0"/"1" characters of a printed binary number (a scan's rows, a truth
+# table's) to the bytes 0/1
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
@@ -541,17 +541,21 @@ def _scan_masks(compiled: _Compiled, deadline: float | None) -> list[int]:
 def _levelwise_masks(
     compiled: _Compiled, deadline: float | None, first: bool = False
 ) -> list[int]:
-    """Codes that meet every constraint of ``compiled``, in search order,
-    with ``first`` and the limit as for :func:`_search_masks`.
+    """Codes that meet every constraint of ``compiled``, in search order:
+    every one, under the limit of :func:`_search_masks`; or, with ``first``,
+    the Bell route's entry, up to the first complete one, so the result is
+    empty exactly when no code meets them all.
 
-    Level-wise search in ``compiled.order``: a block of partial codes is
-    extended by the next variable and filtered by every context that
-    variable completes.  A block over :data:`DEADLINE_STRIDE` codes is split
-    into parts on an explicit stack and finished part by part, which bounds
-    the memory held; the clock is read once per block step.
+    Level-wise search in ``compiled.order`` from the block ``[0]``, or
+    ``[]`` when a context with no variables does not allow code 0: a block
+    of partial codes is extended by the next variable and filtered by every
+    context that variable completes.  A block over :data:`DEADLINE_STRIDE`
+    codes is split into parts on an explicit stack and finished part by
+    part, which bounds the memory held; the clock is read once per block step.
     """
     found: list[int] = []
-    stack = [(0, [0])]
+    constant = [0 in allowed for cmask, allowed in compiled.contexts if not cmask]
+    stack = [(0, [0] if all(constant) else [])]
     while stack:
         depth, block = stack.pop()
         while block and depth < compiled.n and len(block) <= DEADLINE_STRIDE:

@@ -33,8 +33,8 @@ from .core import (
     _decoder,
     _failing,
     _in_shortlex,
+    _levelwise_masks,
     _passing,
-    _search_masks,
     _structure_fault,
     canonical_context,
 )
@@ -232,12 +232,9 @@ def _probability(table: tuple[int, frozenset[int]], entries: Entries) -> float:
 def _satisfiable(
     tables: list[tuple[int, frozenset[int]]], bit: Mapping[str, int], deadline: float | None
 ) -> bool:
-    """Whether some code in the layout ``bit`` meets every truth table: not
-    if a table has no satisfying row, else as the section search, stopped
-    at its first complete code, finds."""
-    return all(satisfying for _, satisfying in tables) and bool(
-        _search_masks(_Compiled(bit, tables), deadline, first=True)
-    )
+    """Whether some code in the layout ``bit`` meets every truth table, by
+    the section search's entry for any one code (see :func:`_levelwise_masks`)."""
+    return bool(_levelwise_masks(_Compiled(bit, tables), deadline, first=True))
 
 
 def _violation(
@@ -280,11 +277,12 @@ def jointly_contradictory(
     """Whether no total assignment of the scenario satisfies every formula.
 
     Each formula compiles to its truth table, read as its variable mask and
-    satisfying masked codes, and the section search of ``classify``, in
-    its level-wise form, looks for one code that every table allows.
-    Sharing that search, the route is refereed by ``tests/test_oracle.py``
-    against the independent ``tools/oracle.py``.  Scenarios with more than ``bound`` variables are
-    refused; ``deadline`` covers the compile and the search.
+    satisfying masked codes.  The section search's entry for any one code,
+    the level-wise search stopped at its first, looks for one that every
+    table allows (``classify`` takes the entry for every code).  Sharing
+    that search, the route is refereed by ``tests/test_oracle.py`` against
+    the independent ``tools/oracle.py``.  Scenarios with more than ``bound``
+    variables are refused; ``deadline`` covers the compile and the search.
     """
     from .proplang import _compile
 

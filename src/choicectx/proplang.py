@@ -47,6 +47,7 @@ from .core import (
     IDENTIFIER,
     TABLE_ROWS_LIMIT,
     VARIABLE_RE,
+    _BIT_FLAGS,
     Context,
     Scenario,
     _check_bound,
@@ -420,10 +421,6 @@ class _Parser:
             self.negate(count)
 
 
-# "0"/"1" characters of a printed truth table to the bytes 0/1
-_ROW_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
 def _patterns(k: int) -> list[int]:
     """The truth table over ``2^k`` rows of each of ``k`` variables, in
     order: row ``i`` binds the ``j``-th variable to bit ``j`` of ``i``."""
@@ -446,7 +443,7 @@ def _satisfying(
     """The variable mask of ``names`` and the masked codes of the set rows
     of their truth table ``table``, read as :func:`_patterns` lays it out;
     ``deadline`` is read before each block of rows."""
-    flags = format(table, f"0{1 << len(names)}b")[::-1].encode().translate(_ROW_FLAGS)
+    flags = format(table, f"0{1 << len(names)}b")[::-1].encode().translate(_BIT_FLAGS)
     satisfying: list[int] = []
     for block in _set_rows(names, bit, flags):
         if past_deadline(deadline):

@@ -10,6 +10,7 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations, product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -549,7 +550,7 @@ class TestBellCommand:
 
     def test_byte_order_mark_is_ignored(self, pr_dist_file, pr_props_file, tmp_path, capsys):
         props = tmp_path / "bom.props"
-        props.write_bytes(b"\xef\xbb\xbf" + open(pr_props_file, "rb").read())
+        props.write_bytes(b"\xef\xbb\xbf" + Path(pr_props_file).read_bytes())
         rc = main(["bell", "--machine", pr_dist_file, "--props", str(props)])
         assert rc == 0
         assert json.loads(capsys.readouterr().out) == {"formulas": 4, "violation": 1.0}
@@ -558,7 +559,7 @@ class TestBellCommand:
         self, pr_dist_file, pr_props_file, tmp_path, capsys
     ):
         bom = tmp_path / "bom.json"
-        bom.write_bytes(b"\xef\xbb\xbf" + open(pr_dist_file, "rb").read())
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(pr_dist_file).read_bytes())
         for argv in (["classify"], ["bell", "--props", pr_props_file]):
             outputs = []
             for path in (pr_dist_file, str(bom)):

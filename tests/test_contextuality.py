@@ -34,6 +34,7 @@ from choicectx import (
 from choicectx import contextuality, core
 from choicectx.cli import main
 from choicectx.modelio import serialize_model
+from choicectx.probabilistic import _satisfiable
 
 # ground truth frozen from tools/oracle.py (independent brute force)
 EXPECTED = {
@@ -271,7 +272,7 @@ class TestSectionSearch:
             with pytest.raises(TooLarge, match="over 1,000 global sections"):
                 search(m)
         # stopping at the first section holds no more than one block
-        assert core._search_masks(m.compiled, None, first=True)
+        assert core._levelwise_masks(m.compiled, None, first=True)
         monkeypatch.setattr(core, "TABLE_ROWS_LIMIT", 4096)
         assert classify(m).section_count == 4096
 
@@ -351,7 +352,8 @@ class TestSearchKernels:
         assert sorted(core._levelwise_masks(compiled, None)) == sections
 
     def test_stopping_at_the_first_section_never_scans(self, monkeypatch):
-        # a dense open cover that the scan would enumerate
+        # a dense open cover that the scan would enumerate, asked whether
+        # it has a section as the Bell route asks its truth tables
         compiled = gen_random_model(16, 8, 0.95, seed=5).compiled
         assert core._scan_pays(compiled)
 
@@ -360,7 +362,7 @@ class TestSearchKernels:
 
         monkeypatch.setattr(core, "_scan_pays", refuse)
         monkeypatch.setattr(core, "_scan_masks", refuse)
-        assert core._search_masks(compiled, None, first=True)
+        assert _satisfiable(compiled.contexts, compiled.bit, None)
 
     def test_scan_ignores_a_code_outside_its_context(self):
         # the code-built event {a, b} of context {a} sets b, which {a}

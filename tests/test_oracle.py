@@ -8,6 +8,7 @@ search, the inequality route and the axiom checks on random models.
 
 import importlib.util
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from choicectx import (
+    Assignment,
+    Const,
     NotContradictory,
     PossibilisticModel,
     Scenario,
@@ -24,9 +27,12 @@ from choicectx import (
     check_weak_axiom,
     classify,
     gen_random_model,
+    global_sections_backtracking,
     global_sections_bruteforce,
     intersection_closed,
     is_choice_structure,
+    is_global_section,
+    jointly_contradictory,
     overlap_property,
     parse_propositions,
     strong_contextuality_via_bell,
@@ -186,14 +192,15 @@ def test_theorem_checks_match_oracle(n, k, density, seed, closed, one_event, pic
     assert checks[2].detail.endswith("skipped by the overlap quantifier)") is disjoint
 
 
-def random_cover(n, k, density, seed, stray):
+def random_cover(n, k, density, seed, stray, constant=False):
     """A code-built model over ``n`` variables and ``k`` random contexts
     (fewer when two coincide), each code of a context kept with probability
     ``density``; with ``stray``, one event of a context that lacks a
-    variable also sets that variable, as only a code-built model can."""
+    variable also sets that variable, as only a code-built model can; with
+    ``constant``, the cover also holds the context with no variables."""
     rng = random.Random(seed)
     names = [f"v{i:02d}" for i in range(n)]
-    contexts = [rng.sample(names, rng.randint(1, n)) for _ in range(k)]
+    contexts = [rng.sample(names, rng.randint(1, n)) for _ in range(k)] + [[]] * constant
     scenario = Scenario.make(names, contexts)
     codes = {}
     for context, cmask in zip(scenario.cover, scenario._masks):
@@ -220,11 +227,13 @@ def random_cover(n, k, density, seed, stray):
     seed=st.integers(0, 2**32 - 1),
     empty_cover=st.booleans(),
     stray=st.booleans(),
+    constant=st.booleans(),
 )
-def test_search_kernels_agree(n, k, density, seed, empty_cover, stray):
+def test_search_kernels_agree(n, k, density, seed, empty_cover, stray, constant):
     # the scan and the level-wise search find the same sections as the
-    # brute-force referee, whichever one the cost estimate would pick
-    model = random_cover(n, 0 if empty_cover or not n else k, density, seed, stray)
+    # brute-force referee, whichever one the cost estimate would pick; a
+    # context with no variables is checked also when there is no variable
+    model = random_cover(n, 0 if empty_cover or not n else k, density, seed, stray, constant)
     compiled = model.compiled
     expected = [_mask(compiled.bit, s.support()) for s in global_sections_bruteforce(model)]
     assert _scan_masks(compiled, None) == expected
@@ -240,3 +249,25 @@ def test_search_kernels_agree(n, k, density, seed, empty_cover, stray):
             context, event = ours.witness_event
             ours_witness = (context, tuple(sorted(event)))
         assert (ours.kind.value, ours_witness, ours.section_count) == (kind, witness, count)
+
+
+@pytest.mark.parametrize("events", [[], [set()]])
+@pytest.mark.parametrize("names", [[], ["a"], ["a", "b"]])
+def test_a_context_with_no_variables(names, events):
+    # the context with no variables allows the empty event or nothing: every
+    # search and the referee find each assignment a section or none
+    scenario = Scenario.make(names, [[], *([v] for v in names)])
+    supports = {(): events, **{(v,): [set(), {v}] for v in names}}
+    model = PossibilisticModel.make(scenario, supports)
+    sections = global_sections_bruteforce(model)
+    assert len(sections) == (1 << len(names) if events else 0)
+    assert global_sections_backtracking(model) == sections
+    for bits in product((0, 1), repeat=len(names)):
+        assignment = Assignment.make(zip(names, bits))
+        assert is_global_section(assignment, model) is (assignment in sections)
+    ours = classify(model)
+    assert ours.section_count == len(sections)
+    assert (ours.kind.value, ours.witness_event) == oracle.classify(supports)[:2]
+    # constant formulas are such contexts on the inequality route
+    assert jointly_contradictory([Const(False)], scenario)
+    assert not jointly_contradictory([Const(True)], scenario)
