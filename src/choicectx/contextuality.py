@@ -11,13 +11,15 @@ where ascending integers enumerate assignments in lexicographic order.
 The brute-force referee scans every code in that order against the
 cover's masks and supports.  The section search of ``core`` takes one of
 two kernels on :attr:`PossibilisticModel.compiled`: a bit-parallel scan,
-which ANDs one 2^n-bit table per context, when the model has at most 20
-variables and a cost estimate favours it; otherwise the level-wise
-search, which assigns variables in the compiled greedy order and also
-decides the Bell route's contradictions.  The codes found are sorted
-before they are listed, so every strategy emits sections in the same
-order; :func:`classify`, which only counts them, leaves them in search
-order.  Sections are decoded to :class:`Assignment` only on the way out.
+which ANDs one 2^n-bit table per context into the set of all sections,
+when a cost estimate favours it; otherwise the level-wise search, which
+assigns variables in the compiled greedy order and also decides the Bell
+route's contradictions.  Listed sections are sorted, so every strategy
+emits them in the same order; the scan lists them over at most 20
+variables.  :func:`classify` never lists the scan's sections: it counts
+them and finds its witness on the ANDed set itself, over at most 24
+variables, and takes the level-wise search's sections in search order.
+Sections are decoded to :class:`Assignment` only on the way out.
 """
 
 from __future__ import annotations
@@ -30,15 +32,20 @@ from operator import and_
 from .core import (
     DEADLINE_STRIDE,
     EXHAUSTIVE_BOUND_DEFAULT,
+    SCAN_ROWS_LIMIT,
     Assignment,
     Context,
     Event,
     PossibilisticModel,
     _check_bound,
     _decoder,
+    _levelwise_masks,
     _mask,
+    _scan_bits,
     _search_masks,
+    _SetCodes,
     _shortlex_key,
+    _takes_scan,
     past_deadline,
 )
 from .errors import DomainMismatch, TimeBudgetExceeded
@@ -153,9 +160,19 @@ def classify(
     the :attr:`Scenario.bit` layout is the key ``(code.bit_count(), -code)``;
     only the least unrealized code is decoded.  ``deadline`` covers both
     the search and the pass that finds the witness.
+
+    When the section search takes the bit-parallel scan (over at most 24
+    variables, :data:`core.SCAN_ROWS_LIMIT`), the count and the witness
+    are read off its bitset of sections (:func:`_classify_bits`), so no
+    section is listed or limited in number.  Otherwise the level-wise
+    search lists the sections, at most :data:`core.TABLE_ROWS_LIMIT`, and
+    each context collects their restrictions in runs of at most
+    :data:`DEADLINE_STRIDE` sections, reading the clock before each.
     """
     compiled = model.compiled
-    sections = _search_masks(compiled, deadline)
+    if _takes_scan(compiled, SCAN_ROWS_LIMIT):
+        return _classify_bits(model, _scan_bits(compiled, deadline), deadline)
+    sections = _levelwise_masks(compiled, deadline)
     if not sections:
         return Classification(Kind.STRONGLY_CONTEXTUAL, None, 0)
     for context, (cmask, allowed) in zip(model.scenario.cover, compiled.contexts):
@@ -172,3 +189,42 @@ def classify(
             event = frozenset(model.scenario._names(min(unrealized, key=_shortlex_key)))
             return Classification(Kind.CONTEXTUAL, (context, event), len(sections))
     return Classification(Kind.NONCONTEXTUAL, None, len(sections))
+
+
+def _classify_bits(
+    model: PossibilisticModel, sections: int, deadline: float | None
+) -> Classification:
+    """:func:`classify` on the scan's bitset ``sections``, whose bit ``r``
+    is set when code ``r`` is a section.
+
+    The count is the bitset's ``bit_count()``.  A context's realized codes
+    are the bitset folded over every variable the context lacks, so that
+    bit ``r`` is set when some section agrees with ``r`` off them, kept on
+    the rows with no bit outside the context; a code-built event outside
+    its context lands on no such row and stays unrealized.  The clock is
+    read before each context's fold; an expiry carries the sections as
+    :class:`core._SetCodes`, counted without reading them out.
+    """
+    if not sections:
+        return Classification(Kind.STRONGLY_CONTEXTUAL, None, 0)
+    compiled = model.compiled
+    n = compiled.n
+    for context, (cmask, allowed) in zip(model.scenario.cover, compiled.contexts):
+        if past_deadline(deadline):
+            raise TimeBudgetExceeded(
+                partial_codes=_SetCodes(sections, compiled), decode=compiled.decode
+            )
+        realized, inside = sections, 1
+        for j in range(n):
+            if cmask >> j & 1:
+                inside |= inside << (1 << j)
+            else:
+                realized |= realized >> (1 << j)
+        realized &= inside
+        # realized holds only allowed codes, so equal sizes mean all are realized
+        if realized.bit_count() != len(allowed):
+            flags = realized.to_bytes(((1 << n) + 7) >> 3, "little")
+            unrealized = [code for code in allowed if not flags[code >> 3] >> (code & 7) & 1]
+            event = frozenset(model.scenario._names(min(unrealized, key=_shortlex_key)))
+            return Classification(Kind.CONTEXTUAL, (context, event), sections.bit_count())
+    return Classification(Kind.NONCONTEXTUAL, None, sections.bit_count())

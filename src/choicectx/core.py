@@ -54,15 +54,24 @@ EXHAUSTIVE_BOUND_DEFAULT = 24
 # compile, sections of the witness pass, partial codes of a level-wise
 # search block (a block over it is split, and the search reads once per
 # block step), and the bit-parallel scan's allowed codes set in a table
-# and sections or rows read out (it also reads once before its first table)
+# and sections or rows read out (it also reads once before its first
+# table); the witness pass on the scan's bitset reads once per context,
+# before folding the bitset onto it, so its unit is one fold
 DEADLINE_STRIDE = 1024
 
 # most table rows the package builds for one input, summed over its tables:
 # gen's support tables (2^|context| each) and the Bell route's truth tables
 # (2^k each for a formula over k variables); also the most global sections
 # the section search holds, and the most rows (2^n for n variables) of the
-# bit-parallel scan's tables, so the scan runs on at most 20 variables
+# bit-parallel scan's tables when it lists its sections, so listing them
+# scans at most 20 variables; classify, which counts the scan's sections
+# on its bitset, is bounded by SCAN_ROWS_LIMIT instead
 TABLE_ROWS_LIMIT = 1 << 20
+
+# most rows (2^n for n variables) of the bit-parallel scan's tables when
+# classify reads its answer off the ANDed bitset, holding no section list:
+# 24 variables, 2 MB per table
+SCAN_ROWS_LIMIT = 1 << 24
 
 # most variables a scenario lays out: the layout gives each variable an int
 # as wide as its bit position, about n^2/16 bytes in all (17 MB at 2^14)
@@ -417,19 +426,25 @@ class _Compiled:
 
 def _search_masks(compiled: _Compiled, deadline: float | None) -> list[int]:
     """Every code that meets every constraint of ``compiled``, in no fixed
-    order: the section search's entry for every section, as ``classify``
-    asks; the Bell route's, for any one, is :func:`_levelwise_masks` with
-    ``first``.  Finding more than :data:`TABLE_ROWS_LIMIT` codes raises
-    :class:`TooLarge`, which bounds the memory the found codes take.
+    order: the section search's entry for every section, as
+    ``global_sections_backtracking`` asks; the Bell route's, for any one,
+    is :func:`_levelwise_masks` with ``first``.  Finding more than
+    :data:`TABLE_ROWS_LIMIT` codes raises :class:`TooLarge`, which bounds
+    the memory the found codes take.
 
-    Over at most 20 variables (2^n rows within :data:`TABLE_ROWS_LIMIT`),
-    the search takes the bit-parallel scan of :func:`_scan_masks` when
-    :func:`_scan_pays` estimates it cheaper, and the level-wise search of
-    :func:`_levelwise_masks` otherwise.
+    It takes the bit-parallel scan of :func:`_scan_masks` when
+    :func:`_takes_scan` picks it within :data:`TABLE_ROWS_LIMIT` rows, and
+    the level-wise search of :func:`_levelwise_masks` otherwise.
     """
-    if 1 << compiled.n <= TABLE_ROWS_LIMIT and _scan_pays(compiled):
+    if _takes_scan(compiled, TABLE_ROWS_LIMIT):
         return _scan_masks(compiled, deadline)
     return _levelwise_masks(compiled, deadline)
+
+
+def _takes_scan(compiled: _Compiled, rows_limit: int) -> bool:
+    """Whether a section search takes the bit-parallel scan: its 2^n rows
+    are within ``rows_limit`` and :func:`_scan_pays` estimates it cheaper."""
+    return 1 << compiled.n <= rows_limit and _scan_pays(compiled)
 
 
 # the costs that choose between the two searches, in allowed-set tests of
@@ -471,26 +486,21 @@ def _scan_pays(compiled: _Compiled) -> bool:
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _scan_masks(compiled: _Compiled, deadline: float | None) -> list[int]:
-    """Codes that meet every constraint of ``compiled``, ascending: a scan
-    of all 2^n codes at once, in a layout whose bits are the ``n`` lowest,
-    as a scenario's are; :func:`_search_masks` runs it only while 2^n is
-    within :data:`TABLE_ROWS_LIMIT`.
+def _scan_bits(compiled: _Compiled, deadline: float | None) -> int:
+    """The codes that meet every constraint of ``compiled`` as one 2^n-bit
+    int, bit ``r`` set when code ``r`` does: a scan of all 2^n codes at
+    once, in a layout whose bits are the ``n`` lowest, as a scenario's are.
 
     Each context becomes its table, a 2^n-bit int whose bit ``r`` is set
     when code ``r`` restricts to an allowed code: the allowed codes inside
     the context mask are set (the level-wise search never matches one
     outside it), then copied over every variable the context lacks.  A
     context allowing every code of its variables gets no table.  The
-    tables are ANDed, stopping at 0, and the set rows are read out by
-    ``str.find`` when few, or by :func:`itertools.compress` over blocks of
-    rows when at least 1/8 of them are set.
+    tables are ANDed, stopping at 0.
 
-    The clock is read before the first table, before each run of at most
-    :data:`DEADLINE_STRIDE` allowed codes set in a table, and before each
-    run of at most that many sections (in the block read-out, rows) read
-    out.  An expiry before the read-out carries no sections; one during it
-    carries the ascending codes read out so far.
+    The clock is read before the first table and before each run of at
+    most :data:`DEADLINE_STRIDE` allowed codes set in a table; an expiry
+    carries no sections.
     """
     n, rows = compiled.n, 1 << compiled.n
     if past_deadline(deadline):
@@ -514,7 +524,29 @@ def _scan_masks(compiled: _Compiled, deadline: float | None) -> list[int]:
                 rows_set |= rows_set << (1 << j)
         sections &= rows_set
         if not sections:
-            return []
+            break
+    return sections
+
+
+def _scan_masks(compiled: _Compiled, deadline: float | None) -> list[int]:
+    """Codes that meet every constraint of ``compiled``, ascending: the
+    bitset of :func:`_scan_bits` read out by :func:`_read_out`;
+    :func:`_search_masks` runs it only while 2^n is within
+    :data:`TABLE_ROWS_LIMIT`.  The clock is read as both read it.
+    """
+    return _read_out(_scan_bits(compiled, deadline), compiled, deadline)
+
+
+def _read_out(sections: int, compiled: _Compiled, deadline: float | None) -> list[int]:
+    """The set bits of the scan's bitset ``sections``, ascending: by
+    ``str.find`` when few, or by :func:`itertools.compress` over blocks of
+    rows when at least 1/8 of the 2^n rows are set.
+
+    The clock is read before each run of at most :data:`DEADLINE_STRIDE`
+    sections (in the block read-out, rows) read out; an expiry carries the
+    ascending codes read out so far.
+    """
+    rows = 1 << compiled.n
     # bits[r] is "1" when code r is a section
     bits = bin(sections)[:1:-1]
     found: list[int] = []
@@ -536,6 +568,22 @@ def _scan_masks(compiled: _Compiled, deadline: float | None) -> list[int]:
             if code < 0:
                 break
     return found
+
+
+class _SetCodes:
+    """The sections of the scan's bitset ``sections`` as an expiry in the
+    witness pass carries them: counted off the bitset, and read out
+    ascending by :func:`_read_out` only when iterated."""
+
+    def __init__(self, sections: int, compiled: _Compiled):
+        self.sections = sections
+        self.compiled = compiled
+
+    def __len__(self) -> int:
+        return self.sections.bit_count()
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(_read_out(self.sections, self.compiled, None))
 
 
 def _levelwise_masks(

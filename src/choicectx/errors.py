@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Collection
 
 
 class ChoiceCtxError(Exception):
@@ -30,7 +30,9 @@ class TooLarge(ChoiceCtxError):
     """An input would exceed a bound: the configured variable bound,
     ``core.TABLE_ROWS_LIMIT`` on table rows or on the global sections a
     search holds, or ``core.VARIABLES_LIMIT`` on the variables a scenario
-    lays out."""
+    lays out.  ``core.SCAN_ROWS_LIMIT`` raises nothing: over it,
+    ``classify`` takes the level-wise search, which lists its sections
+    under ``core.TABLE_ROWS_LIMIT``."""
 
 
 class TimeBudgetExceeded(ChoiceCtxError):
@@ -40,7 +42,8 @@ class TimeBudgetExceeded(ChoiceCtxError):
     ``core.DEADLINE_STRIDE`` units of its work, so expiry is seen within one
     run.  ``partial_sections`` holds the sections found before expiry,
     decoded from ``partial_codes`` by ``decode`` on first access;
-    ``partial_count`` is their number, read without decoding.  The Bell
+    ``partial_count`` is their number, read without decoding (from the
+    witness pass on the scan's bitset, without even listing them).  The Bell
     route counts no sections, so from it both are empty and the CLI reports
     no count.  The result is inconclusive, not a verdict.
     """
@@ -48,7 +51,7 @@ class TimeBudgetExceeded(ChoiceCtxError):
     def __init__(
         self,
         message: str = "time budget exceeded",
-        partial_codes: Sequence[int] = (),
+        partial_codes: Collection[int] = (),
         decode: Callable[[int], object] | None = None,
     ):
         super().__init__(message)

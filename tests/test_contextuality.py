@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 from types import SimpleNamespace
@@ -211,8 +212,10 @@ class TestSectionSearch:
         assert all(is_global_section(s, m) for s in partial)
 
     def test_expiry_counts_partials_before_decoding(self, monkeypatch):
+        # the scan reads the clock once (its one context allows every code,
+        # so it builds no table); the witness pass's first fold read expires
         reads = itertools.count()
-        clock = SimpleNamespace(monotonic=lambda: float(next(reads) >= 40))
+        clock = SimpleNamespace(monotonic=lambda: float(next(reads) >= 1))
         monkeypatch.setattr(core, "time", clock)
         m = gen_random_model(16, 1, 1.0, seed=0)
         with pytest.raises(TimeBudgetExceeded) as err:
@@ -265,7 +268,9 @@ class TestSectionSearch:
         assert result.kind is Kind.NONCONTEXTUAL
 
     def test_found_sections_are_bounded(self, monkeypatch):
-        # 4,096 sections, over a limit of 1,000: refused, not held
+        # 4,096 sections, over a limit of 1,000: refused, not held.  Only
+        # the level-wise search holds classify's sections: take it
+        monkeypatch.setattr(core, "_scan_pays", lambda compiled: False)
         monkeypatch.setattr(core, "TABLE_ROWS_LIMIT", 1000)
         m = gen_random_model(12, 1, 1.0, seed=0)
         for search in (classify, global_sections_backtracking):
@@ -376,6 +381,49 @@ class TestSearchKernels:
         assert sorted(core._levelwise_masks(model.compiled, None)) == [0, 1]
 
 
+def free_singletons(n):
+    """A model over ``n`` variables, each alone in a context that allows
+    both its values: all 2^n codes are sections."""
+    names = [f"x{i:02d}" for i in range(n)]
+    scenario = Scenario.make(names, [[v] for v in names])
+    return PossibilisticModel.make(scenario, {(v,): [[], [v]] for v in names})
+
+
+class TestBitsetClassify:
+    def test_counts_sections_it_does_not_hold(self, monkeypatch):
+        # 4,096 sections, over a section limit of 1,000: classify counts
+        # them on the scan's bitset, and only the listing refuses them
+        monkeypatch.setattr(core, "TABLE_ROWS_LIMIT", 1000)
+        m = gen_random_model(12, 1, 1.0, seed=0)
+        assert core._scan_pays(m.compiled)
+        assert classify(m).section_count == 4096
+        with pytest.raises(TooLarge, match="over 1,000 global sections"):
+            global_sections_backtracking(m)
+
+    def test_over_the_section_limit_up_to_the_scan_limit(self):
+        # 21 free singletons: 2^21 sections, over TABLE_ROWS_LIMIT, within
+        # the scan's 2^24 rows
+        m = free_singletons(21)
+        assert 1 << 21 > core.TABLE_ROWS_LIMIT and 1 << 21 <= core.SCAN_ROWS_LIMIT
+        assert classify(m) == contextuality.Classification(Kind.NONCONTEXTUAL, None, 1 << 21)
+        with pytest.raises(TooLarge, match="global sections"):
+            global_sections_backtracking(m)
+
+    def test_code_built_event_outside_its_context_stays_unrealized(self, monkeypatch):
+        # {a} allows a = 0 and the stray code {a, b}, which sets b: no
+        # section restricts to it, so it is the witness on both paths
+        scenario = Scenario.make("ab", [["a"], ["b"]])
+        model = PossibilisticModel._from_codes(
+            scenario, {("a",): frozenset({0, 3}), ("b",): frozenset({0, 1})}
+        )
+        witness = (("a",), frozenset({"a", "b"}))
+        expected = contextuality.Classification(Kind.CONTEXTUAL, witness, 2)
+        monkeypatch.setattr(core, "_scan_pays", lambda compiled: True)
+        assert classify(model) == expected
+        monkeypatch.setattr(core, "_scan_pays", lambda compiled: False)
+        assert classify(model) == expected
+
+
 # sections under 1/8 of the rows, read out one by one; and most of the
 # rows, read out by blocks of rows
 SPARSE = (15, range(0, 1 << 15, 11))
@@ -430,3 +478,41 @@ class TestScanClock:
         partial = list(err.value.partial_sections)
         assert 0 < len(partial) <= core.DEADLINE_STRIDE
         assert partial == sections[: len(partial)]
+
+    @pytest.mark.parametrize(
+        "build",
+        [double_headed_coin, hardy_table, pr_box, lambda: free_singletons(12),
+         lambda: gen_random_model(14, 6, 0.9, seed=2)],
+        ids=["noncontextual", "contextual", "strongly", "singletons", "generated"],
+    )
+    def test_the_witness_pass_reads_the_clock_once_per_fold(self, build, monkeypatch):
+        # the scan's own reads, then one before each context's fold up to
+        # the witness's context; none when there is no section
+        monkeypatch.setattr(core, "_scan_pays", lambda compiled: True)
+        model = build()
+        result = classify(model)
+        cover = model.scenario.cover
+        folds = len(cover) if result.witness_event is None else cover.index(result.witness_event[0]) + 1
+        reads = self.counting_clock(monkeypatch)
+        core._scan_bits(model.compiled, 1.0)
+        scan_reads = len(reads)
+        reads.clear()
+        assert classify(model, deadline=1.0) == result
+        assert len(reads) == scan_reads + (folds if result.section_count else 0)
+
+    @pytest.mark.parametrize("machine", [False, True], ids=["text", "machine"])
+    def test_expiry_in_the_witness_pass_counts_every_section(self, machine, tmp_path, monkeypatch, capsys):
+        model = one_context(*SPARSE)
+        assert core._scan_pays(model.compiled)
+        path = tmp_path / "sparse.json"
+        path.write_text(serialize_model(model))
+        # the scan reads once, then before each of its three runs of codes;
+        # the first fold's read, after them, has expired
+        self.counting_clock(monkeypatch, expire_at=4)
+        assert main(["classify", "--budget", "60", *["--machine"] * machine, str(path)]) == 3
+        out = capsys.readouterr().out
+        count = len(SPARSE[1])
+        if machine:
+            assert json.loads(out)["partial_section_count"] == count
+        else:
+            assert out == f"inconclusive: time budget exceeded ({count} sections found before expiry)\n"

@@ -10,6 +10,7 @@ import importlib.util
 import random
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -39,6 +40,7 @@ from choicectx import (
     support_propositions,
     uniform_over_support,
 )
+from choicectx import core
 from choicectx.core import EXHAUSTIVE_BOUND_DEFAULT, _levelwise_masks, _mask, _scan_masks
 from choicectx.probabilistic import _violation
 from choicectx.proplang import _read_tables
@@ -249,6 +251,36 @@ def test_search_kernels_agree(n, k, density, seed, empty_cover, stray, constant)
             context, event = ours.witness_event
             ours_witness = (context, tuple(sorted(event)))
         assert (ours.kind.value, ours_witness, ours.section_count) == (kind, witness, count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 14),
+    k=st.integers(1, 40),
+    density=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+    empty_cover=st.booleans(),
+    stray=st.booleans(),
+    constant=st.booleans(),
+)
+def test_bitset_classify_agrees(n, k, density, seed, empty_cover, stray, constant):
+    # classify read off the scan's bitset equals classify over the level-wise
+    # search's listed sections, and the oracle's, on the same covers as
+    # test_search_kernels_agree: stray codes, empty supports and the
+    # context with no variables included
+    model = random_cover(n, 0 if empty_cover or not n else k, density, seed, stray, constant)
+    with mock.patch.object(core, "_scan_pays", lambda compiled: True):
+        ours = classify(model)
+    with mock.patch.object(core, "_scan_pays", lambda compiled: False):
+        assert classify(model) == ours
+    covered = set().union(*map(set, model.scenario.cover))
+    if n <= 10 and len(covered) == n:
+        ours_witness = None
+        if ours.witness_event is not None:
+            context, event = ours.witness_event
+            ours_witness = (context, tuple(sorted(event)))
+        expected = oracle.classify(oracle_supports(model))
+        assert (ours.kind.value, ours_witness, ours.section_count) == expected
 
 
 @pytest.mark.parametrize("events", [[], [set()]])
