@@ -14,11 +14,11 @@ two kernels on :attr:`PossibilisticModel.compiled`: a bit-parallel scan,
 which ANDs one 2^n-bit table per context into the set of all sections,
 when a cost estimate favours it; otherwise the level-wise search, which
 assigns variables in the compiled greedy order and also decides the Bell
-route's contradictions.  Listed sections are sorted, so every strategy
-emits them in the same order; the scan lists them over at most 20
-variables.  :func:`classify` never lists the scan's sections: it counts
-them and finds its witness on the ANDed set itself, over at most 24
-variables, and takes the level-wise search's sections in search order.
+route's contradictions.  The scan runs over at most 24 variables.
+Listed sections are sorted, so every strategy emits them in the same
+order.  :func:`classify` never lists the scan's sections: it counts them
+and finds its witness on the ANDed set itself, and takes the level-wise
+search's sections in search order.
 Sections are decoded to :class:`Assignment` only on the way out.
 """
 
@@ -32,7 +32,6 @@ from operator import and_
 from .core import (
     DEADLINE_STRIDE,
     EXHAUSTIVE_BOUND_DEFAULT,
-    SCAN_ROWS_LIMIT,
     Assignment,
     Context,
     Event,
@@ -133,18 +132,21 @@ def global_sections_backtracking(
 ) -> list[Assignment]:
     """Enumerate all global sections by the section search of ``core``.
 
-    Over at most 20 variables, when its cost estimate favours it, the
-    search is a bit-parallel scan: each context becomes a 2^n-bit table of
-    the assignments it allows, and the tables are ANDed.  Otherwise it is a
-    pruned level-wise search: variables are assigned in greedy completion
-    order (the variable that completes the most contexts first), a whole
-    block of partial assignments at a time, and a partial assignment is
-    dropped as soon as a fully assigned context falls outside its support.
-    The sections are sorted at the end, so they come in the same
+    Over at most 24 variables (:data:`core.SCAN_ROWS_LIMIT`), when its
+    cost estimate favours it, the search is a bit-parallel scan: each
+    context becomes a 2^n-bit table of the assignments it allows, and the
+    tables are ANDed.  Otherwise it is a pruned level-wise search:
+    variables are assigned in greedy completion order (the variable that
+    completes the most contexts first), a whole block of partial
+    assignments at a time, and a partial assignment is dropped as soon as
+    a fully assigned context falls outside its support.  Either search
+    refuses more than :data:`core.TABLE_ROWS_LIMIT` sections with
+    :class:`TooLarge`, the scan by its count before listing any.  The
+    sections are sorted at the end, so they come in the same
     lexicographic order as from the brute-force scan.  ``deadline`` is a
     ``time.monotonic`` value; exceeding it raises
     :class:`TimeBudgetExceeded` carrying the sections found so far, in the
-    same order.
+    same order: the scan carries none while it builds its tables.
     """
     compiled = model.compiled
     return [compiled.decode(code) for code in sorted(_search_masks(compiled, deadline))]
@@ -170,7 +172,7 @@ def classify(
     :data:`DEADLINE_STRIDE` sections, reading the clock before each.
     """
     compiled = model.compiled
-    if _takes_scan(compiled, SCAN_ROWS_LIMIT):
+    if _takes_scan(compiled):
         return _classify_bits(model, _scan_bits(compiled, deadline), deadline)
     sections = _levelwise_masks(compiled, deadline)
     if not sections:

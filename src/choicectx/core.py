@@ -62,14 +62,10 @@ DEADLINE_STRIDE = 1024
 # most table rows the package builds for one input, summed over its tables:
 # gen's support tables (2^|context| each) and the Bell route's truth tables
 # (2^k each for a formula over k variables); also the most global sections
-# the section search holds, and the most rows (2^n for n variables) of the
-# bit-parallel scan's tables when it lists its sections, so listing them
-# scans at most 20 variables; classify, which counts the scan's sections
-# on its bitset, is bounded by SCAN_ROWS_LIMIT instead
+# the section search holds
 TABLE_ROWS_LIMIT = 1 << 20
 
-# most rows (2^n for n variables) of the bit-parallel scan's tables when
-# classify reads its answer off the ANDed bitset, holding no section list:
+# most rows (2^n for n variables) of the bit-parallel scan's tables:
 # 24 variables, 2 MB per table
 SCAN_ROWS_LIMIT = 1 << 24
 
@@ -432,19 +428,31 @@ def _search_masks(compiled: _Compiled, deadline: float | None) -> list[int]:
     :data:`TABLE_ROWS_LIMIT` codes raises :class:`TooLarge`, which bounds
     the memory the found codes take.
 
-    It takes the bit-parallel scan of :func:`_scan_masks` when
-    :func:`_takes_scan` picks it within :data:`TABLE_ROWS_LIMIT` rows, and
-    the level-wise search of :func:`_levelwise_masks` otherwise.
+    When :func:`_takes_scan` picks it, the bit-parallel scan of
+    :func:`_scan_bits` finds the codes; more than the limit are refused by
+    the bitset's count, before :func:`_read_out` reads them out ascending.
+    Otherwise the level-wise search of :func:`_levelwise_masks` finds them.
     """
-    if _takes_scan(compiled, TABLE_ROWS_LIMIT):
-        return _scan_masks(compiled, deadline)
-    return _levelwise_masks(compiled, deadline)
+    if not _takes_scan(compiled):
+        return _levelwise_masks(compiled, deadline)
+    sections = _scan_bits(compiled, deadline)
+    if sections.bit_count() > TABLE_ROWS_LIMIT:
+        raise _too_many_sections()
+    return _read_out(sections, compiled, deadline)
 
 
-def _takes_scan(compiled: _Compiled, rows_limit: int) -> bool:
+def _takes_scan(compiled: _Compiled) -> bool:
     """Whether a section search takes the bit-parallel scan: its 2^n rows
-    are within ``rows_limit`` and :func:`_scan_pays` estimates it cheaper."""
-    return 1 << compiled.n <= rows_limit and _scan_pays(compiled)
+    are within :data:`SCAN_ROWS_LIMIT` and :func:`_scan_pays` estimates it
+    cheaper."""
+    return 1 << compiled.n <= SCAN_ROWS_LIMIT and _scan_pays(compiled)
+
+
+def _too_many_sections() -> TooLarge:
+    """The refusal of a search that finds over :data:`TABLE_ROWS_LIMIT` sections."""
+    return TooLarge(
+        f"the model has over {TABLE_ROWS_LIMIT:,} global sections, the most the search holds"
+    )
 
 
 # the costs that choose between the two searches, in allowed-set tests of
@@ -526,15 +534,6 @@ def _scan_bits(compiled: _Compiled, deadline: float | None) -> int:
         if not sections:
             break
     return sections
-
-
-def _scan_masks(compiled: _Compiled, deadline: float | None) -> list[int]:
-    """Codes that meet every constraint of ``compiled``, ascending: the
-    bitset of :func:`_scan_bits` read out by :func:`_read_out`;
-    :func:`_search_masks` runs it only while 2^n is within
-    :data:`TABLE_ROWS_LIMIT`.  The clock is read as both read it.
-    """
-    return _read_out(_scan_bits(compiled, deadline), compiled, deadline)
 
 
 def _read_out(sections: int, compiled: _Compiled, deadline: float | None) -> list[int]:
@@ -620,10 +619,7 @@ def _levelwise_masks(
             if first and found:
                 break
             if len(found) > TABLE_ROWS_LIMIT:
-                raise TooLarge(
-                    f"the model has over {TABLE_ROWS_LIMIT:,} global sections, "
-                    "the most the search holds"
-                )
+                raise _too_many_sections()
         else:
             stack += [
                 (depth, block[i : i + DEADLINE_STRIDE])

@@ -29,10 +29,9 @@ class DomainMismatch(ChoiceCtxError):
 class TooLarge(ChoiceCtxError):
     """An input would exceed a bound: the configured variable bound,
     ``core.TABLE_ROWS_LIMIT`` on table rows or on the global sections a
-    search holds, or ``core.VARIABLES_LIMIT`` on the variables a scenario
-    lays out.  ``core.SCAN_ROWS_LIMIT`` raises nothing: over it,
-    ``classify`` takes the level-wise search, which lists its sections
-    under ``core.TABLE_ROWS_LIMIT``."""
+    search lists, or ``core.VARIABLES_LIMIT`` on the variables a scenario
+    lays out.  ``core.SCAN_ROWS_LIMIT`` raises nothing: over it, the
+    section search takes the level-wise search."""
 
 
 class TimeBudgetExceeded(ChoiceCtxError):

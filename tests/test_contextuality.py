@@ -351,7 +351,7 @@ class TestSearchKernels:
         # thousands of sections: the level-wise search splits its blocks
         # many times, and the scan reads them out by blocks of rows
         compiled = gen_random_model(n, k, density, seed=seed).compiled
-        sections = core._scan_masks(compiled, None)
+        sections = core._read_out(core._scan_bits(compiled, None), compiled, None)
         assert len(sections) > 4 * core.DEADLINE_STRIDE
         assert sections == sorted(sections)
         assert sorted(core._levelwise_masks(compiled, None)) == sections
@@ -366,7 +366,7 @@ class TestSearchKernels:
             raise AssertionError("the scan ran")
 
         monkeypatch.setattr(core, "_scan_pays", refuse)
-        monkeypatch.setattr(core, "_scan_masks", refuse)
+        monkeypatch.setattr(core, "_scan_bits", refuse)
         assert _satisfiable(compiled.contexts, compiled.bit, None)
 
     def test_scan_ignores_a_code_outside_its_context(self):
@@ -377,7 +377,8 @@ class TestSearchKernels:
         model = PossibilisticModel._from_codes(
             scenario, {("a",): frozenset({0, 3}), ("b",): frozenset({0, 1})}
         )
-        assert core._scan_masks(model.compiled, None) == [0, 1]
+        compiled = model.compiled
+        assert core._read_out(core._scan_bits(compiled, None), compiled, None) == [0, 1]
         assert sorted(core._levelwise_masks(model.compiled, None)) == [0, 1]
 
 
@@ -424,6 +425,47 @@ class TestBitsetClassify:
         assert classify(model) == expected
 
 
+def must_not_run(*args):
+    raise AssertionError("a kernel the scan spares ran")
+
+
+class TestWideListing:
+    def test_one_event_over_22_variables_is_scanned(self, monkeypatch):
+        # 2^22 rows, over the section limit, within the scan's: the listing
+        # scans them, as classify does, never searching level-wise
+        monkeypatch.setattr(core, "_levelwise_masks", must_not_run)
+        code = 0b1001001001001001001001
+        model = one_context(22, [code])
+        assert global_sections_backtracking(model) == [model.compiled.decode(code)]
+
+    def test_too_many_sections_are_refused_by_the_count(self, monkeypatch):
+        # 21 free singletons: 2^21 sections, refused off the bitset's count
+        # before any is read out, with the level-wise search's message
+        monkeypatch.setattr(core, "_levelwise_masks", must_not_run)
+        monkeypatch.setattr(core, "_read_out", must_not_run)
+        message = "the model has over 1,048,576 global sections, the most the search holds"
+        with pytest.raises(TooLarge) as err:
+            global_sections_backtracking(free_singletons(21))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: gen_random_model(21, 16, 0.5, seed=1), lambda: gen_random_model(21, 24, 0.7, seed=1),
+         lambda: gen_random_model(22, 10, 0.5, seed=1), lambda: gen_random_model(22, 24, 0.7, seed=1),
+         lambda: one_context(22, range(0, 1 << 22, 4099))],
+        ids=["21-16", "21-24", "22-10", "22-24", "one-context"],
+    )
+    def test_kernels_list_the_same_sections(self, build, monkeypatch):
+        model = build()
+        levelwise = core._levelwise_masks
+        monkeypatch.setattr(core, "_levelwise_masks", must_not_run)
+        monkeypatch.setattr(core, "_scan_pays", lambda compiled: True)
+        scanned = global_sections_backtracking(model)
+        monkeypatch.setattr(core, "_levelwise_masks", levelwise)
+        monkeypatch.setattr(core, "_scan_pays", lambda compiled: False)
+        assert global_sections_backtracking(model) == scanned
+
+
 # sections under 1/8 of the rows, read out one by one; and most of the
 # rows, read out by blocks of rows
 SPARSE = (15, range(0, 1 << 15, 11))
@@ -451,7 +493,8 @@ class TestScanClock:
         # DEADLINE_STRIDE sections (2,979: three runs) or of rows (up to
         # the last section, 4,094: four runs)
         reads = self.counting_clock(monkeypatch)
-        assert core._scan_masks(one_context(n, codes).compiled, 1.0) == list(codes)
+        compiled = one_context(n, codes).compiled
+        assert core._read_out(core._scan_bits(compiled, 1.0), compiled, 1.0) == list(codes)
         assert len(reads) == 1 + 3 + {15: 3, 12: 4}[n]
 
     def test_expiry_before_the_read_out_carries_no_sections(self, tmp_path, monkeypatch, capsys):

@@ -41,7 +41,7 @@ from choicectx import (
     uniform_over_support,
 )
 from choicectx import core
-from choicectx.core import EXHAUSTIVE_BOUND_DEFAULT, _levelwise_masks, _mask, _scan_masks
+from choicectx.core import EXHAUSTIVE_BOUND_DEFAULT, _levelwise_masks, _mask, _read_out, _scan_bits
 from choicectx.probabilistic import _violation
 from choicectx.proplang import _read_tables
 
@@ -238,7 +238,7 @@ def test_search_kernels_agree(n, k, density, seed, empty_cover, stray, constant)
     model = random_cover(n, 0 if empty_cover or not n else k, density, seed, stray, constant)
     compiled = model.compiled
     expected = [_mask(compiled.bit, s.support()) for s in global_sections_bruteforce(model)]
-    assert _scan_masks(compiled, None) == expected
+    assert _read_out(_scan_bits(compiled, None), compiled, None) == expected
     assert sorted(_levelwise_masks(compiled, None)) == expected
     # the oracle reads the variables off the cover, so it sees them all
     # only when every variable is covered
