@@ -8,7 +8,14 @@ from __future__ import annotations
 
 from itertools import chain, compress
 
-from .core import TABLE_ROWS_LIMIT, PossibilisticModel, Scenario, _count_text, _set_rows
+from .core import (
+    DEADLINE_STRIDE,
+    TABLE_ROWS_LIMIT,
+    PossibilisticModel,
+    Scenario,
+    _count_text,
+    _set_rows,
+)
 from .errors import TooLarge
 from .probabilistic import ProbabilisticModel, uniform_over_support
 
@@ -155,9 +162,10 @@ def gen_random_model(
     leftover variables.  Each subset of a context becomes an event with
     probability ``density``.  Covers whose tables would hold more than
     :data:`TABLE_ROWS_LIMIT` rows in all raise :class:`TooLarge` before
-    any table is drawn, and a closed cover as soon as its closure passes
-    that limit; so many variables that any cover would pass it raise
-    before any context is drawn.
+    any table is drawn: checked after every :data:`DEADLINE_STRIDE` drawn
+    contexts while draws remain, once the cover is drawn, and for a closed
+    cover as soon as its closure passes that limit; so many variables that
+    any cover would pass it raise before any context is drawn.
     """
     if n_variables < 1:
         raise ValueError("at least one variable is required")
@@ -181,6 +189,7 @@ def gen_random_model(
     names = [f"x{i:0{width}d}" for i in range(n_variables)]
 
     contexts: dict[frozenset[str], None] = {}  # an ordered set
+    rows = 0
     every_subset = (1 << n_variables) - 1
     for done in range(n_contexts):
         if len(contexts) == every_subset:
@@ -192,12 +201,14 @@ def gen_random_model(
             candidate = frozenset(compress(names, rng.random(n_variables) < 0.5))
             if candidate and candidate not in contexts:
                 contexts[candidate] = None
+                rows += 1 << len(candidate)
+                if not len(contexts) % DEADLINE_STRIDE and done + 1 < n_contexts:
+                    _check_table_rows(rows, contexts)  # refuse mid-draw
                 break
     uncovered = frozenset(names).difference(*contexts)
     if uncovered:
         contexts[uncovered] = None
-
-    rows = sum(1 << len(context) for context in contexts)
+        rows += 1 << len(uncovered)
     _check_table_rows(rows, contexts)
     if intersection_closed:
         # every meet of drawn contexts comes from meeting one at a time

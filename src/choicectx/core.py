@@ -54,9 +54,9 @@ EXHAUSTIVE_BOUND_DEFAULT = 24
 # compile, sections of the witness pass, partial codes of a level-wise
 # search block (a block over it is split, and the search reads once per
 # block step), and the bit-parallel scan's allowed codes set in a table
-# and sections or rows read out (it also reads once before its first
-# table); the witness pass on the scan's bitset reads once per context,
-# before folding the bitset onto it, so its unit is one fold
+# and sections read out (it also reads once before its first table); the
+# witness pass on the scan's bitset reads once per context, before folding
+# the bitset onto it, so its unit is one fold
 DEADLINE_STRIDE = 1024
 
 # most table rows the package builds for one input, summed over its tables:
@@ -489,11 +489,6 @@ def _scan_pays(compiled: _Compiled) -> bool:
     return scan < tests
 
 
-# "0"/"1" characters of a printed binary number (a scan's rows, a truth
-# table's) to the bytes 0/1
-_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
 def _scan_bits(compiled: _Compiled, deadline: float | None) -> int:
     """The codes that meet every constraint of ``compiled`` as one 2^n-bit
     int, bit ``r`` set when code ``r`` does: a scan of all 2^n codes at
@@ -537,34 +532,24 @@ def _scan_bits(compiled: _Compiled, deadline: float | None) -> int:
 
 
 def _read_out(sections: int, compiled: _Compiled, deadline: float | None) -> list[int]:
-    """The set bits of the scan's bitset ``sections``, ascending: by
-    ``str.find`` when few, or by :func:`itertools.compress` over blocks of
-    rows when at least 1/8 of the 2^n rows are set.
+    """The set bits of the scan's bitset ``sections``, ascending: found by
+    ``str.rfind`` in its binary text, where code ``r`` is the character
+    ``r`` places before the end.
 
     The clock is read before each run of at most :data:`DEADLINE_STRIDE`
-    sections (in the block read-out, rows) read out; an expiry carries the
-    ascending codes read out so far.
+    sections read out; an expiry carries the ascending codes read out so far.
     """
-    rows = 1 << compiled.n
-    # bits[r] is "1" when code r is a section
-    bits = bin(sections)[:1:-1]
+    bits = bin(sections)
+    last = len(bits) - 1
     found: list[int] = []
-    if sections.bit_count() << 3 >= rows:
-        flags = bits.encode().translate(_BIT_FLAGS)
-        for start in range(0, len(flags), DEADLINE_STRIDE):
-            if past_deadline(deadline):
-                raise TimeBudgetExceeded(partial_codes=found, decode=compiled.decode)
-            stop = start + DEADLINE_STRIDE
-            found += compress(range(start, stop), flags[start:stop])
-        return found
-    code = bits.find("1")
-    while code >= 0:
+    index = bits.rfind("1", 2)
+    while index >= 0:
         if past_deadline(deadline):
             raise TimeBudgetExceeded(partial_codes=found, decode=compiled.decode)
         for _ in range(DEADLINE_STRIDE):
-            found.append(code)
-            code = bits.find("1", code + 1)
-            if code < 0:
+            found.append(last - index)
+            index = bits.rfind("1", 2, index)
+            if index < 0:
                 break
     return found
 

@@ -47,7 +47,6 @@ from .core import (
     IDENTIFIER,
     TABLE_ROWS_LIMIT,
     VARIABLE_RE,
-    _BIT_FLAGS,
     Context,
     Scenario,
     _check_bound,
@@ -435,6 +434,10 @@ def _patterns(k: int) -> list[int]:
             width *= 2
         patterns.append(pattern)
     return patterns
+
+
+# "0"/"1" characters of a printed truth table to the bytes 0/1
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _satisfying(

@@ -851,7 +851,7 @@ class TestGenCommand:
         with pytest.raises(TooLarge) as info:
             gen_random_model(20, 200000, 0.5, seed=1)
         assert str(info.value) == (
-            "200,000 contexts of up to 20 variables have 664,880,274 outcomes "
+            "1,024 contexts of up to 17 variables have 3,528,352 outcomes "
             "to draw, over the limit of 1,048,576"
         )
 

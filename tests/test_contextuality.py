@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -349,7 +350,7 @@ class TestSearchKernels:
     )
     def test_kernels_agree_on_split_blocks(self, n, k, density, seed):
         # thousands of sections: the level-wise search splits its blocks
-        # many times, and the scan reads them out by blocks of rows
+        # many times, and the scan reads them out in many runs
         compiled = gen_random_model(n, k, density, seed=seed).compiled
         sections = core._read_out(core._scan_bits(compiled, None), compiled, None)
         assert len(sections) > 4 * core.DEADLINE_STRIDE
@@ -448,6 +449,36 @@ class TestWideListing:
             global_sections_backtracking(free_singletons(21))
         assert str(err.value) == message
 
+    def test_the_read_out_holds_one_binary_text(self):
+        # one section of 24 variables: the read-out holds one binary text,
+        # as long as the section's code, and no second one of that size
+        names = [f"x{i:02d}" for i in range(24)]
+        model = PossibilisticModel.make(Scenario.make(names, [names]), {tuple(names): [names[::3]]})
+        compiled = model.compiled
+        sections = core._scan_bits(compiled, None)
+        tracemalloc.start()
+        try:
+            codes = core._read_out(sections, compiled, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert codes == list(compiled.contexts[0][1])
+        assert peak < 12 << 20
+
+    def test_the_section_limit_is_inclusive_on_both_kernels(self, monkeypatch):
+        # 2^12 free singleton sections under a limit of 4,096 are listed,
+        # the scan reading out a bitset with every row set; 2^13 are refused
+        expected = global_sections_bruteforce(free_singletons(12))
+        monkeypatch.setattr(core, "TABLE_ROWS_LIMIT", 4096)
+        message = "the model has over 4,096 global sections, the most the search holds"
+        for scan in (True, False):
+            monkeypatch.setattr(core, "_scan_pays", lambda compiled: scan)
+            assert core._takes_scan(free_singletons(12).compiled) is scan
+            assert global_sections_backtracking(free_singletons(12)) == expected
+            with pytest.raises(TooLarge) as err:
+                global_sections_backtracking(free_singletons(13))
+            assert str(err.value) == message
+
     @pytest.mark.parametrize(
         "build",
         [lambda: gen_random_model(21, 16, 0.5, seed=1), lambda: gen_random_model(21, 24, 0.7, seed=1),
@@ -466,8 +497,8 @@ class TestWideListing:
         assert global_sections_backtracking(model) == scanned
 
 
-# sections under 1/8 of the rows, read out one by one; and most of the
-# rows, read out by blocks of rows
+# few of the rows set (2,979 of 2^15) and most of them (2,730 of 2^12),
+# read out by the same loop
 SPARSE = (15, range(0, 1 << 15, 11))
 DENSE = (12, [code for code in range(1 << 12) if code % 3])
 
@@ -490,12 +521,11 @@ class TestScanClock:
     def test_the_scan_reads_the_clock_every_stride(self, n, codes, monkeypatch):
         # once before the first table, once per run of DEADLINE_STRIDE
         # allowed codes (2,979 or 2,730: three runs), and once per run of
-        # DEADLINE_STRIDE sections (2,979: three runs) or of rows (up to
-        # the last section, 4,094: four runs)
+        # DEADLINE_STRIDE sections (2,979 or 2,730: three runs)
         reads = self.counting_clock(monkeypatch)
         compiled = one_context(n, codes).compiled
         assert core._read_out(core._scan_bits(compiled, 1.0), compiled, 1.0) == list(codes)
-        assert len(reads) == 1 + 3 + {15: 3, 12: 4}[n]
+        assert len(reads) == 1 + 3 + 3
 
     def test_expiry_before_the_read_out_carries_no_sections(self, tmp_path, monkeypatch, capsys):
         model = one_context(*SPARSE)
