@@ -163,9 +163,9 @@ def gen_random_model(
     probability ``density``.  Covers whose tables would hold more than
     :data:`TABLE_ROWS_LIMIT` rows in all raise :class:`TooLarge` before
     any table is drawn: checked after every :data:`DEADLINE_STRIDE` drawn
-    contexts while draws remain, once the cover is drawn, and for a closed
-    cover as soon as its closure passes that limit; so many variables that
-    any cover would pass it raise before any context is drawn.
+    contexts, once the cover is drawn, and for a closed cover as soon as
+    its closure passes that limit; so many variables that any cover would
+    pass it raise before any context is drawn.
     """
     if n_variables < 1:
         raise ValueError("at least one variable is required")
@@ -202,7 +202,7 @@ def gen_random_model(
             if candidate and candidate not in contexts:
                 contexts[candidate] = None
                 rows += 1 << len(candidate)
-                if not len(contexts) % DEADLINE_STRIDE and done + 1 < n_contexts:
+                if not len(contexts) % DEADLINE_STRIDE:
                     _check_table_rows(rows, contexts)  # refuse mid-draw
                 break
     uncovered = frozenset(names).difference(*contexts)

@@ -181,7 +181,7 @@ def classify(
         realized: set[int] = set()
         for start in range(0, len(sections), DEADLINE_STRIDE):
             if past_deadline(deadline):
-                raise TimeBudgetExceeded(partial_codes=sorted(sections), decode=compiled.decode)
+                raise TimeBudgetExceeded(partial_codes=sections, decode=compiled.decode)
             realized.update(map(and_, sections[start : start + DEADLINE_STRIDE], repeat(cmask)))
             # realized <= allowed, so equal sizes mean every event is realized
             if len(realized) == len(allowed):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate, compress
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping
@@ -259,7 +259,31 @@ def _decoder(bit: Mapping[str, int], names: Iterable[str]) -> Callable[[int], As
 
 
 @dataclass(frozen=True, init=False)
-class PossibilisticModel:
+class _Model:
+    """A scenario and each context's entries, keyed by canonical context
+    and encoded once in the :attr:`Scenario.bit` layout: a possibilistic
+    model's event codes or a probabilistic model's ``(code, p)`` pairs."""
+
+    scenario: Scenario
+    _codes: Mapping[Context, object] = field(init=False, repr=False, hash=False)
+
+    @classmethod
+    def _from_codes(cls, scenario: Scenario, codes: Mapping, **state):
+        """A model over entries already encoded in the scenario's layout."""
+        model = cls.__new__(cls)
+        model.__dict__.update(scenario=scenario, _codes=codes, **state)
+        return model
+
+    def _key(self, context: Iterable[str]) -> Context:
+        """The canonical form of one of the model's contexts, or :class:`UnknownContext`."""
+        key = canonical_context(context)
+        if key not in self._codes:
+            raise UnknownContext(f"the model has no entry for context {format_event(key)}")
+        return key
+
+
+@dataclass(frozen=True, init=False)
+class PossibilisticModel(_Model):
     """Per-context sets of possible events over a scenario.
 
     ``supports`` maps each cover context (sorted tuple) to a frozenset of
@@ -274,22 +298,12 @@ class PossibilisticModel:
     a verdict.
     """
 
-    scenario: Scenario
-    _codes: Mapping[Context, frozenset[int]] = field(init=False, repr=False, hash=False)
-
     def __init__(self, scenario: Scenario, supports: Mapping[Context, Iterable]):
         codes = {
             context: frozenset([_mask(scenario.bit, set(event)) for event in events])
             for context, events in supports.items()
         }
-        self.__dict__.update(scenario=scenario, _codes=codes, _decoded={})
-
-    @classmethod
-    def _from_codes(cls, scenario: Scenario, codes: Mapping) -> "PossibilisticModel":
-        """A model over events already encoded in the scenario's layout."""
-        model = cls.__new__(cls)
-        model.__dict__.update(scenario=scenario, _codes=codes, _decoded={})
-        return model
+        self.__dict__.update(scenario=scenario, _codes=codes)
 
     @classmethod
     def make(
@@ -305,6 +319,10 @@ class PossibilisticModel:
     @cached_property
     def supports(self) -> dict[Context, frozenset[Event]]:
         return {context: self._events_of(context) for context in self._codes}
+
+    @cached_property
+    def _decoded(self) -> dict[Context, frozenset[Event]]:
+        return {}
 
     def _events_of(self, key: Context) -> frozenset[Event]:
         """The events of the model's context ``key``, decoded on first use."""
@@ -327,13 +345,6 @@ class PossibilisticModel:
                     break
             chosen[context] = union & mask
         return chosen
-
-    def _key(self, context: Iterable[str]) -> Context:
-        """The canonical form of one of the model's contexts."""
-        key = canonical_context(context)
-        if key not in self._codes:
-            raise UnknownContext(f"context {format_event(key)} is not in the cover")
-        return key
 
     def events(self, context: Iterable[str]) -> frozenset[Event]:
         return self._events_of(self._key(context))
@@ -379,9 +390,9 @@ class _Compiled:
     contexts, ties going to the largest sum of 1/|unassigned variables| over
     the open contexts that hold it, then to scenario order.
     ``completed_at[d]`` lists the contexts whose last variable is
-    ``order[d]``; a context with no variables is checked by the block
-    :func:`_levelwise_masks` starts from, and is also listed first in
-    ``completed_at[0]`` when there is a variable.
+    ``order[d]``.  A context with no variables is in no list: the block
+    :func:`_levelwise_masks` starts from checks it, and the scan and both
+    witness passes read it from ``contexts``.
 
     Every context holding a free variable is open, so each variable's
     score reads only its own list of the contexts that hold it, kept in
@@ -400,7 +411,6 @@ class _Compiled:
         # order under each free variable the context holds
         entries = [[context[0], context] for context in contexts]
         holders = {bit: [e for e in entries if e[0] & bit] for bit in layout.values()}
-        completed = [context for rest, context in entries if not rest]
 
         def gain(bit: int) -> tuple[int, float]:
             completes, spread = 0, 0.0
@@ -412,12 +422,12 @@ class _Compiled:
         while holders:
             bit = max(holders, key=gain)  # the first maximum: scenario order
             self.order.append(bit)
+            completed = []
             for entry in holders.pop(bit):
                 entry[0] ^= bit
                 if not entry[0]:
                     completed.append(entry[1])
             self.completed_at.append(completed)
-            completed = []
 
 
 def _search_masks(compiled: _Compiled, deadline: float | None) -> list[int]:
@@ -498,8 +508,8 @@ def _scan_bits(compiled: _Compiled, deadline: float | None) -> int:
     when code ``r`` restricts to an allowed code: the allowed codes inside
     the context mask are set (the level-wise search never matches one
     outside it), then copied over every variable the context lacks.  A
-    context allowing every code of its variables gets no table.  The
-    tables are ANDed, stopping at 0.
+    context allowing every code of its variables (code 0 of none) gets no
+    table.  The tables are ANDed, stopping at 0.
 
     The clock is read before the first table and before each run of at
     most :data:`DEADLINE_STRIDE` allowed codes set in a table; an expiry
@@ -510,9 +520,8 @@ def _scan_bits(compiled: _Compiled, deadline: float | None) -> int:
         raise TimeBudgetExceeded(decode=compiled.decode)
     sections = (1 << rows) - 1
     for cmask, allowed in compiled.contexts:
-        codes = list(allowed)
-        if reduce(or_, codes, 0) & ~cmask:  # only a code-built model has such codes
-            codes = [code for code in codes if code & cmask == code]
+        outside = ~cmask  # a code-built model may allow codes with bits there
+        codes = [code for code in allowed if not code & outside]
         if len(codes) >> cmask.bit_count():
             continue  # every code of the context's variables is allowed
         table = bytearray((rows + 7) >> 3)
@@ -579,11 +588,13 @@ def _levelwise_masks(
     empty exactly when no code meets them all.
 
     Level-wise search in ``compiled.order`` from the block ``[0]``, or
-    ``[]`` when a context with no variables does not allow code 0: a block
-    of partial codes is extended by the next variable and filtered by every
-    context that variable completes.  A block over :data:`DEADLINE_STRIDE`
-    codes is split into parts on an explicit stack and finished part by
-    part, which bounds the memory held; the clock is read once per block step.
+    ``[]`` when a context with no variables, which ``completed_at`` never
+    lists, does not allow code 0: a block of partial codes is extended by
+    the next variable and filtered by every context that variable
+    completes.  A block over :data:`DEADLINE_STRIDE` codes is split into
+    parts on an explicit stack and finished part by part, which bounds the
+    memory held; the clock is read once per block step, and an expiry
+    carries the codes found so far, in search order.
     """
     found: list[int] = []
     constant = [0 in allowed for cmask, allowed in compiled.contexts if not cmask]
@@ -592,7 +603,6 @@ def _levelwise_masks(
         depth, block = stack.pop()
         while block and depth < compiled.n and len(block) <= DEADLINE_STRIDE:
             if past_deadline(deadline):
-                found.sort()
                 raise TimeBudgetExceeded(partial_codes=found, decode=compiled.decode)
             bit = compiled.order[depth]
             block += [code | bit for code in block]

@@ -40,7 +40,7 @@ class TimeBudgetExceeded(ChoiceCtxError):
     Every budgeted loop reads the clock before each run of at most
     ``core.DEADLINE_STRIDE`` units of its work, so expiry is seen within one
     run.  ``partial_sections`` holds the sections found before expiry,
-    decoded from ``partial_codes`` by ``decode`` on first access;
+    ``partial_codes`` sorted and decoded by ``decode`` on first access;
     ``partial_count`` is their number, read without decoding (from the
     witness pass on the scan's bitset, without even listing them).  The Bell
     route counts no sections, so from it both are empty and the CLI reports
@@ -63,7 +63,7 @@ class TimeBudgetExceeded(ChoiceCtxError):
 
     @cached_property
     def partial_sections(self) -> tuple:
-        return tuple(map(self._decode, self.partial_codes))
+        return tuple(map(self._decode, sorted(self.partial_codes)))
 
 
 class ModelSyntaxError(ChoiceCtxError):

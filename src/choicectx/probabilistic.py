@@ -34,11 +34,11 @@ from .core import (
     _failing,
     _in_shortlex,
     _levelwise_masks,
+    _Model,
     _passing,
     _structure_fault,
-    canonical_context,
 )
-from .errors import NotContradictory, UnknownContext
+from .errors import NotContradictory
 
 # the functions that take formulas import proplang, their compiler, where
 # they use it, so reading a document does not load the parser; annotations
@@ -52,7 +52,7 @@ Entries = tuple[tuple[int, float], ...]
 
 
 @dataclass(frozen=True, init=False)
-class ProbabilisticModel:
+class ProbabilisticModel(_Model):
     """Per-context distributions over total context assignments.
 
     Each distribution is stored once, as ``(code, p)`` pairs in ascending
@@ -63,18 +63,7 @@ class ProbabilisticModel:
     outcome other than 0 or 1, is not total on its context or repeats one;
     :func:`validate_probabilistic` reports it."""
 
-    scenario: Scenario
-    _codes: Mapping[Context, Entries] = field(init=False, repr=False, hash=False)
-    _fault: Verdict | None = field(init=False, repr=False, hash=False)
-
-    @classmethod
-    def _from_codes(
-        cls, scenario: Scenario, codes: Mapping[Context, Entries], fault: Verdict | None = None
-    ) -> "ProbabilisticModel":
-        """A model over entries already encoded in the scenario's layout."""
-        model = cls.__new__(cls)
-        model.__dict__.update(scenario=scenario, _codes=codes, _fault=fault)
-        return model
+    _fault: Verdict | None = field(default=None, init=False, repr=False, hash=False)
 
     @classmethod
     def make(
@@ -97,7 +86,7 @@ class ProbabilisticModel:
                     fault = _entry_fault(context, binding, code in pairs)
                 pairs[code] = float(p)
             codes[context] = tuple(sorted(pairs.items()))
-        return cls._from_codes(scenario, codes, fault)
+        return cls._from_codes(scenario, codes, _fault=fault)
 
     def __repr__(self) -> str:
         scenario, distributions = self.scenario, self.distributions
@@ -107,13 +96,6 @@ class ProbabilisticModel:
     def distributions(self) -> dict[Context, tuple[tuple[Assignment, float], ...]]:
         """Each context's ``(assignment, p)`` pairs, decoded."""
         return {context: self.distribution(context) for context in self._codes}
-
-    def _key(self, context: Iterable[str]) -> Context:
-        """The canonical form of one of the model's contexts."""
-        key = canonical_context(context)
-        if key not in self._codes:
-            raise UnknownContext(f"context {list(key)} has no distribution")
-        return key
 
     def distribution(self, context: Iterable[str]) -> tuple[tuple[Assignment, float], ...]:
         key = self._key(context)

@@ -589,3 +589,35 @@ class TestScanClock:
             assert json.loads(out)["partial_section_count"] == count
         else:
             assert out == f"inconclusive: time budget exceeded ({count} sections found before expiry)\n"
+
+
+class TestPartialOrder:
+    @pytest.mark.parametrize(
+        "scan, run, expire_at",
+        [
+            # the level-wise search's 13th read, once the first of its two
+            # last blocks has found 2,048 codes in search order, which
+            # assigns the first variable, the most significant bit, first
+            (False, global_sections_backtracking, 12),
+            # classify's projection pass carries every section in search order
+            (False, classify, None),
+            # the scan's read-out, after its first run of 1,024 sections
+            (True, global_sections_backtracking, 2),
+            # the witness pass on the scan's bitset
+            (True, classify, None),
+        ],
+        ids=["levelwise-block", "projection", "read-out", "bitset-witness"],
+    )
+    def test_partial_sections_come_ascending(self, scan, run, expire_at, monkeypatch):
+        model = free_singletons(12)
+        monkeypatch.setattr(core, "_scan_pays", lambda compiled: scan)
+        if expire_at is None:
+            monkeypatch.setattr(contextuality, "past_deadline", lambda deadline: True)
+        else:
+            TestScanClock.counting_clock(monkeypatch, expire_at)
+        with pytest.raises(TimeBudgetExceeded) as err:
+            run(model, deadline=time.monotonic() + 60)
+        partial = list(err.value.partial_sections)
+        assert 0 < len(partial) == err.value.partial_count
+        assert partial == sorted(partial)
+        assert all(is_global_section(s, model) for s in partial)

@@ -147,6 +147,17 @@ class TestPossibilisticModel:
         with pytest.raises(UnknownContext):
             model.events(["a", "c"])
 
+    def test_both_kinds_refuse_a_context_they_lack_alike(self, model):
+        probabilistic = ProbabilisticModel.make(
+            model.scenario,
+            {("a", "b"): [({"a": 0, "b": 0}, 0.5), ({"a": 1, "b": 0}, 0.5)],
+             ("b", "c"): [({"b": 1, "c": 1}, 1.0)]},
+        )
+        for lookup in (model.events, model.chosen_set, probabilistic.distribution):
+            with pytest.raises(UnknownContext) as err:
+                lookup(["c", "a"])
+            assert str(err.value) == "the model has no entry for context {a,c}"
+
     def test_events_sorted(self, model):
         assert model.events_sorted(["a", "b"]) == [frozenset(), frozenset({"a"})]
 
@@ -371,7 +382,7 @@ class TestValidateModel:
         # the same cover and context keys, with no entries and a noted entry
         # fault, which a structural fault outranks
         noted = Verdict(holds=False, witness={"reason": "bad-outcome"}, narrative="noted")
-        model = ProbabilisticModel._from_codes(scenario, dict.fromkeys(supports, ()), noted)
+        model = ProbabilisticModel._from_codes(scenario, dict.fromkeys(supports, ()), _fault=noted)
         verdict = validate_probabilistic(model)
         assert verdict.witness["reason"] == reason
         assert verdict == validate_model(PossibilisticModel(scenario=scenario, supports=supports))

@@ -715,9 +715,10 @@ class TestContradictionSearch:
 def reference_order(layout, contexts):
     """The greedy order and each variable's completed contexts by the
     definition: at every step each free variable is scored over all the
-    open contexts, in cover order."""
+    open contexts, in cover order.  A context with no variables is never
+    open, so no list holds it."""
     order, completed_at = [], []
-    pending = [[cmask, (cmask, allowed)] for cmask, allowed in contexts]
+    pending = [[cmask, (cmask, allowed)] for cmask, allowed in contexts if cmask]
     free = list(layout.values())
 
     def gain(bit):
@@ -736,10 +737,6 @@ def reference_order(layout, contexts):
             context[0] &= ~bit
         completed_at.append([context for rest, context in pending if not rest])
         pending = [context for context in pending if context[0]]
-    if completed_at:
-        # a context with no variables is listed first
-        first = completed_at[0]
-        completed_at[0] = [c for c in first if not c[0]] + [c for c in first if c[0]]
     return order, completed_at
 
 
