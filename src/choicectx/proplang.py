@@ -30,8 +30,10 @@ written once by its flattening when first needed; equality, hashing,
 
 Both Bell routes compile formulas to truth tables here: the library's
 (:func:`_compile`) from each formula's prefix form, and ``bell``'s
-(:func:`_read_tables`) straight from its file, whose lines
-:class:`_TableParser` parses to their tables with no node.
+(:func:`_read_tables`) straight from its file, with no node.  A flat line,
+terms of literals joined by ``|`` and ``&`` as support formulas print, is
+split at its connectives and ORs each term's AND of its literals' tables;
+:class:`_TableParser` parses any other line to its table.
 """
 
 from __future__ import annotations
@@ -505,9 +507,55 @@ class _TableParser(_Parser):
             self.items[-1] ^= self.full
 
     def tick(self) -> None:
-        if past_deadline(self.deadline):
-            raise TimeBudgetExceeded()
-        self.mark = self.at + _TOKEN_STRIDE
+        self.mark = _read_clock(self.deadline, self.at)
+
+
+def _read_clock(deadline: float, at: int) -> int:
+    """Read the clock before the token ``at`` of a line, either path's: the
+    next read is due at the first literal or term ``_TOKEN_STRIDE`` on."""
+    if past_deadline(deadline):
+        raise TimeBudgetExceeded()
+    return at + _TOKEN_STRIDE
+
+
+# a literal of a flat line, once stripped: a variable, or "!" then one
+_FLAT_LITERAL_RE = re.compile(f"(!?)({IDENTIFIER})")
+
+# most literals in a term of a flat line: at up to three tokens a literal,
+# the term and the "|" after it span at most MAX_NESTING + 2 tokens, the
+# parser's most between two literals, so the clock rule holds per term
+_TERM_LITERALS = (MAX_NESTING + 2) // 3
+
+
+def _flat_line(raw: str) -> tuple[list[list[str]], dict[str, re.Match]] | None:
+    """A flat line's terms, split at ``|`` then at ``&`` into the texts of
+    their literals, and each distinct text's :data:`_FLAT_LITERAL_RE` match
+    once stripped; ``None`` if a text does not match or a term has over
+    :data:`_TERM_LITERALS` literals."""
+    terms = [term.split("&") for term in raw.split("|")]
+    literals = {text: _FLAT_LITERAL_RE.fullmatch(text.strip()) for text in set().union(*terms)}
+    if None in literals.values() or max(map(len, terms)) > _TERM_LITERALS:
+        return None
+    return terms, literals
+
+
+def _flat_table(terms: list, literals: dict, names: list[str], deadline: float | None) -> int:
+    """The truth table over ``names`` of a line :func:`_flat_line` read, as
+    :class:`_TableParser` gives it.  With a ``deadline`` the clock is read
+    by the parser's rule, but at the first literal of a term alone."""
+    full = (1 << (1 << len(names))) - 1
+    pattern = dict(zip(names, _patterns(len(names))))
+    table_of = {text: pattern[m[2]] ^ (full if m[1] else 0) for text, m in literals.items()}
+    literal = table_of.__getitem__
+    if deadline is None:
+        return reduce(operator.or_, [reduce(operator.and_, map(literal, term)) for term in terms])
+    tables, at, mark = [], 0, 0
+    for term in terms:
+        if at >= mark:
+            mark = _read_clock(deadline, at)
+        tables.append(reduce(operator.and_, map(literal, term)))
+        at += 2 * len(term) + "".join(term).count("!")  # its tokens and the "|" after it
+    return reduce(operator.or_, tables)
 
 
 def _tree_parser(values: list[str], text: str, line: int | None) -> _Parser:
@@ -653,34 +701,42 @@ def _read_tables(
     :func:`_compile` would refuse it: each line's tokens and syntax,
     then its measurement context, in file order; after the last line,
     ``bound``, the total of table rows (:data:`TABLE_ROWS_LIMIT`), then
-    ``deadline``.  A formula's identifier tokens are its variables, so its
-    context and rows are known from its tokens, and a context fault is
-    raised only once the line's syntax is checked.  Tables are built only
-    while none of those last three is due, so at most
-    :data:`TABLE_ROWS_LIMIT` rows in all; a line read once one is due goes
-    through :func:`_tree_parser`, for its checks alone.  An expiry
-    met while a table is built only marks the budget as spent."""
+    ``deadline``.  A flat line (:func:`_flat_line`) has no syntax fault and
+    goes to :func:`_flat_table`; any other line goes to
+    :func:`_tokenize` and :class:`_TableParser`.  A formula's identifier
+    tokens are its variables, so its context and rows are known from its
+    tokens, and a context fault is raised only once the line's syntax is
+    checked.  Tables are built only while none of those last three is due,
+    so at most :data:`TABLE_ROWS_LIMIT` rows in all; a line read once one
+    is due goes through :func:`_tree_parser`, for its checks alone.  An
+    expiry met while a table is built only marks the budget as spent."""
     over_bound = len(scenario.variables) > bound
     bit = scenario.bit
     pairs, rows_in_all, expired = [], 0, False
     for lineno, raw in _formula_lines(text):
-        values = _tokenize(raw, lineno)
+        flat = _flat_line(raw)  # a flat line's names stand for its tokens
+        values = [m[2] for m in flat[1].values()] if flat else _tokenize(raw, lineno)
         used = frozenset(values).difference(_SYMBOLS)
         rows_in_all += 1 << len(used)
         try:
             context = _context_of(used, scenario)
         except (UnknownVariable, NotMeasurable):
-            _tree_parser(values, raw, lineno).read()  # a syntax error is named first
+            if not flat:
+                _tree_parser(values, raw, lineno).read()  # a syntax error is named first
             raise
         if not (over_bound or expired or rows_in_all > TABLE_ROWS_LIMIT):
             names = sorted(used, key=bit.__getitem__)
             try:
-                (table,) = _TableParser(values, raw, lineno, names, deadline).read()
+                if flat:
+                    table = _flat_table(*flat, names, deadline)
+                else:
+                    (table,) = _TableParser(values, raw, lineno, names, deadline).read()
                 pairs.append((context, _satisfying(table, names, bit, deadline)))
                 continue
             except TimeBudgetExceeded:
                 expired = True
-        _tree_parser(values, raw, lineno).read()  # its checks alone
+        if not flat:
+            _tree_parser(values, raw, lineno).read()  # its checks alone
     _check_bound(len(scenario.variables), bound)
     _check_rows(rows_in_all)
     if expired:

@@ -1434,12 +1434,24 @@ class TestBellDifferential:
     def test_a_refused_file_is_read_once(
         self, pr_dist_file, tmp_path, monkeypatch, capsys, flags
     ):
+        # a line is read by the flat path when it takes the line, else by
+        # the tokenizer; each line read is recorded by its number
+        content = "# a cut last line\na & b\n!a | b\na & (\n"
         props = tmp_path / "cut.props"
-        props.write_text("# a cut last line\na & b\n!a | b\na & (\n")
-        lines, tokenize = [], proplang._tokenize
+        props.write_text(content)
+        numbers = {text: n for n, text in enumerate(content.split("\n"), start=1)}
+        lines, tokenize, flat_line = [], proplang._tokenize, proplang._flat_line
+
+        def read_flat(text):
+            flat = flat_line(text)
+            if flat:
+                lines.append(numbers[text])
+            return flat
+
         monkeypatch.setattr(
             proplang, "_tokenize", lambda text, line: lines.append(line) or tokenize(text, line)
         )
+        monkeypatch.setattr(proplang, "_flat_line", read_flat)
         assert main(["bell", *flags, pr_dist_file, "--props", str(props)]) == 2
         assert capsys.readouterr().err.endswith("(line 4, position 5)\n")
         assert lines == [2, 3, 4]

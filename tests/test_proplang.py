@@ -26,10 +26,11 @@ from choicectx import (
     parse_propositions,
     support_propositions,
 )
-from choicectx import core
+from choicectx import catalog, core, proplang
 from choicectx.core import DEADLINE_STRIDE, IDENTIFIER, VARIABLES_LIMIT, VARIABLE_RE, Scenario
 from choicectx.errors import ChoiceCtxError, TimeBudgetExceeded
 from choicectx.proplang import (
+    _TOKEN_STRIDE,
     MAX_NESTING,
     _compile,
     _read_tables,
@@ -562,6 +563,43 @@ class TestPrefixReader:
         assert tree.variables() == rebuilt(tree).variables() == reference_variables(tree)
 
 
+# whitespace around the literals of a flat line, U+0085 among it
+flat_spacing = st.sampled_from(["", " ", "\t", "\x85", "\x1c", "\u00a0"])
+
+# what sends a flat line to the token parser; a term of 35 negated literals,
+# 105 tokens with the "|" after it, is too long for the flat path's clock rule
+FLAT_FAULTS = ["! a", "empty term", "trailing connective", "constant", "long term"]
+
+
+@st.composite
+def flat_lines(draw):
+    """A line of ``|``-joined terms of ``&``-joined literals over
+    ``READER_SCENARIO``, with ``!`` and whitespace drawn around each literal
+    and, in some, over ``_TOKEN_STRIDE`` tokens, and the fault it holds, if
+    any: one of :data:`FLAT_FAULTS`."""
+    names = draw(st.sampled_from([["a", "b"], ["a'", "b"], ["c_1"], ["a", "b", "a'", "c_1"]]))
+    literal = st.tuples(
+        flat_spacing, st.sampled_from(["", "!"]), st.sampled_from(names), flat_spacing
+    ).map("".join)
+    terms = draw(st.lists(st.lists(literal, min_size=1, max_size=4), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        terms *= _TOKEN_STRIDE // len(terms) + 1
+    fault = draw(st.sampled_from([None, None, None, *FLAT_FAULTS]))
+    term = draw(st.integers(0, len(terms) - 1))
+    if fault == "! a":
+        terms[term].append("! " + names[0])
+    elif fault == "empty term":
+        terms.insert(term, [draw(flat_spacing)])
+    elif fault == "constant":
+        terms[term].insert(0, draw(st.sampled_from(["0", "1"])))
+    elif fault == "long term":
+        terms[term] = ["!" + names[0]] * 35
+    line = "|".join("&".join(term) for term in terms)
+    if fault == "trailing connective":
+        line += draw(st.sampled_from(["&", "|"])) + draw(flat_spacing)
+    return line, fault
+
+
 def check_against_library(text, bound, deadline):
     """``_read_tables`` gives the tables that the library route,
     ``parse_propositions`` then ``_compile``, gives for a formula file over
@@ -580,6 +618,10 @@ def check_against_library(text, bound, deadline):
     assert _read_tables(text, READER_SCENARIO, bound, deadline) == tables
 
 
+def refuse_a_parser(*args):
+    raise AssertionError("a line went to the token parser")
+
+
 class TestTableReader:
     """``bell`` parses each formula straight to its truth table, in one pass
     over the file.  On a file the library route accepts, it must give the
@@ -595,17 +637,18 @@ class TestTableReader:
 
     @staticmethod
     def clock_marks(text):
-        """The token before which each clock read falls, parsing ``text`` to
-        its table with a deadline that never passes."""
+        """The token before which each clock read falls, reading ``text`` to
+        its table with a deadline that never passes, on the flat path or
+        the parser's."""
         marks = []
-        tick = _TableParser.tick
+        read_clock = proplang._read_clock
 
-        def recorded(parser):
-            marks.append(parser.at)
-            tick(parser)
+        def recorded(deadline, at):
+            marks.append(at)
+            return read_clock(deadline, at)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_TableParser, "tick", recorded)
+            patch.setattr(proplang, "_read_clock", recorded)
             (table,) = _read_tables(text, READER_SCENARIO, 24, float("inf"))
         return marks
 
@@ -621,15 +664,62 @@ class TestTableReader:
     # 102 tokens from each literal to the next, so a read due at the 1,024th
     # token falls at the 1,122nd unless it is taken early
     @example(["!" * MAX_NESTING + "a"] * 12, " | ")
+    # a flat line's term at token 922, one short of a read: 102 tokens with
+    # the "|" after it, the most the flat path takes under a deadline, put
+    # the next read at 1,024; at 105 the line goes to the parser
+    @example(["a"] * 461 + [" & ".join(["!a"] * 34), "a"], " | ")
+    @example(["a"] * 461 + [" & ".join(["!a"] * 35), "a"], " | ")
+    @example(["a & !b"] * 400, " | ")
     def test_clock_read_every_stride_of_tokens(self, pieces, joint):
         # chains of literals nested MAX_NESTING deep, the most tokens that
         # may lie between two literals
         text = joint.join(pieces)
-        tokens = len(_tokenize(text, None)) - 1
+        values = _tokenize(text, None)
+        tokens = len(values) - 1
         marks = self.clock_marks(text)
         assert marks[0] == 0
+        # each read falls at the start of a literal
+        assert all(values[mark - 1] in ("&", "|", "(") for mark in marks[1:])
         assert all(0 < b - a <= DEADLINE_STRIDE for a, b in zip(marks, marks[1:]))
         assert tokens - marks[-1] <= DEADLINE_STRIDE
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(flat_lines(), min_size=1, max_size=3))
+    def test_flat_lines_match_the_library(self, drawn):
+        # a file of lines with no fault never reaches the token parser
+        text = "\n".join(line for line, _ in drawn)
+        flat = all(fault is None for _, fault in drawn)
+        for deadline in (None, 0.0, float("inf")):
+            with pytest.MonkeyPatch.context() as patch:
+                if flat:
+                    patch.setattr(_TableParser, "__init__", refuse_a_parser)
+                check_against_library(text, 24, deadline)
+                check_against_library(text, 3, deadline)
+
+    @pytest.mark.parametrize("deadline", [None, float("inf")])
+    def test_support_formulas_take_the_flat_path(self, deadline):
+        # what support_propositions prints is what bell-route's files hold;
+        # a printer change that leaves the flat form fails here
+        models = [
+            catalog.double_headed_coin(),
+            catalog.hardy_table(),
+            catalog.hardy_relabeled(),
+            catalog.pr_box(),
+            catalog.luce_raiffa(),
+            catalog.warp_noncontextual(),
+            catalog.warp_contextual(),
+            catalog.warp_signalling(),
+            *[gen_random_model(10, 7, 0.35, seed) for seed in range(1, 6)],
+            gen_random_model(12, 4, 0.8, 1),
+        ]
+        for model in models:
+            texts = [prop.to_text() for prop in support_propositions(model)]
+            text = "\n".join(line for line in texts if line != "0")  # a constant is not flat
+            props = parse_propositions(text, model.scenario)
+            want = _compile(props, model.scenario, 24, deadline)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_TableParser, "__init__", refuse_a_parser)
+                assert _read_tables(text, model.scenario, 24, deadline) == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
