@@ -307,13 +307,16 @@ def certifies_contextuality(violation: float, formulas: int) -> bool:
 def support_propositions(model: PossibilisticModel) -> list[Proposition]:
     """One formula per cover context asserting the outcome lies in that
     context's support, as a disjunction of full conjunctions (one per
-    event).  Empty supports yield the constant false."""
+    event).  Empty supports yield the constant false, and the empty event
+    of a context with no variables the constant true."""
     from .proplang import And, Const, Not, Or, Var
 
     props: list[Proposition] = []
     for context in model.scenario.cover:
         terms = [
             reduce(And, [Var(v) if v in event else Not(Var(v)) for v in context])
+            if context
+            else Const(True)
             for event in model.events_sorted(context)
         ]
         props.append(reduce(Or, terms) if terms else Const(False))

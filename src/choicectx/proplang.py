@@ -18,22 +18,21 @@ must fit inside a single cover context, otherwise the formula has no
 measurement context.  AST nodes support ``&``, ``|`` and ``~`` for
 programmatic construction.
 
-One parser reads the grammar to either of two targets, as it reads the
-text.  The public parse functions build each formula's tree: within a
-formula one node, made before the formula is read, stands for each
-literal (a variable, a negated variable or a constant) wherever it
-occurs, and no two formulas share a node; nodes are immutable and every
-method reads values, never identity, so the sharing cannot be seen.  Each
-formula also has a prefix form, every node's class then its fields,
-written once by its flattening when first needed; equality, hashing,
-``to_text`` and ``repr`` read it.
+One parser reads the grammar to a tree.  Within a formula one node, made
+before the formula is read, stands for each literal (a variable, a negated
+variable or a constant) wherever it occurs, and no two formulas share a
+node; nodes are immutable and every method reads values, never identity,
+so the sharing cannot be seen.  Each formula also has a prefix form,
+every node's class then its fields, written once by its flattening when
+first needed; equality, hashing, ``to_text`` and ``repr`` read it.
 
 Both Bell routes compile formulas to truth tables here: the library's
-(:func:`_compile`) from each formula's prefix form, and ``bell``'s
-(:func:`_read_tables`) straight from its file, with no node.  A flat line,
-terms of literals joined by ``|`` and ``&`` as support formulas print, is
-split at its connectives and ORs each term's AND of its literals' tables;
-:class:`_TableParser` parses any other line to its table.
+(:func:`_compile`) from each formula's prefix form (:func:`_table`), and
+``bell``'s (:func:`_read_tables`), which reads its file once and takes
+each line the library's way unless it is flat.  A flat line, terms of
+literals joined by ``|`` and ``&`` as support formulas print, skips the
+parser and the tree: it is split at its connectives and ORs each term's
+AND of its literals' tables.
 """
 
 from __future__ import annotations
@@ -285,62 +284,42 @@ _SYMBOLS = frozenset(["", "!", "&", "|", "(", ")", "0", "1"])
 
 
 class _Parser:
-    """Reads one formula's tokens to one of two targets, with the same
-    grammar and checks: this class builds the formula's tree, and
-    :class:`_TableParser` its truth table.  Each literal pushes its value on
-    ``items``, and a chain's operands become one value when the chain ends.
-
-    What the parser builds goes through its output hooks alone: ``leaves``,
-    ``negations`` and ``constants`` map each token text to the value its
-    variable, negated variable or constant pushes (:func:`_tree_parser`
-    gives a tree's nodes); :meth:`close` reduces a chain's operands with
-    ``conjoin`` or ``disjoin``, and :meth:`negate` applies a run of ``!``
-    to the operand after it.  A literal that starts at or past ``mark``
-    first calls :meth:`tick`; the tree reads no clock, so its mark lies
-    past the last token."""
-
-    conjoin = And
-    disjoin = Or
+    """Reads one formula's tokens to its tree, with every syntax check.
+    Each literal pushes its node on ``items``, and a chain's operands
+    become one ``And`` or ``Or`` node when the chain ends.  One node stands
+    for each literal (a variable, a negated variable or a constant) and is
+    placed wherever the literal occurs; the nodes are made before the
+    formula is read, one ``Var`` and one ``Not`` over it per identifier
+    token and the two constants, so no two formulas share one.  With a
+    ``deadline``, the clock is read before the first literal and then at
+    the first literal :data:`_TOKEN_STRIDE` or more tokens past the last
+    read, so before each run of at most :data:`DEADLINE_STRIDE` tokens;
+    expiry raises :class:`TimeBudgetExceeded`."""
 
     def __init__(
-        self,
-        values: list[str],
-        text: str,
-        line: int | None,
-        leaves: Mapping[str, object],
-        negations: Mapping[str, object],
-        constants: Mapping[str, object],
+        self, values: list[str], text: str, line: int | None, deadline: float | None = None
     ):
         self.values = values
         self.text = text
         self.line = line
         self.at = 0
         self.depth = 0
-        self.mark = len(values)
-        self.items: list[object] = []
-        self.leaves = leaves
-        self.negations = negations
-        self.constants = constants
+        self.deadline = deadline
+        self.mark = len(values) if deadline is None else 0  # past the last token: no read
+        self.items: list[Proposition] = []
+        self.leaves = {name: Var(name) for name in set(values).difference(_SYMBOLS)}
+        self.negations = {name: Not(leaf) for name, leaf in self.leaves.items()}
+        self.constants = {"0": Const(False), "1": Const(True)}
 
-    def close(self, operands: int, operation) -> None:
-        """End a chain: its last ``operands`` values become one, reduced
+    def close(self, operands: int, operation: type) -> None:
+        """End a chain: its last ``operands`` nodes become one, reduced
         left to right with ``operation``."""
         items = self.items
         items[-operands:] = [reduce(operation, items[-operands:])]
 
-    def negate(self, count: int) -> None:
-        """Negate the last value ``count`` times."""
-        node = self.items[-1]
-        for _ in range(count):
-            node = Not(node)
-        self.items[-1] = node
-
-    def tick(self) -> None:
-        """Read the clock: the tree reads none."""
-
-    def read(self) -> list[object]:
+    def read(self) -> list[Proposition]:
         """Read the whole formula, with every syntax check, and give the
-        values left on ``items``: the formula's one value."""
+        nodes left on ``items``: the formula's root."""
         self.formula()
         if self.values[self.at]:
             raise self.fail("expected end of input")
@@ -372,7 +351,7 @@ class _Parser:
             self.conjunction()
             operands += 1
         if operands > 1:
-            self.close(operands, self.disjoin)
+            self.close(operands, Or)
 
     def conjunction(self) -> None:
         self.literal()
@@ -382,11 +361,11 @@ class _Parser:
             self.literal()
             operands += 1
         if operands > 1:
-            self.close(operands, self.conjoin)
+            self.close(operands, And)
 
     def literal(self) -> None:
         if self.at >= self.mark:
-            self.tick()
+            self.mark = _read_clock(self.deadline, self.at)
         values = self.values
         value = values[self.at]
         if value not in _SYMBOLS:  # a variable
@@ -418,8 +397,8 @@ class _Parser:
             raise self.fail("expected a variable, constant, '!' or '('")
         self.at += 1
         self.depth = outer
-        if count:
-            self.negate(count)
+        for _ in range(count):
+            self.items[-1] = Not(self.items[-1])
 
 
 def _patterns(k: int) -> list[int]:
@@ -474,42 +453,6 @@ def _check_rows(rows_in_all: int) -> None:
 _TOKEN_STRIDE = DEADLINE_STRIDE - MAX_NESTING - 1
 
 
-class _TableParser(_Parser):
-    """Reads one formula's tokens straight to its truth table, for ``bell``:
-    the grammar and every check are :class:`_Parser`'s.  The value of a
-    formula over the variables ``names`` (in ascending scenario bit) is its
-    ``2^k``-row table as an int, as in :func:`_truth_tables`:
-    a literal pushes its variable's pattern or that pattern's complement,
-    and the end of a chain ANDs or ORs its operands.  With a ``deadline``,
-    the clock is read before the first literal and then at the first
-    literal :data:`_TOKEN_STRIDE` or more tokens past the last read, so
-    before each run of at most :data:`DEADLINE_STRIDE` tokens; expiry
-    raises :class:`TimeBudgetExceeded`."""
-
-    conjoin = operator.and_
-    disjoin = operator.or_
-
-    def __init__(
-        self, values: list[str], text: str, line: int, names: list[str], deadline: float | None
-    ):
-        full = (1 << (1 << len(names))) - 1
-        patterns = _patterns(len(names))
-        leaves = dict(zip(names, patterns))
-        negations = {name: p ^ full for name, p in zip(names, patterns)}
-        super().__init__(values, text, line, leaves, negations, {"0": 0, "1": full})
-        self.full = full
-        self.deadline = deadline
-        if deadline is not None:
-            self.mark = 0
-
-    def negate(self, count: int) -> None:
-        if count % 2:
-            self.items[-1] ^= self.full
-
-    def tick(self) -> None:
-        self.mark = _read_clock(self.deadline, self.at)
-
-
 def _read_clock(deadline: float, at: int) -> int:
     """Read the clock before the token ``at`` of a line, either path's: the
     next read is due at the first literal or term ``_TOKEN_STRIDE`` on."""
@@ -541,8 +484,8 @@ def _flat_line(raw: str) -> tuple[list[list[str]], dict[str, re.Match]] | None:
 
 def _flat_table(terms: list, literals: dict, names: list[str], deadline: float | None) -> int:
     """The truth table over ``names`` of a line :func:`_flat_line` read, as
-    :class:`_TableParser` gives it.  With a ``deadline`` the clock is read
-    by the parser's rule, but at the first literal of a term alone."""
+    :func:`_table` gives it.  With a ``deadline`` the clock is read by the
+    parser's rule, but at the first literal of a term alone."""
     full = (1 << (1 << len(names))) - 1
     pattern = dict(zip(names, _patterns(len(names))))
     table_of = {text: pattern[m[2]] ^ (full if m[1] else 0) for text, m in literals.items()}
@@ -558,22 +501,10 @@ def _flat_table(terms: list, literals: dict, names: list[str], deadline: float |
     return reduce(operator.or_, tables)
 
 
-def _tree_parser(values: list[str], text: str, line: int | None) -> _Parser:
-    """A parser that builds the formula's tree: one node stands for each
-    literal (a variable, a negated variable or a constant) and is placed
-    wherever the literal occurs.  The nodes are made before the formula is
-    read, one ``Var`` and one ``Not`` over it per identifier token and the
-    two constants, so no two formulas share one."""
-    leaves = {name: Var(name) for name in set(values).difference(_SYMBOLS)}
-    negations = {name: Not(leaf) for name, leaf in leaves.items()}
-    constants = {"0": Const(False), "1": Const(True)}
-    return _Parser(values, text, line, leaves, negations, constants)
-
-
 def parse_formula(text: str, line: int | None = None) -> Proposition:
     """Parse a formula with no scenario checks.  A formula nesting ``(`` and
     ``!`` more than :data:`MAX_NESTING` deep is refused."""
-    parser = _tree_parser(_tokenize(text, line), text, line)
+    parser = _Parser(_tokenize(text, line), text, line)
     (node,) = parser.read()
     # the whole input was read, so every identifier token is a variable
     node.__dict__["_variables"] = frozenset(parser.leaves)
@@ -633,52 +564,52 @@ _ContextTable = tuple[Context, tuple[int, frozenset[int]]]
 def _truth_tables(
     props: list[Proposition], bit: Mapping[str, int], deadline: float | None
 ) -> Iterator[tuple[int, frozenset[int]]]:
-    """Compile each formula to its variable mask and satisfying masked codes.
-
-    Of a formula this reads only its prefix form ``_items`` and its
-    ``variables()``.  A formula over ``k`` variables becomes its whole
-    truth table as one ``2^k``-bit integer: row ``i`` binds the formula's
-    ``j``-th variable (in ascending scenario bit) to bit ``j`` of ``i``
-    (:func:`_patterns`), so ascending rows are ascending submasks.  The
-    prefix form is read backwards on a stack of values, ``&``/``|``/``!``
-    acting on whole tables, and the set rows are decoded to codes
-    (:func:`_satisfying`).  Tables over :data:`TABLE_ROWS_LIMIT` rows in
-    all are refused with :class:`TooLarge` before any is built.  The
-    reversed prefix form is read in slices of :data:`DEADLINE_STRIDE`
-    items, and ``deadline`` is read before each slice, the first included,
-    and before each block of table rows.
-    """
+    """Compile each formula to its variable mask and satisfying masked codes:
+    its :func:`_table` over its variables in ascending scenario bit, with
+    the set rows decoded to codes (:func:`_satisfying`), both reading
+    ``deadline``.  Tables over :data:`TABLE_ROWS_LIMIT` rows in all are
+    refused with :class:`TooLarge` before any is built."""
     _check_rows(sum(1 << len(prop.variables()) for prop in props))
-    var, conj, neg, disj, const = Var, And, Not, Or, Const  # locals, read faster
     for prop in props:
         names = sorted(prop.variables(), key=bit.__getitem__)
-        full = (1 << (1 << len(names))) - 1
-        table_of = dict(zip(names, _patterns(len(names))))
+        yield _satisfying(_table(prop, names, deadline), names, bit, deadline)
 
-        values: list = []
-        append, pop = values.append, values.pop
-        items = prop._items[::-1]
-        for start in range(0, len(items), DEADLINE_STRIDE):
-            if past_deadline(deadline):
-                raise TimeBudgetExceeded()
-            for item in items[start : start + DEADLINE_STRIDE]:
-                if item is var:
-                    values[-1] = table_of[values[-1]]
-                elif item is conj:
-                    append(pop() & pop())
-                elif item is neg:
-                    values[-1] ^= full
-                elif item is disj:
-                    append(pop() | pop())
-                elif item is const:
-                    values[-1] = full if values[-1] else 0
-                elif isinstance(item, type):
-                    raise TypeError(f"cannot compile a {item.__qualname__} node")
-                else:
-                    append(item)  # a field: a variable's name or a constant
 
-        (table,) = values
-        yield _satisfying(table, names, bit, deadline)
+def _table(prop: Proposition, names: list[str], deadline: float | None) -> int:
+    """The truth table of ``prop`` over its variables ``names``, as one
+    ``2^k``-bit integer: row ``i`` binds the ``j``-th name to bit ``j`` of
+    ``i`` (:func:`_patterns`), so with ``names`` in ascending scenario bit,
+    ascending rows are ascending submasks.  Of the formula this reads only
+    its prefix form ``_items``, backwards on a stack of values, ``&``/``|``/
+    ``!`` acting on whole tables.  The reversed prefix form is read in
+    slices of :data:`DEADLINE_STRIDE` items, and ``deadline`` is read
+    before each slice, the first included."""
+    var, conj, neg, disj, const = Var, And, Not, Or, Const  # locals, read faster
+    full = (1 << (1 << len(names))) - 1
+    table_of = dict(zip(names, _patterns(len(names))))
+    values: list = []
+    append, pop = values.append, values.pop
+    items = prop._items[::-1]
+    for start in range(0, len(items), DEADLINE_STRIDE):
+        if past_deadline(deadline):
+            raise TimeBudgetExceeded()
+        for item in items[start : start + DEADLINE_STRIDE]:
+            if item is var:
+                values[-1] = table_of[values[-1]]
+            elif item is conj:
+                append(pop() & pop())
+            elif item is neg:
+                values[-1] ^= full
+            elif item is disj:
+                append(pop() | pop())
+            elif item is const:
+                values[-1] = full if values[-1] else 0
+            elif isinstance(item, type):
+                raise TypeError(f"cannot compile a {item.__qualname__} node")
+            else:
+                append(item)  # a field: a variable's name or a constant
+    (table,) = values
+    return table
 
 
 def _compile(
@@ -694,22 +625,23 @@ def _compile(
 def _read_tables(
     text: str, scenario: Scenario, bound: int, deadline: float | None
 ) -> list[_ContextTable]:
-    """Each formula of a proposition file as :func:`_compile` gives it,
-    parsed straight to its table with no node: how ``bell`` reads its file.
+    """Each formula of a proposition file as :func:`_compile` gives it: how
+    ``bell`` reads its file.
 
     The file is read once, and refused as :func:`parse_propositions` then
     :func:`_compile` would refuse it: each line's tokens and syntax,
     then its measurement context, in file order; after the last line,
     ``bound``, the total of table rows (:data:`TABLE_ROWS_LIMIT`), then
     ``deadline``.  A flat line (:func:`_flat_line`) has no syntax fault and
-    goes to :func:`_flat_table`; any other line goes to
-    :func:`_tokenize` and :class:`_TableParser`.  A formula's identifier
-    tokens are its variables, so its context and rows are known from its
-    tokens, and a context fault is raised only once the line's syntax is
-    checked.  Tables are built only while none of those last three is due,
-    so at most :data:`TABLE_ROWS_LIMIT` rows in all; a line read once one
-    is due goes through :func:`_tree_parser`, for its checks alone.  An
-    expiry met while a table is built only marks the budget as spent."""
+    goes straight to its table by :func:`_flat_table`, with no node; any
+    other line goes the library's way, :func:`_tokenize` and
+    :class:`_Parser` to its tree, then :func:`_table`.  A formula's
+    identifier tokens are its variables, so its context and rows are known
+    from its tokens, and a context fault is raised only once the line's
+    syntax is checked.  Tables are built only while none of those last
+    three is due, so at most :data:`TABLE_ROWS_LIMIT` rows in all; a line
+    read once one is due is parsed for its checks alone.  An expiry met
+    while a table is built only marks the budget as spent."""
     over_bound = len(scenario.variables) > bound
     bit = scenario.bit
     pairs, rows_in_all, expired = [], 0, False
@@ -722,7 +654,7 @@ def _read_tables(
             context = _context_of(used, scenario)
         except (UnknownVariable, NotMeasurable):
             if not flat:
-                _tree_parser(values, raw, lineno).read()  # a syntax error is named first
+                _Parser(values, raw, lineno).read()  # a syntax error is named first
             raise
         if not (over_bound or expired or rows_in_all > TABLE_ROWS_LIMIT):
             names = sorted(used, key=bit.__getitem__)
@@ -730,13 +662,14 @@ def _read_tables(
                 if flat:
                     table = _flat_table(*flat, names, deadline)
                 else:
-                    (table,) = _TableParser(values, raw, lineno, names, deadline).read()
+                    (prop,) = _Parser(values, raw, lineno, deadline).read()
+                    table = _table(prop, names, deadline)
                 pairs.append((context, _satisfying(table, names, bit, deadline)))
                 continue
             except TimeBudgetExceeded:
                 expired = True
         if not flat:
-            _tree_parser(values, raw, lineno).read()  # its checks alone
+            _Parser(values, raw, lineno).read()  # its checks alone
     _check_bound(len(scenario.variables), bound)
     _check_rows(rows_in_all)
     if expired:

@@ -1459,10 +1459,16 @@ class TestBellDifferential:
     def test_no_table_is_built_over_the_bound(
         self, pr_dist_file, pr_props_file, monkeypatch, capsys
     ):
+        # the support formulas take the flat path; a line with parentheses
+        # and a constant takes the parser and the library's compile
+        with open(pr_props_file, "a", encoding="utf-8") as handle:
+            handle.write("!(a & !b) | 0\n")
+
         def refuse(*args):
             raise AssertionError("a truth table was built")
 
-        monkeypatch.setattr(proplang._TableParser, "__init__", refuse)
+        monkeypatch.setattr(proplang, "_flat_table", refuse)
+        monkeypatch.setattr(proplang, "_table", refuse)
         assert main(["bell", "--bound", "3", pr_dist_file, "--props", pr_props_file]) == 2
         assert capsys.readouterr().err == "error: 4 variables exceed the exhaustive bound of 3\n"
 
@@ -1470,8 +1476,9 @@ class TestBellDifferential:
         # a chain of 3,000 disjuncts is 5,999 tokens: the clock is read at
         # its literals at tokens 0, 924, ..., 5,544 (seven reads, each run
         # under DEADLINE_STRIDE tokens) and before its one block of rows;
-        # the constant-false line after it, once before its literal and once
-        # before its row, settles the family with no search
+        # the constant-false line after it, once before its literal, once
+        # before its one slice of prefix items and once before its row,
+        # settles the family with no search
         props = tmp_path / "long.props"
         props.write_text(" | ".join(["a"] * 3000) + "\n0\n")
         reads = []
@@ -1479,7 +1486,7 @@ class TestBellDifferential:
         argv = ["bell", "--machine", "--budget", "1", pr_dist_file, "--props", str(props)]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out) == {"formulas": 2, "violation": -0.5}
-        assert len(reads) == 10
+        assert len(reads) == 11
 
     def test_syntax_error_after_a_valid_line_outranks_an_expired_budget(
         self, pr_dist_file, tmp_path, capsys

@@ -387,6 +387,14 @@ class TestBellRoute:
         assert strong_contextuality_via_bell(m) is strong
         assert (classify(m).kind is Kind.STRONGLY_CONTEXTUAL) is strong
 
+    def test_a_context_with_no_variables(self):
+        # its one event, the empty one, is the empty conjunction: true
+        s = Scenario.make(["a"], [[], ["a"]])
+        m = PossibilisticModel.make(s, {(): [{}], ("a",): [{"a": 1}]})
+        assert strong_contextuality_via_bell(m) is False
+        verdict = classify(m)
+        assert (verdict.kind, verdict.section_count) == (Kind.NONCONTEXTUAL, 1)
+
 
 class TestFsumDiscipline:
     def test_many_small_terms(self):

@@ -35,7 +35,6 @@ from choicectx.proplang import (
     _compile,
     _read_tables,
     _tokenize,
-    _TableParser,
 )
 
 
@@ -566,7 +565,7 @@ class TestPrefixReader:
 # whitespace around the literals of a flat line, U+0085 among it
 flat_spacing = st.sampled_from(["", " ", "\t", "\x85", "\x1c", "\u00a0"])
 
-# what sends a flat line to the token parser; a term of 35 negated literals,
+# what sends a flat line to the tokenizer and parser; a term of 35 negated literals,
 # 105 tokens with the "|" after it, is too long for the flat path's clock rule
 FLAT_FAULTS = ["! a", "empty term", "trailing connective", "constant", "long term"]
 
@@ -600,33 +599,41 @@ def flat_lines(draw):
     return line, fault
 
 
-def check_against_library(text, bound, deadline):
+def check_against_library(text, bound, deadline, flat=False):
     """``_read_tables`` gives the tables that the library route,
     ``parse_propositions`` then ``_compile``, gives for a formula file over
     ``READER_SCENARIO``, or raises what that route raises: the same type,
-    message, position and line."""
+    message, position and line.  With ``flat``, the library's answer is
+    taken first, and then no line may reach the tokenizer."""
     try:
         props = parse_propositions(text, READER_SCENARIO)
         tables = _compile(props, READER_SCENARIO, bound, deadline)
-    except ChoiceCtxError as want:
-        with pytest.raises(type(want)) as err:
-            _read_tables(text, READER_SCENARIO, bound, deadline)
-        assert str(err.value) == str(want)
-        assert getattr(err.value, "position", None) == getattr(want, "position", None)
-        assert getattr(err.value, "line", None) == getattr(want, "line", None)
-        return
-    assert _read_tables(text, READER_SCENARIO, bound, deadline) == tables
+    except ChoiceCtxError as error:
+        want = error
+    else:
+        want = None
+    with pytest.MonkeyPatch.context() as patch:
+        if flat:
+            patch.setattr(proplang, "_tokenize", refuse_the_tokenizer)
+        if want is not None:
+            with pytest.raises(type(want)) as err:
+                _read_tables(text, READER_SCENARIO, bound, deadline)
+            assert str(err.value) == str(want)
+            assert getattr(err.value, "position", None) == getattr(want, "position", None)
+            assert getattr(err.value, "line", None) == getattr(want, "line", None)
+            return
+        assert _read_tables(text, READER_SCENARIO, bound, deadline) == tables
 
 
-def refuse_a_parser(*args):
-    raise AssertionError("a line went to the token parser")
+def refuse_the_tokenizer(*args):
+    raise AssertionError("a line went to the tokenizer")
 
 
 class TestTableReader:
-    """``bell`` parses each formula straight to its truth table, in one pass
-    over the file.  On a file the library route accepts, it must give the
-    tables the prefix forms compile to; on any other, it must raise what the
-    library route raises, with the same message, position and line."""
+    """``bell`` reads each formula to its truth table, in one pass over the
+    file.  On a file the library route accepts, it must give the tables the
+    prefix forms compile to; on any other, it must raise what the library
+    route raises, with the same message, position and line."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -686,15 +693,12 @@ class TestTableReader:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(flat_lines(), min_size=1, max_size=3))
     def test_flat_lines_match_the_library(self, drawn):
-        # a file of lines with no fault never reaches the token parser
+        # a file of lines with no fault never reaches the tokenizer
         text = "\n".join(line for line, _ in drawn)
         flat = all(fault is None for _, fault in drawn)
         for deadline in (None, 0.0, float("inf")):
-            with pytest.MonkeyPatch.context() as patch:
-                if flat:
-                    patch.setattr(_TableParser, "__init__", refuse_a_parser)
-                check_against_library(text, 24, deadline)
-                check_against_library(text, 3, deadline)
+            check_against_library(text, 24, deadline, flat)
+            check_against_library(text, 3, deadline, flat)
 
     @pytest.mark.parametrize("deadline", [None, float("inf")])
     def test_support_formulas_take_the_flat_path(self, deadline):
@@ -718,7 +722,7 @@ class TestTableReader:
             props = parse_propositions(text, model.scenario)
             want = _compile(props, model.scenario, 24, deadline)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(_TableParser, "__init__", refuse_a_parser)
+                patch.setattr(proplang, "_tokenize", refuse_the_tokenizer)
                 assert _read_tables(text, model.scenario, 24, deadline) == want
 
     @settings(max_examples=100, deadline=None)
